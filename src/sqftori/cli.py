@@ -1,12 +1,12 @@
 """Command-line front end.
 
     sqftori sqfree  {count,expected-linear,quad-excess,discriminant,mu-sum}
-    sqftori tori    {count,types,eigenvectors,quad-excess,bias,euler,cayley}
+    sqftori tori    {count,eigenvectors,quad-excess,bias,euler,cayley,types}
     sqftori verify  all
 
-Exit codes: 0 all checks pass, 1 at least one identity failed, 2 usage
-error.  Reports go to stdout (or --out) as an aligned table, CSV, or
-JSON; ``verify all`` defaults to the JSON report.
+Exit codes: 0 all checks pass, 1 at least one identity failed, 2 usage,
+configuration or I/O error.  Reports go to stdout (or --out) as an
+aligned table, CSV, or JSON; ``verify all`` defaults to the JSON report.
 """
 
 from __future__ import annotations
@@ -54,15 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sqf = sub.add_parser("sqfree", help="square-free polynomial identities")
     sqf_sub = sqf.add_subparsers(dest="command", required=True)
-    for name in ("count", "expected-linear", "quad-excess", "discriminant", "mu-sum"):
+    for name in _SQFREE_SUITES:
         sqf_sub.add_parser(name, parents=[common])
 
     tor = sub.add_parser("tori", help="maximal torus identities")
     tor_sub = tor.add_subparsers(dest="command", required=True)
-    for name in ("count", "types", "eigenvectors", "quad-excess", "bias", "euler", "cayley"):
-        p = tor_sub.add_parser(name, parents=[common])
-        if name == "types":
-            p.add_argument("--n", type=int, default=4, help="rank for the type table (default 4)")
+    for name in _TORI_SUITES:
+        tor_sub.add_parser(name, parents=[common])
+    types = tor_sub.add_parser("types", parents=[common])
+    types.add_argument("--n", type=int, default=4, help="rank for the type table (default 4)")
 
     ver = sub.add_parser("verify", help="run every identity suite")
     ver_sub = ver.add_subparsers(dest="command", required=True)
@@ -90,6 +90,8 @@ _TORI_SUITES = {
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.command == "types" and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.group == "verify" else "table"
@@ -130,8 +132,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         rendered = reports_to_table(reports)
 
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         s = summarize(reports)
         print(
             f"wrote {config.output_path}: passed {s['passed']} / failed {s['failed']}"

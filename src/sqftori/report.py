@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from .ffpoly import is_prime
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -56,17 +58,6 @@ def make_report(
     )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Sizes and output settings for a verification run."""
@@ -86,8 +77,10 @@ class RunConfig:
                 f"series order {self.series_order} is smaller than n_max {self.n_max}"
             )
         for p in self.primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"repeated prime in {list(self.primes)}")
         if self.primes and self.enumeration_budget < min(self.primes):
             raise ValueError(
                 "enumeration budget is below the smallest requested field size"

@@ -153,21 +153,10 @@ def squarefree_count_formula(n: int) -> RationalFunction:
 
 
 def squarefree_count(n: int) -> RationalFunction:
-    """Number of square-free monic degree-n polynomials, by the product route.
-
-    The value is cross-checked against the closed form (1-qu^2)/(1-qu)
-    before it is returned; a mismatch would mean an arithmetic bug.
-    """
+    """Number of square-free monic degree-n polynomials, by the product route."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    order = _working_order(n)
-    value = squarefree_product_series(order).coefficient(n)
-    check = _closed_squarefree_series(order).coefficient(n)
-    if value != check:
-        raise ArithmeticError(
-            f"square-free product route disagrees with its closed form at n={n}"
-        )
-    return value
+    return squarefree_product_series(_working_order(n)).coefficient(n)
 
 
 def moebius_signed_sum(n: int) -> RationalFunction:
@@ -217,13 +206,8 @@ def expected_linear_factors_sum(n: int) -> RationalFunction:
 
 def expected_linear_factors(n: int) -> RationalFunction:
     """Expected number of distinct roots of a random square-free monic
-    degree-n polynomial; both routes must agree exactly."""
-    value = expected_linear_factors_sum(n)
-    if value != expected_linear_factors_series(n):
-        raise ArithmeticError(
-            f"linear-factor partial sum disagrees with the series route at n={n}"
-        )
-    return value
+    degree-n polynomial, by the closed-form partial sum."""
+    return expected_linear_factors_sum(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Report serialization, run configuration, and the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,8 @@ def test_config_validation():
         RunConfig(primes=(7,), enumeration_budget=3)
     with pytest.raises(ValueError):
         RunConfig(n_max=0)
+    with pytest.raises(ValueError):
+        RunConfig(primes=(2, 2))
 
 
 def test_sorting_is_by_name_then_parameters():
@@ -139,6 +142,16 @@ def test_verify_all_passes_clean():
     assert failing_names(reports) == []
 
 
+def test_verify_all_json_is_byte_identical_to_recorded_digest():
+    # guards every refactor of the report path: names, parameters and renderings
+    reports = suites.verify_all(SMALL)
+    text = reports_to_json(SMALL, reports, include_timing=False)
+    assert len(reports) == 90
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf"
+    )
+
+
 def test_type_reports_flag_coefficient_signs():
     # coefficient non-negativity is observed and reported, never assumed
     reports = suites.tori_type_reports(SMALL, 4, with_evaluations=False)
@@ -176,8 +189,14 @@ def test_cli_usage_error_exit_code_2():
 
 
 def test_cli_invalid_config_exit_code_2(capsys):
-    assert cli.main(["sqfree", "count", "--n-max", "30"]) == 2
-    assert "error" in capsys.readouterr().err
+    for argv in (
+        ["sqfree", "count", "--n-max", "30"],
+        ["sqfree", "count", *_FAST, "--prime", "2"],
+        ["tori", "types", "--n", "0"],
+        ["tori", "types", "--n", "-3"],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert "error" in capsys.readouterr().err
 
 
 def test_cli_csv_format(capsys):
@@ -203,6 +222,13 @@ def test_cli_out_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     payload = json.loads(target.read_text())
     assert payload["summary"]["failed"] == 0
+
+
+def test_cli_unwritable_out_exit_code_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert cli.main(["sqfree", "mu-sum", *_FAST, "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not target.exists()
 
 
 def test_cli_tori_types_table(capsys):

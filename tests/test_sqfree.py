@@ -67,8 +67,11 @@ def test_squarefree_count_closed_forms():
 
 
 def test_squarefree_count_symbolic_range():
-    for n in range(2, 13):
+    closed = sqfree._closed_squarefree_series(sqfree.DEFAULT_ORDER)
+    for n in range(2, sqfree.DEFAULT_ORDER + 1):
         assert sqfree.squarefree_count(n) == sqfree.squarefree_count_formula(n)
+        # the closed form (1-qu^2)/(1-qu) of the product; no report compares it
+        assert closed.coefficient(n) == sqfree.squarefree_count_formula(n)
 
 
 def test_squarefree_count_oracle_value():
