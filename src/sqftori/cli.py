@@ -28,20 +28,30 @@ from .report import (
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-max", type=int, default=10, help="largest degree / rank (default 10)")
+    common.add_argument(
+        "--n-max",
+        type=int,
+        default=RunConfig.n_max,
+        help="largest degree / rank (default %(default)s)",
+    )
     common.add_argument(
         "--prime",
         type=int,
         action="append",
         dest="primes",
-        help="oracle prime, repeatable (default 2 3 5)",
+        help=f"oracle prime, repeatable (default {' '.join(map(str, RunConfig.primes))})",
     )
-    common.add_argument("--order", type=int, default=24, help="series truncation order (default 24)")
+    common.add_argument(
+        "--order",
+        type=int,
+        default=RunConfig.series_order,
+        help="series truncation order (default %(default)s)",
+    )
     common.add_argument(
         "--budget",
         type=int,
-        default=10_000_000,
-        help="enumeration budget in polynomial visits (default 10^7)",
+        default=RunConfig.enumeration_budget,
+        help="enumeration budget in polynomial visits (default %(default)s)",
     )
     common.add_argument("--format", choices=("table", "csv", "json"), default=None)
     common.add_argument("--out", default=None, help="write the report to this file")
@@ -97,7 +107,7 @@ def _config_from_args(args) -> RunConfig:
         fmt = "json" if args.group == "verify" else "table"
     return RunConfig(
         n_max=args.n_max,
-        primes=tuple(args.primes) if args.primes else (2, 3, 5),
+        primes=tuple(args.primes) if args.primes else RunConfig.primes,
         series_order=args.order,
         enumeration_budget=args.budget,
         output_format=fmt,
@@ -123,6 +133,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             reports = _TORI_SUITES[args.command](config)
     else:
         reports = suites.verify_all(config)
+    if not reports:
+        print("error: the configuration leaves no identity to check", file=sys.stderr)
+        return 2
 
     if config.output_format == "json":
         rendered = reports_to_json(config, reports)

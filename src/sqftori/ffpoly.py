@@ -14,13 +14,16 @@ Two enumeration methods produce identical stats:
     Simple, slow, used for cross-checks at small sizes.
 
 ``sieve``
-    The default.  Irreducible polynomials of each degree are generated
-    by a sieve (a monic polynomial is composite exactly when it is a
-    product g*h with g irreducible of at most half its degree); the
-    per-polynomial factor counts are then accumulated by marking every
-    product (irreducible g) * (monic h), vectorized with numpy.  A
-    square-free polynomial is hit exactly once per irreducible factor,
-    and is recognized by its marked factor degrees summing to n.
+    The default.  Irreducible polynomials of degree below n are
+    generated by a sieve (a monic polynomial is composite exactly when
+    it is a product g*h with g irreducible of at most half its degree);
+    the per-polynomial factor counts are then accumulated by marking
+    every product (irreducible g) * (monic h) of degree n, in one walk
+    over all pairs (g, h) vectorized with numpy.  A square-free
+    polynomial is hit exactly once per irreducible factor, and is
+    recognized by its marked factor degrees summing to n.  A polynomial
+    left unmarked has no irreducible factor of lower degree, so it is
+    irreducible of degree n and is given that factor's counts directly.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -400,20 +403,15 @@ def discriminant_class(f: FieldPoly) -> Literal["residue", "nonresidue"]:
 _IRR_CACHE: dict[int, list[np.ndarray]] = {}
 
 
-def _digit_rows(start: int, stop: int, p: int, width: int) -> np.ndarray:
-    """Base-p digit rows for indices start..stop-1 (constant term first)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.int64)
-    for i in range(width):
-        out[:, i] = idx % p
-        idx //= p
-    return out
+def _monic_rows(idx: np.ndarray, p: int, degree: int) -> np.ndarray:
+    """Coefficient rows (with leading 1) of monic polynomials by index.
 
-
-def _monic_rows(start: int, stop: int, p: int, degree: int) -> np.ndarray:
-    """Coefficient rows (with leading 1) of monic polynomials by index."""
-    rows = np.empty((stop - start, degree + 1), dtype=np.int64)
-    rows[:, :degree] = _digit_rows(start, stop, p, degree)
+    Digit i of an index in base p is coefficient i."""
+    rows = np.empty((len(idx), degree + 1), dtype=np.int64)
+    work = idx.astype(np.int64)
+    for i in range(degree):
+        rows[:, i] = work % p
+        work //= p
     rows[:, degree] = 1
     return rows
 
@@ -423,69 +421,39 @@ def _product_indices(G: np.ndarray, p: int, m: int) -> Iterator[np.ndarray]:
 
     G holds coefficient rows (leading 1 included) of fixed degree e; the
     products are monic of degree e+m and are encoded by their n=e+m
-    non-leading coefficients.  Yields flat index arrays in batches,
-    vectorizing over whichever side of the product is larger.
+    non-leading coefficients.  Walks the len(G) * p^m pairs (g, h) in
+    flat order and yields one index array per _CHUNK pairs.
     """
     e = G.shape[1] - 1
     n = e + m
     n_h = p**m
+    n_pairs = len(G) * n_h
     pows = p ** np.arange(n, dtype=np.int64)
-
-    def encode(C: np.ndarray) -> np.ndarray:
-        C %= p
-        idx = np.zeros(C.shape[0], dtype=np.int64)
-        for i in range(n):
-            idx += C[:, i] * pows[i]
-        return idx
-
-    if len(G) <= n_h:
-        # vectorize over h, loop over the irreducibles g
-        for g in G:
-            for start in range(0, n_h, _CHUNK):
-                H = _monic_rows(start, min(start + _CHUNK, n_h), p, m)
-                C = np.zeros((H.shape[0], n + 1), dtype=np.int64)
-                for i in range(e + 1):
-                    if g[i]:
-                        C[:, i : i + m + 1] += g[i] * H
-                yield encode(C)
-    else:
-        # vectorize over g, loop over the (few) h
-        for start_g in range(0, len(G), _CHUNK):
-            Gc = G[start_g : start_g + _CHUNK]
-            for h_idx in range(n_h):
-                h = [(h_idx // p**i) % p for i in range(m)] + [1]
-                C = np.zeros((Gc.shape[0], n + 1), dtype=np.int64)
-                for j in range(m + 1):
-                    if h[j]:
-                        C[:, j : j + e + 1] += h[j] * Gc
-                yield encode(C)
+    for start in range(0, n_pairs, _CHUNK):
+        pair = np.arange(start, min(start + _CHUNK, n_pairs), dtype=np.int64)
+        g = G[pair // n_h]
+        h = _monic_rows(pair % n_h, p, m)
+        C = np.zeros((len(pair), n + 1), dtype=np.int64)
+        for i in range(e + 1):
+            C[:, i : i + m + 1] += g[:, i : i + 1] * h
+        yield (C[:, :-1] % p) @ pows
 
 
 def _irreducible_arrays(p: int, max_degree: int) -> list[np.ndarray]:
     """Coefficient arrays of monic irreducibles up to max_degree, cached per p.
 
-    Degree d >= 2 is sieved: mark every product of an irreducible of
-    degree <= d/2 with a monic cofactor; the unmarked polynomials are
-    irreducible.
+    Degree d is sieved: mark every product of an irreducible of degree
+    <= d/2 with a monic cofactor; the unmarked polynomials are
+    irreducible.  At d = 1 nothing is marked, so all p linear
+    polynomials are kept.
     """
     irr = _IRR_CACHE.setdefault(p, [np.empty((0, 1), dtype=np.int64)])
-    if len(irr) == 1:
-        linear = np.empty((p, 2), dtype=np.int64)
-        linear[:, 0] = np.arange(p)
-        linear[:, 1] = 1
-        irr.append(linear)
     for d in range(len(irr), max_degree + 1):
         composite = np.zeros(p**d, dtype=bool)
         for e in range(1, d // 2 + 1):
             for idx in _product_indices(irr[e], p, d - e):
                 composite[idx] = True
-        keep = np.flatnonzero(~composite)
-        rows = np.empty((len(keep), d + 1), dtype=np.int64)
-        for i in range(d):
-            rows[:, i] = keep % p
-            keep //= p
-        rows[:, d] = 1
-        irr.append(rows)
+        irr.append(_monic_rows(np.flatnonzero(~composite), p, d))
     return irr
 
 
@@ -540,7 +508,7 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     if n > 31:
         raise ValueError("the sieve packs counters in 5 bits; degree must be <= 31")
     total = p**n
-    irr = _irreducible_arrays(p, n)
+    irr = _irreducible_arrays(p, n - 1)
     packed = np.zeros(total, dtype=np.uint32)
     for d in range(1, n + 1):
         code = np.uint32(
@@ -549,8 +517,12 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
             | ((d == 1) << _LIN_SHIFT)
             | ((d == 2) << _QUAD_SHIFT)
         )
-        for idx in _product_indices(irr[d], p, n - d):
-            np.add.at(packed, idx, code)
+        if d < n:
+            for idx in _product_indices(irr[d], p, n - d):
+                np.add.at(packed, idx, code)
+        else:
+            # no irreducible factor of lower degree: irreducible of degree n
+            packed[packed == 0] = code
 
     degsum = (packed >> _DEG_SHIFT) & _MASK
     sf = degsum == n
@@ -573,13 +545,7 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
         disc_residue = 0
         sf_indices = np.flatnonzero(sf)
         for start in range(0, len(sf_indices), _CHUNK):
-            block = sf_indices[start : start + _CHUNK]
-            rows = np.empty((len(block), n + 1), dtype=np.int64)
-            work = block.copy()
-            for i in range(n):
-                rows[:, i] = work % p
-                work //= p
-            rows[:, n] = 1
+            rows = _monic_rows(sf_indices[start : start + _CHUNK], p, n)
             for row in rows.tolist():
                 if _disc_class_ints(row, n, p):
                     disc_residue += 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqftori import sqfree
+from sqftori import ffpoly, sqfree
 from sqftori.ffpoly import (
     EnumerationBudgetError,
     FieldPoly,
@@ -233,10 +233,22 @@ def test_enumerate_stats_counts_match_formula():
 
 
 @pytest.mark.parametrize(
-    "p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
+    "p,n",
+    [
+        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+        (3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+        (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2),
+    ],
 )
 def test_sieve_and_direct_methods_agree(p, n):
     assert enumerate_stats(n, p, method="sieve") == enumerate_stats(n, p, method="direct")
+
+
+def test_stats_sieve_stops_below_degree_n(monkeypatch):
+    # degree-n irreducibles are read off the unmarked polynomials, not sieved
+    monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
+    enumerate_stats(4, 3)
+    assert len(ffpoly._IRR_CACHE[3]) == 4
 
 
 def test_enumerate_budget():

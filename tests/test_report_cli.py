@@ -194,6 +194,8 @@ def test_cli_invalid_config_exit_code_2(capsys):
         ["sqfree", "count", *_FAST, "--prime", "2"],
         ["tori", "types", "--n", "0"],
         ["tori", "types", "--n", "-3"],
+        ["sqfree", "count", "--n-max", "1", "--order", "1"],
+        ["sqfree", "discriminant", "--n-max", "6", "--prime", "2"],
     ):
         assert cli.main(argv) == 2, argv
         assert "error" in capsys.readouterr().err
