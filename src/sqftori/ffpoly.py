@@ -18,12 +18,16 @@ Two enumeration methods produce identical stats:
     generated by a sieve (a monic polynomial is composite exactly when
     it is a product g*h with g irreducible of at most half its degree);
     the per-polynomial factor counts are then accumulated by marking
-    every product (irreducible g) * (monic h) of degree n, in one walk
-    over all pairs (g, h) vectorized with numpy.  A square-free
-    polynomial is hit exactly once per irreducible factor, and is
-    recognized by its marked factor degrees summing to n.  A polynomial
-    left unmarked has no irreducible factor of lower degree, so it is
-    irreducible of degree n and is given that factor's counts directly.
+    every product (irreducible g) * (monic h) of degree n.  The products
+    are built in the index domain, vectorized with numpy: starting from
+    the index of g*x^deg(h), each coefficient a of h adds a*g to a window
+    of deg(g)+1 base-p digits, digit by digit mod p, so no coefficient
+    rows are formed.  A square-free polynomial is hit exactly once per
+    irreducible factor, and is recognized by its marked factor degrees
+    summing to n.  A polynomial left unmarked has no irreducible factor
+    of lower degree, so it is irreducible of degree n and is given that
+    factor's counts directly.  The statistics are read off one histogram
+    of the packed per-polynomial counters.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -420,23 +424,54 @@ def _product_indices(G: np.ndarray, p: int, m: int) -> Iterator[np.ndarray]:
     """Indices of g*h over all rows g of G and all monic h of degree m.
 
     G holds coefficient rows (leading 1 included) of fixed degree e; the
-    products are monic of degree e+m and are encoded by their n=e+m
-    non-leading coefficients.  Walks the len(G) * p^m pairs (g, h) in
-    flat order and yields one index array per _CHUNK pairs.
+    products are monic of degree n=e+m and are encoded by their n
+    non-leading coefficients.  No rows of h or g*h are formed: the walk
+    starts from the index of g*x^m and adds the terms a_j*x^j*g of
+    h = x^m + sum a_j*x^j one j at a time, each of which changes only
+    digits j..j+e, to (old + a_j*g_i) mod p.  No yielded array is longer
+    than _CHUNK.
     """
     e = G.shape[1] - 1
-    n = e + m
-    n_h = p**m
-    n_pairs = len(G) * n_h
-    pows = p ** np.arange(n, dtype=np.int64)
-    for start in range(0, n_pairs, _CHUNK):
-        pair = np.arange(start, min(start + _CHUNK, n_pairs), dtype=np.int64)
-        g = G[pair // n_h]
-        h = _monic_rows(pair % n_h, p, m)
-        C = np.zeros((len(pair), n + 1), dtype=np.int64)
-        for i in range(e + 1):
-            C[:, i : i + m + 1] += g[:, i : i + 1] * h
-        yield (C[:, :-1] % p) @ pows
+    pows = p ** np.arange(e + m + 1, dtype=np.int64)
+    start = G[:, :e] @ pows[m : m + e]  # index of g*x^m
+    a = np.arange(p, dtype=np.int64)
+    batch = max(1, _CHUNK // p**m)
+    for lo in range(0, len(G), batch):
+        g = G[lo : lo + batch]
+        ag = a[:, None] * g[:, None, :] % p  # ag[b, a, i] = a*g_i mod p
+        yield from _add_cofactor_digits(start[lo : lo + batch, None], ag, pows, 0, m)
+
+
+def _add_cofactor_digits(
+    V: np.ndarray, ag: np.ndarray, pows: np.ndarray, j: int, m: int
+) -> Iterator[np.ndarray]:
+    """Extend the partial products V[b, k] of g_b by cofactor digits j..m-1.
+
+    All a in F_p are taken at once along a numpy axis while the result
+    fits in _CHUNK, and in blocks of a beyond that.  Adding a*g_i to digit
+    j+i adds a*g_i * p^(j+i) to the index, less p^(j+i+1) when the digit
+    wraps, that is when old + a*g_i >= p.
+    """
+    if j == m:
+        yield V.ravel()
+        return
+    B, K = V.shape
+    p, e1 = ag.shape[1], ag.shape[2]
+    place = pows[j : j + e1]
+    wrap = pows[j + 1 : j + e1 + 1]  # p * place
+    rest = V // place[0]
+    old = []
+    for _ in range(e1):
+        old.append(rest % p)
+        rest //= p
+    step = max(1, _CHUNK // V.size)
+    for a0 in range(0, p, step):
+        t = ag[:, a0 : a0 + step]  # (B, s, e+1)
+        W = V[:, None, :] + (t @ place)[:, :, None]
+        for i in range(e1):
+            over = old[i][:, None, :] >= p - t[:, :, i, None]
+            np.subtract(W, wrap[i], out=W, where=over)
+        yield from _add_cofactor_digits(W.reshape(B, -1), ag, pows, j + 1, m)
 
 
 def _irreducible_arrays(p: int, max_degree: int) -> list[np.ndarray]:
@@ -499,7 +534,7 @@ def _check_budget(n: int, p: int, budget: int) -> int:
     return total
 
 
-# packed per-polynomial counters, 5 bits each (counts are <= n <= 23)
+# packed per-polynomial counters, 5 bits each (every count is <= n <= 31)
 _FAC_SHIFT, _DEG_SHIFT, _LIN_SHIFT, _QUAD_SHIFT = 0, 5, 10, 15
 _MASK = 31
 
@@ -524,32 +559,32 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
             # no irreducible factor of lower degree: irreducible of degree n
             packed[packed == 0] = code
 
-    degsum = (packed >> _DEG_SHIFT) & _MASK
-    sf = degsum == n
-    nfac = packed[sf] & _MASK
-    n1 = ((packed[sf] >> _LIN_SHIFT) & _MASK).astype(np.int64)
-    n2 = ((packed[sf] >> _QUAD_SHIFT) & _MASK).astype(np.int64)
-
-    sf_count = int(sf.sum())
-    odd = int((nfac & 1).sum())
-    stats = {
-        "squarefree_count": sf_count,
-        "sum_n1": int(n1.sum()),
-        "sum_n1_pairs": int((n1 * (n1 - 1) // 2).sum()),
-        "sum_n2": int(n2.sum()),
-        "mu_sum": sf_count - 2 * odd,
-    }
+    # every statistic is a total over the square-free codes, so one
+    # histogram of the packed codes carries all of them
+    codes, counts = np.unique(packed, return_counts=True)
+    stats = dict.fromkeys(
+        ("squarefree_count", "sum_n1", "sum_n1_pairs", "sum_n2", "mu_sum"), 0
+    )
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        if ((code >> _DEG_SHIFT) & _MASK) != n:
+            continue
+        n1 = (code >> _LIN_SHIFT) & _MASK
+        stats["squarefree_count"] += count
+        stats["sum_n1"] += count * n1
+        stats["sum_n1_pairs"] += count * (n1 * (n1 - 1) // 2)
+        stats["sum_n2"] += count * ((code >> _QUAD_SHIFT) & _MASK)
+        stats["mu_sum"] += -count if (code >> _FAC_SHIFT) & 1 else count
 
     disc_residue = disc_nonresidue = None
     if discriminants and p % 2 == 1:
         disc_residue = 0
-        sf_indices = np.flatnonzero(sf)
+        sf_indices = np.flatnonzero(((packed >> _DEG_SHIFT) & _MASK) == n)
         for start in range(0, len(sf_indices), _CHUNK):
             rows = _monic_rows(sf_indices[start : start + _CHUNK], p, n)
             for row in rows.tolist():
                 if _disc_class_ints(row, n, p):
                     disc_residue += 1
-        disc_nonresidue = sf_count - disc_residue
+        disc_nonresidue = stats["squarefree_count"] - disc_residue
 
     return SquareFreeStats(
         n=n,

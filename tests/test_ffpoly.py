@@ -1,5 +1,6 @@
 """The exhaustive oracle: scalar polynomial ops and bulk enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,6 +206,32 @@ def test_sieve_irreducibles_agree_with_trial_division(p, d):
     assert len(sieved) == sqfree.count_irreducibles(d).eval(p)
 
 
+def _index(f):
+    """Base-p index of a monic polynomial: its non-leading coefficients."""
+    return sum(c * f.field.p**i for i, c in enumerate(f.coeffs[:-1]))
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
+    from sqftori.ffpoly import _monic_polys, _product_indices
+
+    if chunk is not None:
+        # a tiny chunk forces the walk to branch over blocks of a
+        monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
+        monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
+    for p, e, m in [(2, 1, 5), (3, 2, 3), (5, 1, 3), (7, 2, 1), (13, 1, 2)]:
+        field = PrimeField(p)
+        irr = [g for g in _monic_polys(field, e) if is_irreducible(g)]
+        G = np.array([list(g.coeffs) for g in irr], dtype=np.int64)
+        batches = list(_product_indices(G, p, m))
+        assert max(len(b) for b in batches) <= ffpoly._CHUNK
+        expected = sorted(_index(g * h) for g in irr for h in _monic_polys(field, m))
+        assert sorted(np.concatenate(batches).tolist()) == expected
+    for p, d in [(2, 5), (3, 4)]:
+        direct = [f for f in _monic_polys(PrimeField(p), d) if is_irreducible(f)]
+        assert irreducible_polynomials(p, d) == direct
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -242,6 +269,24 @@ def test_enumerate_stats_counts_match_formula():
 )
 def test_sieve_and_direct_methods_agree(p, n):
     assert enumerate_stats(n, p, method="sieve") == enumerate_stats(n, p, method="direct")
+
+
+_small_grid = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 10) if p**n <= 729]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_small_grid))
+def test_sieve_equals_direct_property(point):
+    p, n = point
+    assert enumerate_stats(n, p, method="sieve") == enumerate_stats(n, p, method="direct")
+
+
+@pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
+def test_large_p_closed_forms(p, n):
+    s = enumerate_stats(n, p, discriminants=False)
+    assert s.total_monic == p**n
+    assert s.squarefree_count == p**n - p ** (n - 1)
+    assert s.mu_sum == 0
 
 
 def test_stats_sieve_stops_below_degree_n(monkeypatch):
