@@ -45,6 +45,11 @@ import numpy as np
 #: hard cap on polynomial visits per enumeration call
 DEFAULT_BUDGET = 10_000_000
 
+#: the largest budget accepted anywhere: the sieve peaks at about 12 bytes
+#: per polynomial (144 MiB at 5^10 = 9.8M polynomials, 29 MiB of which is
+#: the interpreter with numpy), so 10^8 polynomials stay near 1.2 GiB
+MAX_BUDGET = 100_000_000
+
 _CHUNK = 1 << 16
 
 
@@ -525,6 +530,10 @@ class SquareFreeStats:
 
 
 def _check_budget(n: int, p: int, budget: int) -> int:
+    if budget > MAX_BUDGET:
+        raise EnumerationBudgetError(
+            f"budget {budget} exceeds the maximum of {MAX_BUDGET} polynomials"
+        )
     total = p**n
     if total > budget:
         raise EnumerationBudgetError(

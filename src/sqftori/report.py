@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .ffpoly import is_prime
+from .ffpoly import MAX_BUDGET, is_prime
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,11 @@ class RunConfig:
                 raise ValueError(f"{p} is not prime")
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"repeated prime in {list(self.primes)}")
+        if self.enumeration_budget > MAX_BUDGET:
+            raise ValueError(
+                f"enumeration budget {self.enumeration_budget} exceeds the "
+                f"maximum of {MAX_BUDGET} polynomials"
+            )
         if self.primes and self.enumeration_budget < min(self.primes):
             raise ValueError(
                 "enumeration budget is below the smallest requested field size"

@@ -69,14 +69,20 @@ def count_irreducibles(d: int) -> RationalFunction:
 
 
 def _binomial_factor(order: int, d: int, sign: int, negate_exponent: bool) -> TruncatedSeries:
-    """(1 + sign*u^d) ** (+-N(d,q)) as a truncated series over Q(q)."""
-    base = TruncatedSeries.from_terms(
-        _RING, order, {0: ONE, d: _RING.from_int(sign)}
-    )
+    """(1 + sign*u^d) ** E for E = +-N(d,q), as a truncated series over Q(q).
+
+    The binomial series: sum_k C(E,k) sign^k u^(dk), where
+    C(E,k) = E(E-1)...(E-k+1)/k! is a polynomial in q.
+    """
     e = count_irreducibles(d)
     if negate_exponent:
         e = -e
-    return base.pow(e)
+    terms = {0: ONE}
+    c = ONE
+    for k in range(1, order // d + 1):
+        c = c * (e - (k - 1)) * RationalFunction.from_fraction(Fraction(sign, k))
+        terms[d * k] = c
+    return TruncatedSeries.from_terms(_RING, order, terms)
 
 
 @lru_cache(maxsize=None)

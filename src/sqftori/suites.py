@@ -255,7 +255,7 @@ def _tori_type_rows(n: int, with_evaluations: bool) -> dict:
                 {
                     "n": n,
                     "type": str(rec.partition),
-                    "nonnegative_coefficients": not any(c < 0 for c in rec.count.num.coeffs),
+                    "nonnegative_coefficients": not any(c < 0 for c in rec.count.num.z),
                 },
                 (rec,),
             )

@@ -2,11 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqftori import exact
 from sqftori.exact import (
     ONE,
     Q,
@@ -204,10 +206,11 @@ def test_eval_is_a_homomorphism(a, b, q0):
 @settings(max_examples=40, deadline=None)
 @given(_nonzero_polys, _nonzero_polys)
 def test_poly_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
+    g, ca, cb = poly_gcd(a, b)
     assert (a % g).is_zero()
     assert (b % g).is_zero()
     assert g.leading() == 1
+    assert (g * ca, g * cb) == (a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,3 +226,91 @@ def test_rf_canonical_form_is_unique(num, den):
 @given(_rfs)
 def test_render_parse_roundtrip_random(f):
     assert parse_rational_function(render_rational_function(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# the heuristic gcd against its Euclidean fallback, and canonical forms
+# ---------------------------------------------------------------------------
+
+
+def _euclidean(a, b):
+    """poly_gcd(a, b) with the heuristic giving up, so the fallback runs."""
+    with mock.patch.object(exact, "_heu_gcd", lambda f, g: None):
+        return poly_gcd(a, b)
+
+
+# rational and integer coefficients of either sign, zero, constants and
+# monomials c*q^k
+_gcd_operands = st.one_of(
+    _polys,
+    st.lists(st.integers(min_value=-1000, max_value=1000), max_size=6).map(QPoly),
+    st.builds(QPoly.q_power, st.integers(min_value=0, max_value=4), _fractions),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_operands, _gcd_operands, _gcd_operands)
+@example(QPoly(), poly(0, 0, 1), poly(1, 1))
+@example(poly(3), poly(-2, 0, -5), poly(-1, 1))
+@example(poly(0, 0, -4), poly(0, 6), poly(0, 1))
+@example(poly(-7, 2, 9), poly(5, -3), poly(-1, 0, 0, -2))
+def test_heuristic_gcd_matches_euclidean_with_planted_factor(a, b, c):
+    a, b = a * c, b * c
+    got = poly_gcd(a, b)
+    assert got == _euclidean(a, b)
+    g, ca, cb = got
+    assert (g * ca, g * cb) == (a, b)
+    assert g.is_zero() or g.leading() == 1
+    if not c.is_zero():
+        assert (g % c).is_zero()
+
+
+@pytest.mark.parametrize(
+    "f,g,gcd",
+    [
+        # (q - 1)(2q^2 + 2q - 1) and (q - 1)(q + 2)
+        ((1, -3, 0, 2), (-2, 1, 1), (-1, 1)),
+        # -(q^2 + 1)(3q - 5) and (q^2 + 1)(q^3 - 7): negative leading coefficient
+        ((5, -3, 5, -3), (-7, 0, -7, 1, 0, 1), (1, 0, 1)),
+        # coprime, with coefficients far above the evaluation point's floor
+        ((10**12 + 1, 3, 1), (-(10**9), 1), (1,)),
+        # (1000q - 999)^2 and (1000q - 999)(q^4 + 1)
+        ((998001, -1998000, 1000000), (-999, 1000, 0, 0, -999, 1000), (-999, 1000)),
+    ],
+)
+def test_heuristic_gcd_succeeds_and_agrees_with_euclidean(f, g, gcd):
+    f, g = list(f), list(g)
+    found = exact._heu_gcd(f, g)
+    assert found is not None
+    h, cf, cg = found
+    assert h == list(gcd)
+    assert exact._euclidean_gcd(f, g)[0] == list(gcd)
+    assert exact._mul(h, cf) == f and exact._mul(h, cg) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _rfs,
+    st.lists(
+        st.tuples(
+            st.sampled_from("+-*/^"), _rfs, st.integers(min_value=-2, max_value=2)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_rf_stays_canonical_after_arithmetic(f, steps):
+    for op, g, k in steps:
+        if op == "+":
+            f = f + g
+        elif op == "-":
+            f = f - g
+        elif op == "*":
+            f = f * g
+        elif op == "/" and not g.is_zero():
+            f = f / g
+        elif op == "^" and not (k < 0 and f.is_zero()):
+            f = f**k
+    assert f.den.leading() == 1
+    assert _euclidean(f.num, f.den)[0] == poly(1)
+    assert parse_rational_function(str(f)) == f

@@ -302,6 +302,19 @@ def test_enumerate_budget():
     assert str(3**10) in str(exc.value)
 
 
+def test_enumerate_rejects_budget_above_the_maximum(monkeypatch):
+    # refused before anything is allocated: neither method runs
+    def refuse(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(ffpoly, "_stats_sieve", refuse)
+    monkeypatch.setattr(ffpoly, "_stats_direct", refuse)
+    for method in ("sieve", "direct"):
+        with pytest.raises(EnumerationBudgetError) as exc:
+            enumerate_stats(2, 2, budget=ffpoly.MAX_BUDGET + 1, method=method)
+        assert str(ffpoly.MAX_BUDGET) in str(exc.value)
+
+
 def test_enumerate_rejects_degree_zero():
     with pytest.raises(ValueError):
         enumerate_stats(0, 3)

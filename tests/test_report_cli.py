@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sqftori import cli, sqfree, suites
+import sqftori
+from sqftori import cli, exact, sqfree, suites, tori
+from sqftori.ffpoly import MAX_BUDGET
 from sqftori.report import (
     RunConfig,
     failing_names,
@@ -18,6 +24,9 @@ from sqftori.report import (
 )
 
 SMALL = RunConfig(n_max=3, primes=(2, 3), series_order=8)
+
+#: sha256 of the timing-free `verify_all(SMALL)` JSON
+SMALL_DIGEST = "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf"
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +60,9 @@ def test_config_validation():
         RunConfig(n_max=0)
     with pytest.raises(ValueError):
         RunConfig(primes=(2, 2))
+    with pytest.raises(ValueError):
+        RunConfig(enumeration_budget=MAX_BUDGET + 1)
+    assert RunConfig(enumeration_budget=MAX_BUDGET).enumeration_budget == MAX_BUDGET
 
 
 def test_sorting_is_by_name_then_parameters():
@@ -147,9 +159,35 @@ def test_verify_all_json_is_byte_identical_to_recorded_digest():
     reports = suites.verify_all(SMALL)
     text = reports_to_json(SMALL, reports, include_timing=False)
     assert len(reports) == 90
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf"
-    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_DIGEST
+
+
+def _clear_symbolic_caches():
+    for module in (exact, sqfree, tori):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(monkeypatch):
+    # with the heuristic gcd giving up every time, the fallback alone must
+    # reach the same canonical forms and so the same reports
+    fallback_calls = []
+    euclidean = exact._euclidean_gcd
+
+    def counted(f, g):
+        fallback_calls.append(1)
+        return euclidean(f, g)
+
+    monkeypatch.setattr(exact, "_heu_gcd", lambda f, g: None)
+    monkeypatch.setattr(exact, "_euclidean_gcd", counted)
+    _clear_symbolic_caches()
+    try:
+        text = reports_to_json(SMALL, suites.verify_all(SMALL), include_timing=False)
+    finally:
+        _clear_symbolic_caches()
+    assert fallback_calls
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_DIGEST
 
 
 def test_type_reports_flag_coefficient_signs():
@@ -196,9 +234,23 @@ def test_cli_invalid_config_exit_code_2(capsys):
         ["tori", "types", "--n", "-3"],
         ["sqfree", "count", "--n-max", "1", "--order", "1"],
         ["sqfree", "discriminant", "--n-max", "6", "--prime", "2"],
+        ["verify", "all", "--budget", str(10**9)],
     ):
         assert cli.main(argv) == 2, argv
         assert "error" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_sympy():
+    # sympy may serve as local reference code, never as a runtime dependency
+    code = (
+        "import sys, sqftori, sqftori.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sqftori.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_csv_format(capsys):
