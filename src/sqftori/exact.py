@@ -518,6 +518,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # a constant compares equal to its int or Fraction, so hashes like it
+        if self.den.z == (1,) and len(self.num.z) <= 1:
+            return hash(self.num[0])
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .ffpoly import MAX_BUDGET, is_prime
+from .ffpoly import MAX_BUDGET, PrimeField
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class RunConfig:
                 f"series order {self.series_order} is smaller than n_max {self.n_max}"
             )
         for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            PrimeField(p)  # raises ValueError unless 2 <= p < 2^31 is prime
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"repeated prime in {list(self.primes)}")
         if self.enumeration_budget > MAX_BUDGET:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
-from .exact import RationalFunction, render_rational_function
+from .exact import RationalFunction
 
 
 @dataclass(frozen=True)
@@ -25,33 +25,28 @@ class CoefficientRing:
     """The capabilities the series engine needs from a coefficient ring.
 
     The ring must contain Q: `from_fraction` is what makes the exp/log
-    recurrences (which divide by integers) possible.
+    recurrences (which divide by integers) possible.  Elements render
+    through ``str``.
     """
 
     name: str
     zero: Any
     one: Any
-    from_int: Callable[[int], Any]
     from_fraction: Callable[[Fraction], Any]
-    render: Callable[[Any], str]
 
 
 RATIONALS = CoefficientRing(
     name="Q",
     zero=Fraction(0),
     one=Fraction(1),
-    from_int=Fraction,
-    from_fraction=lambda c: Fraction(c),
-    render=str,
+    from_fraction=Fraction,
 )
 
 RATIONAL_FUNCTIONS = CoefficientRing(
     name="Q(q)",
     zero=RationalFunction(0),
     one=RationalFunction(1),
-    from_int=lambda k: RationalFunction.from_fraction(k),
     from_fraction=RationalFunction.from_fraction,
-    render=render_rational_function,
 )
 
 
@@ -202,7 +197,7 @@ class TruncatedSeries:
         if self.coeffs[0] != zero:
             raise ValueError("series exp requires constant term 0")
         n = self.order
-        weighted = [self.ring.from_int(k) * self.coeffs[k] for k in range(n + 1)]
+        weighted = [self.ring.from_fraction(k) * self.coeffs[k] for k in range(n + 1)]
         out = [zero] * (n + 1)
         out[0] = self.ring.one
         for m in range(1, n + 1):
@@ -214,28 +209,18 @@ class TruncatedSeries:
             out[m] = acc * self.ring.from_fraction(Fraction(1, m))
         return TruncatedSeries(self.ring, out)
 
-    def pow(self, e) -> "TruncatedSeries":
-        """f**e for a ring-element exponent, via exp(e * log f).
-
-        Integer exponents take the repeated-multiplication route instead,
-        which agrees with the transcendental one but has no constant-term
-        restriction (beyond invertibility for negative exponents).
-        """
-        if isinstance(e, int):
-            if e < 0:
-                return (TruncatedSeries.one(self.ring, self.order) / self).pow(-e)
-            out = TruncatedSeries.one(self.ring, self.order)
-            base = self
-            k = e
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
-            return out
-        if self.coeffs[0] != self.ring.one:
-            raise ValueError("series pow with non-integer exponent requires constant term 1")
-        return self.log().scale(e).exp()
+    def pow(self, e: int) -> "TruncatedSeries":
+        """f**e for an integer e, by repeated squaring (f must be a unit if e < 0)."""
+        if e < 0:
+            return (TruncatedSeries.one(self.ring, self.order) / self).pow(-e)
+        out = TruncatedSeries.one(self.ring, self.order)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
 
     def substitute(self, c, d: int = 1) -> "TruncatedSeries":
         """g(u) = f(c * u^d), truncated at the original order."""
@@ -258,7 +243,7 @@ class TruncatedSeries:
             return TruncatedSeries(self.ring, [self.ring.zero])
         return TruncatedSeries(
             self.ring,
-            [self.ring.from_int(k) * self.coeffs[k] for k in range(1, self.order + 1)],
+            [self.ring.from_fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)],
         )
 
     # -- comparisons / rendering ----------------------------------------
@@ -286,7 +271,7 @@ def render_series(f: TruncatedSeries) -> str:
     """
     parts = []
     for k, c in enumerate(f.coeffs):
-        body = f.ring.render(c)
+        body = str(c)
         if any(ch in body for ch in " +-/*"):
             body = f"({body})"
         if k == 0:

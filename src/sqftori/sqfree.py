@@ -17,14 +17,12 @@ Their exact agreement in Q(q) is the heart of the verification suite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import ONE, Q, RationalFunction
-from .report import VerificationReport, make_report
-from .series import RATIONALS, RATIONAL_FUNCTIONS, TruncatedSeries, render_series
+from .series import RATIONALS, RATIONAL_FUNCTIONS, TruncatedSeries
 
 #: default truncation order for verification runs; covers every displayed
 #: coefficient with headroom and still builds in well under a second.
@@ -116,23 +114,6 @@ def geometric_q_series(order: int) -> TruncatedSeries:
     """1/(1 - qu), the generating function of all monic polynomials."""
     one = TruncatedSeries.one(_RING, order)
     return one / TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: -Q})
-
-
-def factorization_identity_check(order: int) -> VerificationReport:
-    """Compare the degree-d product against 1/(1-qu), coefficient by coefficient."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    start = time.perf_counter()
-    lhs = inverse_factorization_series(order)
-    rhs = geometric_q_series(order)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return make_report(
-        "factorization-identity",
-        {"order": order},
-        render_series(lhs),
-        render_series(rhs),
-        elapsed,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +331,6 @@ __all__ = [
     "expected_linear_factors",
     "expected_linear_factors_series",
     "expected_linear_factors_sum",
-    "factorization_identity_check",
     "geometric_q_series",
     "inverse_factorization_series",
     "moebius_signed_sum",

@@ -20,17 +20,20 @@ F(u) = F(u/q)/(1-u/q) and G(u) = (1+u/q) G(u/q).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Mapping
 
 from .exact import ONE, QPoly, RationalFunction, gl_order
-from .report import VerificationReport, make_report
-from .series import RATIONAL_FUNCTIONS, TruncatedSeries, render_series
+from .series import RATIONAL_FUNCTIONS, TruncatedSeries
+
+# tori builds no reports; `make_report` is bound here only because
+# perfbench/test_perfbench.py checks that the tracer patches `tori.make_report`.
+# Drop it together with that entry of the benchmark test (ROADMAP item 6).
+from .report import make_report  # noqa: F401,E402
 
 _RING = RATIONAL_FUNCTIONS
 
@@ -151,12 +154,23 @@ def type_distribution(n: int) -> tuple[TorusTypeRecord, ...]:
     return tuple(records)
 
 
+def _type_sum(n: int, weight) -> RationalFunction:
+    """sum over the types lambda of n of weight(lambda) * count(lambda).
+
+    Accumulated as a plain polynomial sum; an expectation divides it by
+    the total q^(n^2-n) once at the end.
+    """
+    acc = QPoly()
+    for rec in type_distribution(n):
+        w = weight(rec.partition)
+        if w:
+            acc = acc + rec.count.as_polynomial().scale(w)
+    return RationalFunction(acc)
+
+
 def total_tori(n: int) -> RationalFunction:
     """Total number of tori, as the sum of the type counts."""
-    acc = RationalFunction(0)
-    for rec in type_distribution(n):
-        acc = acc + rec.count
-    return acc
+    return _type_sum(n, lambda l: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +259,10 @@ def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
 
     which=1:  F(u/q) / (1 - u/q)
     which=2:  (1 + u/q) * G(u/q)
+
+    Together with the constant term 1, either functional equation
+    determines every coefficient, so equality with `euler_sum_series`
+    at a given order certifies the summatory form coefficientwise.
     """
     inv_q = RationalFunction.q_power(-1)
     shifted = euler_sum_series(which, order).substitute(inv_q)
@@ -253,46 +271,9 @@ def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: inv_q}) * shifted
 
 
-def euler_identity_check(which: int, order: int) -> VerificationReport:
-    """Check the functional equation that pins down the infinite product:
-    the summatory side equals `euler_shifted_series`.
-
-    Together with the constant term 1, either equation determines every
-    coefficient, so passing at the given order certifies the summatory
-    form coefficientwise.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    start = time.perf_counter()
-    lhs = euler_sum_series(which, order)
-    rhs = euler_shifted_series(which, order)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return make_report(
-        f"euler-identity-{which}",
-        {"order": order, "which": which},
-        render_series(lhs),
-        render_series(rhs),
-        elapsed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # expected eigenvectors (fixed lines): E[n_1]
 # ---------------------------------------------------------------------------
-
-
-def _moment_partition(n: int, term) -> RationalFunction:
-    """sum over types of P(lambda) * term(multiplicities).
-
-    Accumulated as a plain polynomial sum of weighted counts, divided by
-    the total only once at the end.
-    """
-    acc = QPoly()
-    for rec in type_distribution(n):
-        w = term(rec.partition.multiplicities())
-        if w:
-            acc = acc + rec.count.as_polynomial().scale(w)
-    return RationalFunction(acc, QPoly.q_power(n * n - n))
 
 
 def expected_eigenvectors_closed(n: int) -> RationalFunction:
@@ -309,7 +290,7 @@ def expected_eigenvectors_partition(n: int) -> RationalFunction:
     """sum over types of P(lambda) * n_1(lambda)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _moment_partition(n, lambda mult: mult.get(1, 0))
+    return _type_sum(n, lambda l: l.multiplicities().get(1, 0)) / total_tori_formula(n)
 
 
 def expected_eigenvectors_series(n: int) -> RationalFunction:
@@ -356,9 +337,7 @@ def pair_moment_closed(n: int) -> RationalFunction:
 def pair_moment_partition(n: int) -> RationalFunction:
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _moment_partition(
-        n, lambda mult: mult.get(1, 0) * (mult.get(1, 0) - 1) // 2
-    )
+    return _type_sum(n, lambda l: comb(l.multiplicities().get(1, 0), 2)) / total_tori_formula(n)
 
 
 def quad_moment_closed(n: int) -> RationalFunction:
@@ -378,7 +357,7 @@ def quad_moment_closed(n: int) -> RationalFunction:
 def quad_moment_partition(n: int) -> RationalFunction:
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _moment_partition(n, lambda mult: mult.get(2, 0))
+    return _type_sum(n, lambda l: l.multiplicities().get(2, 0)) / total_tori_formula(n)
 
 
 def tori_quad_excess_closed(n: int) -> RationalFunction:
@@ -427,11 +406,7 @@ def mod2_bias_partition(n: int) -> RationalFunction:
     """sum over types of (-1)^(n - number of parts) * count."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    acc = QPoly()
-    for rec in type_distribution(n):
-        c = rec.count.as_polynomial()
-        acc = acc + (-c if (n - rec.partition.num_parts) % 2 else c)
-    return RationalFunction(acc)
+    return _type_sum(n, lambda l: (-1) ** (n - l.num_parts))
 
 
 def mod2_bias_series(n: int) -> RationalFunction:
@@ -439,7 +414,7 @@ def mod2_bias_series(n: int) -> RationalFunction:
     if n < 1:
         raise ValueError("n must be at least 1")
     flipped = _uniform_cycle_series(Fraction(-1), _series_order(n)).substitute(
-        _RING.from_int(-1)
+        -ONE
     )
     return RationalFunction(gl_order(n)) * flipped.coefficient(n)
 

@@ -9,13 +9,19 @@ to see them.  A pytest assertion failure is the corresponding fail line.
 """
 
 import json
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-import pytest
-
-from sqftori import cli, ffpoly, sqfree, tori
+from sqftori import cli, ffpoly, sqfree, suites, tori
 from sqftori.exact import ONE, RationalFunction
+from sqftori.report import RunConfig
+
+# the benchmark's own canonicalization, so the digests below are the ones it checks
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+from child import timing_free_digest  # noqa: E402
 
 RF = RationalFunction
 
@@ -33,8 +39,9 @@ def _ok(num: int, text: str):
 
 def test_criterion_01_factorization_product():
     start = time.perf_counter()
-    report = sqfree.factorization_identity_check(SERIES_ORDER)
+    [report] = suites.factorization_reports(RunConfig(series_order=SERIES_ORDER))
     elapsed = time.perf_counter() - start
+    assert report.parameters == {"order": SERIES_ORDER}
     assert report.passed
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _ok(1, f"degree product equals 1/(1-qu) through u^{SERIES_ORDER} in {elapsed:.2f}s")
@@ -94,8 +101,12 @@ def test_criterion_06_signed_sum_and_discriminants():
 
 
 def test_criterion_07_euler_identities():
-    for which in (1, 2):
-        assert tori.euler_identity_check(which, 12).passed
+    reports = suites.euler_reports(RunConfig(n_max=TORI_N_MAX))
+    assert [r.parameters for r in reports] == [
+        {"order": 12, "which": 1},
+        {"order": 12, "which": 2},
+    ]
+    assert all(r.passed for r in reports)
     _ok(7, "both Euler functional equations hold through order 12")
 
 
@@ -139,14 +150,21 @@ def test_criterion_12_mod2_bias():
     _ok(12, "mod-2 bias equals q^((n^2-n)/2) by signed partition sum and by series, n<=12")
 
 
+def _expected_digest(workload: str) -> tuple[str, int]:
+    entry = json.loads((PERFBENCH / "expected.json").read_text())[workload]
+    return entry["sha256"], entry["reports"]
+
+
 def test_criterion_13_verify_all(capsys, monkeypatch):
     start = time.perf_counter()
     code = cli.main(["verify", "all"])
     elapsed = time.perf_counter() - start
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert code == 0
     assert payload["summary"]["failed"] == 0
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
+    assert timing_free_digest(out) == _expected_digest("verify-default")
 
     # corrupting a single sequence constant must flip the exit code
     a = sqfree.SequenceTable.generate("a", 40)
@@ -158,3 +176,9 @@ def test_criterion_13_verify_all(capsys, monkeypatch):
     assert code == 1
     assert "FAILED: quad-excess-finite-n" in captured.err
     _ok(13, f"verify all: exit 0 in {elapsed:.1f}s with defaults; corrupted fixture exits 1")
+
+
+def test_criterion_13_symbolic_digest(capsys):
+    assert cli.main(["verify", "all", "--budget", "3", "--n-max", "12"]) == 0
+    assert timing_free_digest(capsys.readouterr().out) == _expected_digest("symbolic-n12")
+    _ok(13, "verify all --budget 3 --n-max 12 reproduces the benchmark's symbolic-n12 digest")

@@ -85,6 +85,15 @@ def test_division_by_zero():
         ONE / RF(0)
 
 
+def test_constants_hash_like_the_scalars_they_equal():
+    half = RF.from_fraction(Fraction(1, 2))
+    assert 1 in {ONE}
+    assert ONE in {1}
+    assert Fraction(1, 2) in {half}
+    assert {RF(0): "zero"}[0] == "zero"
+    assert len({ONE, 1, Fraction(1), half, Fraction(1, 2), Q}) == 3
+
+
 def test_eval():
     assert RF(poly(0, -1, 1)).eval(2) == 2
     assert (ONE + ONE / Q).eval(2) == Fraction(3, 2)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,9 @@ from sqftori.report import (
 )
 
 SMALL = RunConfig(n_max=3, primes=(2, 3), series_order=8)
+
+#: the Mersenne prime 2^61 - 1, far above the 2^31 field-size limit
+LARGE_PRIME = 2**61 - 1
 
 #: sha256 of the timing-free `verify_all(SMALL)` JSON
 SMALL_DIGEST = "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf"
@@ -62,6 +66,8 @@ def test_config_validation():
         RunConfig(primes=(2, 2))
     with pytest.raises(ValueError):
         RunConfig(enumeration_budget=MAX_BUDGET + 1)
+    with pytest.raises(ValueError, match="out of range"):
+        RunConfig(primes=(LARGE_PRIME,))  # range-checked before any primality test
     assert RunConfig(enumeration_budget=MAX_BUDGET).enumeration_budget == MAX_BUDGET
 
 
@@ -235,9 +241,12 @@ def test_cli_invalid_config_exit_code_2(capsys):
         ["sqfree", "count", "--n-max", "1", "--order", "1"],
         ["sqfree", "discriminant", "--n-max", "6", "--prime", "2"],
         ["verify", "all", "--budget", str(10**9)],
+        ["verify", "all", "--prime", str(LARGE_PRIME), "--budget", "3", "--n-max", "2"],
     ):
+        start = time.perf_counter()
         assert cli.main(argv) == 2, argv
-        assert "error" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_runtime_imports_no_sympy():

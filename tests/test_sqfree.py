@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sqftori import ffpoly, sqfree
+from sqftori import ffpoly, sqfree, suites
 from sqftori.exact import ONE, Q, RationalFunction
+from sqftori.report import RunConfig
 
 RF = RationalFunction
 
@@ -45,7 +46,10 @@ def test_count_irreducibles_matches_enumeration(d, p):
 
 @pytest.mark.parametrize("order", [1, 10, 25])
 def test_factorization_identity(order):
-    report = sqfree.factorization_identity_check(order)
+    config = RunConfig(n_max=1, primes=(), series_order=order)
+    [report] = suites.factorization_reports(config)
+    assert report.identity_name == "factorization-identity"
+    assert report.parameters == {"order": order}
     assert report.passed, report
 
 
