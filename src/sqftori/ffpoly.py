@@ -10,7 +10,8 @@ Two enumeration methods produce identical stats:
 
 ``direct``
     One polynomial at a time with the definitional scalar operations
-    (derivative gcd for square-freeness, root counting, trial division).
+    (derivative gcd for square-freeness, root counting, trial division,
+    a Euclidean resultant for the discriminant).
     Simple, slow, used for cross-checks at small sizes.
 
 ``sieve``
@@ -27,7 +28,10 @@ Two enumeration methods produce identical stats:
     summing to n.  A polynomial left unmarked has no irreducible factor
     of lower degree, so it is irreducible of degree n and is given that
     factor's counts directly.  The statistics are read off one histogram
-    of the packed per-polynomial counters.
+    of the packed per-polynomial counters.  Discriminant classes come
+    from one batched Euclidean resultant Res(f', f) over all square-free
+    polynomials at once, in numpy blocks of fixed-width coefficient rows,
+    with Euler's criterion once per row at the end.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -326,67 +330,93 @@ def count_irreducible_factors(f: FieldPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mod_ints(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over F_p on plain coefficient lists."""
-    rem = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k] % p
-        if c == 0:
-            continue
-        c = c * inv_lead % p
-        for j in range(db + 1):
-            rem[k - db + j] = (rem[k - db + j] - c * b[j]) % p
-    while rem and rem[-1] % p == 0:
-        rem.pop()
-    return [c % p for c in rem]
-
-
-def _resultant_ints(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) over F_p with the convention
+def resultant(a: FieldPoly, b: FieldPoly) -> int:
+    """Res(a, b) as an element of F_p, with the convention
 
         Res(a, b) = lc(a)^deg(b) * prod over roots alpha of a of b(alpha),
 
-    computed by the Euclidean remainder recurrence."""
-    res = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if da == 0:
-            return res * pow(a[0], db, p) % p
-        if db == 0:
-            return res * pow(b[0], da, p) % p
-        if da < db:
-            if (da * db) % 2:
-                res = -res % p
-            a, b = b, a
-            continue
-        r = _poly_mod_ints(a, b, p)
-        if not r:
-            return 0
-        if (da * db) % 2:
-            res = -res % p
-        res = res * pow(b[-1], da - len(r) + 1, p) % p
-        a, b = b, r
-
-
-def resultant(a: FieldPoly, b: FieldPoly) -> int:
-    """Res(a, b) as an element of F_p; zero exactly when gcd(a, b) is nonconstant."""
+    computed by the Euclidean remainder recurrence; zero exactly when
+    gcd(a, b) is nonconstant."""
     a._check_same_field(b)
     if a.is_zero() or b.is_zero():
         raise ValueError("the resultant of the zero polynomial is not defined")
-    return _resultant_ints(list(a.coeffs), list(b.coeffs), a.field.p)
+    p = a.field.p
+    res = 1
+    while True:
+        da, db = a.degree, b.degree
+        if da == 0:
+            return res * pow(a.coeffs[0], db, p) % p
+        if db == 0:
+            return res * pow(b.coeffs[0], da, p) % p
+        if (da * db) % 2:
+            res = -res % p
+        if da < db:
+            a, b = b, a
+            continue
+        r = a % b
+        if r.is_zero():
+            return 0
+        res = res * pow(b.leading(), da - r.degree, p) % p
+        a, b = b, r
 
 
 def _disc_class_ints(coeffs: list[int], n: int, p: int) -> bool:
     """True when disc(f) is a nonzero square in F_p (f monic square-free)."""
-    deriv = [k * c % p for k, c in enumerate(coeffs)][1:]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
-    r = _resultant_ints(coeffs, deriv, p)
+    f = FieldPoly(PrimeField(p), coeffs)
+    r = resultant(f, f.derivative())
     if n * (n - 1) // 2 % 2:
         r = -r % p
     return pow(r, (p - 1) // 2, p) == 1
+
+
+def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Whether disc(f) is a nonzero square in F_p for each index of a
+    monic square-free f of degree n, p odd: _disc_class_ints, batched.
+
+    Runs the Euclidean resultant Res(f', f) = Res(f, f') on all rows of a
+    block of at most _CHUNK coefficients at once; b = f stays monic even
+    when p | n.  Rows are top-aligned (column 0 is the coefficient of
+    x^deg), so a - c*x^(deg a - deg b)*b is a difference of columns.  In
+    each step, with s = deg a + deg b the same in every row:
+      - where lc(a) != 0 and deg a < deg b, swap a and b, at a sign
+        (-1)^(deg a * deg b);
+      - set a to lc(b)*a - lc(a)*x^(deg a - deg b)*b, at a factor
+        lc(b)^-deg b, and drop its leading term, now zero, at a factor
+        (-1)^deg b * lc(b).
+    Only the quadratic character matters and chi(x/y) = chi(xy), so the
+    accumulator takes lc(b) where deg b is even; the signs (-1)^deg b
+    telescope to (-1)^(n(n-1)) = 1.  After 2n-1 steps every row has
+    deg a = deg b = 0 (a constant b keeps taking its factors of
+    Res(a, b) = b^deg a), and Euler's criterion runs once per row.
+    Products stay below p^2 < 2^62.
+    """
+    out = np.empty(len(idx), dtype=bool)
+    block = max(1, _CHUNK // (n + 1))
+    for lo in range(0, len(idx), block):
+        b = _monic_rows(idx[lo : lo + block], p, n)[:, ::-1]
+        a = np.zeros_like(b)
+        a[:, :n] = b[:, :n] * np.arange(n, 0, -1) % p  # f' at formal degree n-1
+        db = np.full(len(b), n)
+        acc = np.ones(len(b), dtype=np.int64)
+        sign = np.full(len(b), n * (n - 1) // 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f')
+        for s in range(2 * n - 1, 0, -1):
+            swap = (a[:, 0] != 0) & (2 * db > s)
+            sign += swap * (s - db) * db
+            a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+            db = np.where(swap, s - db, db)
+            acc = np.where(db % 2, acc, acc * b[:, 0] % p)
+            a[:, :-1] = (b[:, :1] * a[:, 1:] - a[:, :1] * b[:, 1:]) % p
+            a[:, -1] = 0
+        acc = np.where(sign % 2, p - acc, acc)
+        chi = np.ones_like(acc)
+        e = (p - 1) // 2
+        while e:
+            if e & 1:
+                chi = chi * acc % p
+            acc = acc * acc % p
+            e >>= 1
+        out[lo : lo + block] = chi == 1
+    return out
 
 
 def discriminant_class(f: FieldPoly) -> Literal["residue", "nonresidue"]:
@@ -586,13 +616,8 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
 
     disc_residue = disc_nonresidue = None
     if discriminants and p % 2 == 1:
-        disc_residue = 0
         sf_indices = np.flatnonzero(((packed >> _DEG_SHIFT) & _MASK) == n)
-        for start in range(0, len(sf_indices), _CHUNK):
-            rows = _monic_rows(sf_indices[start : start + _CHUNK], p, n)
-            for row in rows.tolist():
-                if _disc_class_ints(row, n, p):
-                    disc_residue += 1
+        disc_residue = int(np.count_nonzero(_disc_residues(sf_indices, n, p)))
         disc_nonresidue = stats["squarefree_count"] - disc_residue
 
     return SquareFreeStats(

@@ -13,9 +13,9 @@ Routes look library functions up on their module when called
 the module binds at that moment.
 
 Oracle rows are emitted only for grid points whose p^n fits the
-enumeration budget.  Discriminant enumeration pays for a scalar
-resultant per square-free polynomial, so that suite caps the degree at
-6 (the full identity is polynomial in q; larger degrees add cost, not
+enumeration budget.  Discriminant enumeration adds a resultant pass
+over the square-free polynomials, so that suite caps the degree at 6
+(the full identity is polynomial in q; larger degrees add cost, not
 verification power).
 """
 

@@ -182,3 +182,10 @@ def test_criterion_13_symbolic_digest(capsys):
     assert cli.main(["verify", "all", "--budget", "3", "--n-max", "12"]) == 0
     assert timing_free_digest(capsys.readouterr().out) == _expected_digest("symbolic-n12")
     _ok(13, "verify all --budget 3 --n-max 12 reproduces the benchmark's symbolic-n12 digest")
+
+
+def test_criterion_13_oracle_disc_digest(capsys):
+    args = ["sqfree", "discriminant", "--prime", "3", "--prime", "5", "--prime", "7"]
+    assert cli.main(args + ["--format", "json"]) == 0
+    assert timing_free_digest(capsys.readouterr().out) == _expected_digest("oracle-disc")
+    _ok(13, "sqfree discriminant over F_3, F_5, F_7 reproduces the benchmark's oracle-disc digest")

@@ -10,6 +10,9 @@ from sqftori.ffpoly import (
     EnumerationBudgetError,
     FieldPoly,
     PrimeField,
+    _disc_class_ints,
+    _disc_residues,
+    _monic_polys,
     count_irreducible_factors,
     count_irreducible_quadratic_factors,
     count_linear_factors,
@@ -17,6 +20,7 @@ from sqftori.ffpoly import (
     enumerate_stats,
     irreducible_polynomials,
     is_irreducible,
+    is_prime,
     is_squarefree,
     poly_gcd,
     resultant,
@@ -118,8 +122,6 @@ def test_count_irreducible_factors():
 
 def test_degree_accounting():
     field = F3
-    from sqftori.ffpoly import _monic_polys
-
     for f in _monic_polys(field, 4):
         if not is_squarefree(f):
             continue
@@ -183,6 +185,66 @@ def test_discriminant_equidistribution_f3_quadratics():
     assert stats.disc_nonresidue == 3
 
 
+def _squarefree_polys(p, n):
+    """(index, f) for every monic square-free f of degree n, in index order."""
+    return [(i, f) for i, f in enumerate(_monic_polys(PrimeField(p), n)) if is_squarefree(f)]
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_batched_discriminant_matches_scalar_per_row(monkeypatch, chunk):
+    # p | n at (3, 3), (3, 6) and (5, 5): f' loses its leading terms; n = 1 at (3, 1)
+    if chunk is not None:
+        # blocks of one to four rows put every block edge under test
+        monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
+    for p, n in [(3, 1), (3, 3), (3, 6), (5, 5), (7, 4)]:
+        polys = _squarefree_polys(p, n)
+        got = _disc_residues(np.array([i for i, _ in polys]), n, p)
+        assert got.tolist() == [_disc_class_ints(list(f.coeffs), n, p) for _, f in polys]
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+@pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
+def test_batched_discriminant_at_large_p(monkeypatch, chunk, p, n):
+    # every row against the closed-form discriminant of x^2 + b*x + c or
+    # x^3 + a*x^2 + b*x + c, which is nonzero exactly on the square-free
+    # rows; the scalar resultant (about 10 us a row) and the pass in tiny
+    # blocks run on a strided sample of the million rows
+    idx = np.arange(p**n, dtype=np.int64)
+    c, b, a = idx % p, idx // p % p, idx // p**2 % p
+    if n == 2:
+        disc = (b * b - 4 * c) % p
+    else:
+        disc = (a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c) % p
+    sf = np.flatnonzero(disc)
+    assert len(sf) == p**n - p ** (n - 1)
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(1, p) ** 2 % p] = True
+    if chunk is None:
+        assert np.array_equal(_disc_residues(sf, n, p), squares[disc[sf]])
+    else:
+        monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
+    sample = sf[::211]
+    expected = [_disc_class_ints(row, n, p) for row in ffpoly._monic_rows(sample, p, n).tolist()]
+    assert _disc_residues(sample, n, p).tolist() == expected
+
+
+# every odd p with a point p^n <= 729 of degree 2 or more
+_odd_points = [
+    (p, n) for p in range(3, 28, 2) if is_prime(p) for n in range(1, 7) if p**n <= 729
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_odd_points))
+def test_batched_discriminant_follows_stickelberger(point):
+    # Stickelberger (Swan 1962): for odd p and square-free f with r
+    # irreducible factors, disc f is a square exactly when n - r is even
+    p, n = point
+    polys = _squarefree_polys(p, n)
+    got = _disc_residues(np.array([i for i, _ in polys]), n, p)
+    assert got.tolist() == [(n - count_irreducible_factors(f)) % 2 == 0 for _, f in polys]
+
+
 # ---------------------------------------------------------------------------
 # irreducibles by sieve
 # ---------------------------------------------------------------------------
@@ -198,8 +260,6 @@ def test_quadratic_irreducible_count_matches_formula(p):
 
 @pytest.mark.parametrize("p,d", [(2, 3), (2, 4), (3, 3), (5, 3)])
 def test_sieve_irreducibles_agree_with_trial_division(p, d):
-    from sqftori.ffpoly import _monic_polys
-
     sieved = set(irreducible_polynomials(p, d))
     direct = {f for f in _monic_polys(PrimeField(p), d) if is_irreducible(f)}
     assert sieved == direct
@@ -213,7 +273,7 @@ def _index(f):
 
 @pytest.mark.parametrize("chunk", [None, 4])
 def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
-    from sqftori.ffpoly import _monic_polys, _product_indices
+    from sqftori.ffpoly import _product_indices
 
     if chunk is not None:
         # a tiny chunk forces the walk to branch over blocks of a
