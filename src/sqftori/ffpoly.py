@@ -15,23 +15,25 @@ Two enumeration methods produce identical stats:
     Simple, slow, used for cross-checks at small sizes.
 
 ``sieve``
-    The default.  Irreducible polynomials of degree below n are
+    The default.  Irreducible polynomials of degree up to n/2 are
     generated by a sieve (a monic polynomial is composite exactly when
     it is a product g*h with g irreducible of at most half its degree);
     the per-polynomial factor counts are then accumulated by marking
-    every product (irreducible g) * (monic h) of degree n.  The products
+    every product (irreducible g) * (monic h) of degree n with
+    deg(g) <= n/2, and every g^2*h with a square mark.  The products
     are built in the index domain, vectorized with numpy: starting from
     the index of g*x^deg(h), each coefficient a of h adds a*g to a window
     of deg(g)+1 base-p digits, digit by digit mod p, so no coefficient
-    rows are formed.  A square-free polynomial is hit exactly once per
-    irreducible factor, and is recognized by its marked factor degrees
-    summing to n.  A polynomial left unmarked has no irreducible factor
-    of lower degree, so it is irreducible of degree n and is given that
-    factor's counts directly.  The statistics are read off one histogram
-    of the packed per-polynomial counters.  Discriminant classes come
-    from one batched Euclidean resultant Res(f', f) over all square-free
-    polynomials at once, in numpy blocks of fixed-width coefficient rows,
-    with Euler's criterion once per row at the end.
+    rows are formed.  A repeated factor has degree at most n/2, so the
+    square-free polynomials are exactly those without a square mark.
+    Each is hit once per irreducible factor of degree <= n/2; when those
+    degrees sum to S < n, the rest is one irreducible factor of degree
+    n - S > n/2, whose counts are added when the code is read.  The
+    statistics are read off one histogram of the packed per-polynomial
+    counters.  Discriminant classes come from one batched Euclidean
+    resultant Res(f', f) over all square-free polynomials at once, in
+    numpy blocks of fixed-width coefficient rows, with Euler's criterion
+    once per row at the end.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -49,9 +51,12 @@ import numpy as np
 #: hard cap on polynomial visits per enumeration call
 DEFAULT_BUDGET = 10_000_000
 
-#: the largest budget accepted anywhere: the sieve peaks at about 12 bytes
-#: per polynomial (144 MiB at 5^10 = 9.8M polynomials, 29 MiB of which is
-#: the interpreter with numpy), so 10^8 polynomials stay near 1.2 GiB
+#: the largest budget accepted anywhere: the sieve peaks at about 10 bytes
+#: per polynomial (123 MiB at 5^10 = 9.8M polynomials, 29 MiB of which is
+#: the interpreter with numpy; the same at 3137^2), and about 13.5 with
+#: discriminant classes (at 5^9 and 3137^2), so 10^8 polynomials stay
+#: near 1.0 GiB, or 1.3 GiB;
+#: it also keeps every product-walk index below 2^31
 MAX_BUDGET = 100_000_000
 
 _CHUNK = 1 << 16
@@ -369,6 +374,16 @@ def _disc_class_ints(coeffs: list[int], n: int, p: int) -> bool:
     return pow(r, (p - 1) // 2, p) == 1
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p by floor division, which numpy does several times faster than
+    %; the result lies in [0, p) for negative x too.  It is built in place
+    on the quotient, so it allocates one array, as % does."""
+    r = x // p
+    r *= -p
+    r += x
+    return r
+
+
 def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     """Whether disc(f) is a nonzero square in F_p for each index of a
     monic square-free f of degree n, p odd: _disc_class_ints, batched.
@@ -395,7 +410,7 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     for lo in range(0, len(idx), block):
         b = _monic_rows(idx[lo : lo + block], p, n)[:, ::-1]
         a = np.zeros_like(b)
-        a[:, :n] = b[:, :n] * np.arange(n, 0, -1) % p  # f' at formal degree n-1
+        a[:, :n] = _mod(b[:, :n] * np.arange(n, 0, -1), p)  # f' at formal degree n-1
         db = np.full(len(b), n)
         acc = np.ones(len(b), dtype=np.int64)
         sign = np.full(len(b), n * (n - 1) // 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f')
@@ -404,16 +419,16 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
             sign += swap * (s - db) * db
             a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
             db = np.where(swap, s - db, db)
-            acc = np.where(db % 2, acc, acc * b[:, 0] % p)
-            a[:, :-1] = (b[:, :1] * a[:, 1:] - a[:, :1] * b[:, 1:]) % p
+            acc = np.where(db % 2, acc, _mod(acc * b[:, 0], p))
+            a[:, :-1] = _mod(b[:, :1] * a[:, 1:] - a[:, :1] * b[:, 1:], p)
             a[:, -1] = 0
         acc = np.where(sign % 2, p - acc, acc)
         chi = np.ones_like(acc)
         e = (p - 1) // 2
         while e:
             if e & 1:
-                chi = chi * acc % p
-            acc = acc * acc % p
+                chi = _mod(chi * acc, p)
+            acc = _mod(acc * acc, p)
             e >>= 1
         out[lo : lo + block] = chi == 1
     return out
@@ -449,8 +464,9 @@ def _monic_rows(idx: np.ndarray, p: int, degree: int) -> np.ndarray:
     rows = np.empty((len(idx), degree + 1), dtype=np.int64)
     work = idx.astype(np.int64)
     for i in range(degree):
-        rows[:, i] = work % p
-        work //= p
+        q = work // p
+        rows[:, i] = work - q * p
+        work = q
     rows[:, degree] = 1
     return rows
 
@@ -464,49 +480,58 @@ def _product_indices(G: np.ndarray, p: int, m: int) -> Iterator[np.ndarray]:
     starts from the index of g*x^m and adds the terms a_j*x^j*g of
     h = x^m + sum a_j*x^j one j at a time, each of which changes only
     digits j..j+e, to (old + a_j*g_i) mod p.  No yielded array is longer
-    than _CHUNK.
+    than _CHUNK.  Indices are int32: every caller has p^n <= MAX_BUDGET,
+    and no intermediate exceeds 2*p^n < 2^31.
     """
     e = G.shape[1] - 1
-    pows = p ** np.arange(e + m + 1, dtype=np.int64)
-    start = G[:, :e] @ pows[m : m + e]  # index of g*x^m
-    a = np.arange(p, dtype=np.int64)
+    pows = p ** np.arange(e + m + 1, dtype=np.int32)
+    start = (G[:, :e] @ pows[m : m + e]).astype(np.int32)  # index of g*x^m
+    if m == 0:
+        # h = 1: the products are the rows of G themselves
+        for lo in range(0, len(start), _CHUNK):
+            yield start[lo : lo + _CHUNK]
+        return
+    a = np.arange(p, dtype=np.int64)[:, None]
     batch = max(1, _CHUNK // p**m)
     for lo in range(0, len(G), batch):
-        g = G[lo : lo + batch]
-        ag = a[:, None] * g[:, None, :] % p  # ag[b, a, i] = a*g_i mod p
-        yield from _add_cofactor_digits(start[lo : lo + batch, None], ag, pows, 0, m)
+        ag = _mod(a * G[lo : lo + batch, None, :], p).astype(np.int32)
+        # per g and a: the index of a*g, and, digit-major so that each
+        # digit's slice is contiguous, the thresholds p - a*g_i at which
+        # digit i wraps
+        step = ag @ pows[: e + 1]
+        thr = np.ascontiguousarray(np.moveaxis(p - ag, 2, 0))
+        yield from _add_cofactor_digits(start[lo : lo + batch, None], step, thr, pows, 0, m)
 
 
 def _add_cofactor_digits(
-    V: np.ndarray, ag: np.ndarray, pows: np.ndarray, j: int, m: int
+    V: np.ndarray, step: np.ndarray, thr: np.ndarray, pows: np.ndarray, j: int, m: int
 ) -> Iterator[np.ndarray]:
     """Extend the partial products V[b, k] of g_b by cofactor digits j..m-1.
 
     All a in F_p are taken at once along a numpy axis while the result
-    fits in _CHUNK, and in blocks of a beyond that.  Adding a*g_i to digit
-    j+i adds a*g_i * p^(j+i) to the index, less p^(j+i+1) when the digit
-    wraps, that is when old + a*g_i >= p.
+    fits in _CHUNK, and in blocks of a beyond that.  Adding a*g to digits
+    j..j+e adds step[b, a] * p^j to the index, less p^(j+i+1) for each
+    digit i that wraps, that is where old_i >= p - a*g_i.
     """
     if j == m:
         yield V.ravel()
         return
     B, K = V.shape
-    p, e1 = ag.shape[1], ag.shape[2]
-    place = pows[j : j + e1]
-    wrap = pows[j + 1 : j + e1 + 1]  # p * place
-    rest = V // place[0]
+    e1, p = thr.shape[0], thr.shape[2]
+    wrap = pows[j + 1 : j + e1 + 1]
+    rest = V // pows[j]
     old = []
     for _ in range(e1):
-        old.append(rest % p)
-        rest //= p
-    step = max(1, _CHUNK // V.size)
-    for a0 in range(0, p, step):
-        t = ag[:, a0 : a0 + step]  # (B, s, e+1)
-        W = V[:, None, :] + (t @ place)[:, :, None]
+        q = rest // p
+        old.append((rest - q * p)[:, None, :])
+        rest = q
+    shift = step * pows[j]
+    s = max(1, _CHUNK // V.size)
+    for a0 in range(0, p, s):
+        W = V[:, None, :] + shift[:, a0 : a0 + s, None]
         for i in range(e1):
-            over = old[i][:, None, :] >= p - t[:, :, i, None]
-            np.subtract(W, wrap[i], out=W, where=over)
-        yield from _add_cofactor_digits(W.reshape(B, -1), ag, pows, j + 1, m)
+            W -= (old[i] >= thr[i, :, a0 : a0 + s, None]) * wrap[i]
+        yield from _add_cofactor_digits(W.reshape(B, -1), step, thr, pows, j + 1, m)
 
 
 def _irreducible_arrays(p: int, max_degree: int) -> list[np.ndarray]:
@@ -530,6 +555,7 @@ def _irreducible_arrays(p: int, max_degree: int) -> list[np.ndarray]:
 def irreducible_polynomials(p: int, degree: int) -> list[FieldPoly]:
     """The sieve's monic irreducibles of the given degree, in index order."""
     field = PrimeField(p)
+    _check_budget(degree, p, MAX_BUDGET)
     rows = _irreducible_arrays(p, degree)[degree]
     return [FieldPoly(field, row.tolist()) for row in rows]
 
@@ -573,30 +599,67 @@ def _check_budget(n: int, p: int, budget: int) -> int:
     return total
 
 
-# packed per-polynomial counters, 5 bits each (every count is <= n <= 31)
+# packed per-polynomial counters, 5 bits each (every count is <= n <= 31),
+# over the distinct irreducible factors of degree <= n/2; from bit 20 up,
+# the number of repeated factors (at most n/2), so a polynomial is
+# square-free exactly when its code is below _SQUARE
 _FAC_SHIFT, _DEG_SHIFT, _LIN_SHIFT, _QUAD_SHIFT = 0, 5, 10, 15
 _MASK = 31
+_SQUARE = np.uint32(1 << 20)
 
 
-def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
+def _factor_codes(n: int, p: int) -> np.ndarray:
+    """The packed counters of every monic degree-n polynomial, by index.
+
+    Each product g*h with g irreducible of degree d <= n/2 adds g's
+    counters, and each g^2*h adds _SQUARE.  A repeated factor g has
+    2*deg(g) <= n, so exactly the polynomials that are not square-free
+    get a square mark.
+    """
     if n > 31:
         raise ValueError("the sieve packs counters in 5 bits; degree must be <= 31")
-    total = p**n
-    irr = _irreducible_arrays(p, n - 1)
-    packed = np.zeros(total, dtype=np.uint32)
-    for d in range(1, n + 1):
+    irr = _irreducible_arrays(p, n // 2)
+    packed = np.zeros(p**n, dtype=np.uint32)
+    for d in range(1, n // 2 + 1):
         code = np.uint32(
             (1 << _FAC_SHIFT)
             | (d << _DEG_SHIFT)
             | ((d == 1) << _LIN_SHIFT)
             | ((d == 2) << _QUAD_SHIFT)
         )
-        if d < n:
-            for idx in _product_indices(irr[d], p, n - d):
-                np.add.at(packed, idx, code)
-        else:
-            # no irreducible factor of lower degree: irreducible of degree n
-            packed[packed == 0] = code
+        g = irr[d]
+        for idx in _product_indices(g, p, n - d):
+            np.add.at(packed, idx, code)
+        squares = np.zeros((len(g), 2 * d + 1), dtype=np.int64)
+        for i in range(d + 1):
+            squares[:, i : i + d + 1] += g[:, i, None] * g
+        for idx in _product_indices(_mod(squares, p), p, n - 2 * d):
+            np.add.at(packed, idx, _SQUARE)
+    return packed
+
+
+def _factor_counts(code: int, n: int) -> tuple[int, int, int] | None:
+    """(distinct irreducible factors, n1, n2) of a square-free polynomial
+    from its packed counters, or None when it is not square-free.
+
+    Factors of degree <= n/2 are counted in the code.  Their degrees sum
+    to some S <= n, and the rest is one irreducible factor of degree
+    n - S > n/2, since two would have degrees summing past n.
+    """
+    if code >= _SQUARE:
+        return None
+    big = n - ((code >> _DEG_SHIFT) & _MASK)
+    if 0 < 2 * big <= n:
+        raise RuntimeError(f"square-free code {code:#x} leaves a factor of degree {big} unmarked")
+    return (
+        ((code >> _FAC_SHIFT) & _MASK) + (big > 0),
+        ((code >> _LIN_SHIFT) & _MASK) + (big == 1),
+        ((code >> _QUAD_SHIFT) & _MASK) + (big == 2),
+    )
+
+
+def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
+    packed = _factor_codes(n, p)
 
     # every statistic is a total over the square-free codes, so one
     # histogram of the packed codes carries all of them
@@ -605,25 +668,26 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
         ("squarefree_count", "sum_n1", "sum_n1_pairs", "sum_n2", "mu_sum"), 0
     )
     for code, count in zip(codes.tolist(), counts.tolist()):
-        if ((code >> _DEG_SHIFT) & _MASK) != n:
+        factors = _factor_counts(code, n)
+        if factors is None:
             continue
-        n1 = (code >> _LIN_SHIFT) & _MASK
+        r, n1, n2 = factors
         stats["squarefree_count"] += count
         stats["sum_n1"] += count * n1
         stats["sum_n1_pairs"] += count * (n1 * (n1 - 1) // 2)
-        stats["sum_n2"] += count * ((code >> _QUAD_SHIFT) & _MASK)
-        stats["mu_sum"] += -count if (code >> _FAC_SHIFT) & 1 else count
+        stats["sum_n2"] += count * n2
+        stats["mu_sum"] += -count if r % 2 else count
 
     disc_residue = disc_nonresidue = None
     if discriminants and p % 2 == 1:
-        sf_indices = np.flatnonzero(((packed >> _DEG_SHIFT) & _MASK) == n)
+        sf_indices = np.flatnonzero(packed < _SQUARE)
         disc_residue = int(np.count_nonzero(_disc_residues(sf_indices, n, p)))
         disc_nonresidue = stats["squarefree_count"] - disc_residue
 
     return SquareFreeStats(
         n=n,
         p=p,
-        total_monic=total,
+        total_monic=p**n,
         disc_residue=disc_residue,
         disc_nonresidue=disc_nonresidue,
         **stats,

@@ -1,5 +1,7 @@
 """The exhaustive oracle: scalar polynomial ops and bulk enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,9 +281,13 @@ def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
         # a tiny chunk forces the walk to branch over blocks of a
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
         monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
-    for p, e, m in [(2, 1, 5), (3, 2, 3), (5, 1, 3), (7, 2, 1), (13, 1, 2)]:
+    for p, e, m in [(2, 1, 5), (3, 2, 3), (5, 1, 3), (7, 2, 1), (13, 1, 2), (9973, 1, 1)]:
         field = PrimeField(p)
         irr = [g for g in _monic_polys(field, e) if is_irreducible(g)]
+        if p == 9973:
+            # the three g of largest index: the products' indices reach
+            # p^2 - 1, near 10^8, the scale of MAX_BUDGET
+            irr = irr[-3:]
         G = np.array([list(g.coeffs) for g in irr], dtype=np.int64)
         batches = list(_product_indices(G, p, m))
         assert max(len(b) for b in batches) <= ffpoly._CHUNK
@@ -350,10 +356,67 @@ def test_large_p_closed_forms(p, n):
 
 
 def test_stats_sieve_stops_below_degree_n(monkeypatch):
-    # degree-n irreducibles are read off the unmarked polynomials, not sieved
+    # factors of degree above n/2 are read off the marked degree sum, not
+    # sieved: the cache holds degrees 0..n//2
     monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
     enumerate_stats(4, 3)
-    assert len(ffpoly._IRR_CACHE[3]) == 4
+    assert len(ffpoly._IRR_CACHE[3]) == 3
+    enumerate_stats(5, 3)
+    assert len(ffpoly._IRR_CACHE[3]) == 3
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
+    # the sieve = direct tests compare totals, in which errors can cancel;
+    # here each polynomial's code is decoded and checked on its own
+    if chunk is not None:
+        monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
+        monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
+    for p, n in [(2, 8), (3, 5), (5, 4), (7, 3)]:
+        codes = ffpoly._factor_codes(n, p).tolist()
+        for code, f in zip(codes, _monic_polys(PrimeField(p), n), strict=True):
+            counts = ffpoly._factor_counts(code, n)
+            if not is_squarefree(f):
+                assert counts is None, f
+            else:
+                assert counts == (
+                    count_irreducible_factors(f),
+                    count_linear_factors(f),
+                    count_irreducible_quadratic_factors(f),
+                ), f
+
+
+def test_square_walk_at_large_p_stays_chunk_sized():
+    # at n = 2 the squares of the p linear g have no cofactor digits; the
+    # walk must not build its per-(g, a) tables for them, which at p = 1009
+    # would be 3*p^2 int64 entries (about 70 MiB over the packed array)
+    p = 1009
+    ffpoly._irreducible_arrays(p, 1)
+    tracemalloc.start()
+    try:
+        packed = ffpoly._factor_codes(2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few arrays of at most about _CHUNK*(e+1) int64 entries at a time
+    assert peak - packed.nbytes < 8 * 2**20
+
+
+def test_factor_counts_rejects_an_unmarked_small_factor():
+    # square-free, but its marked degrees sum to 2 of 4: the other factors
+    # would have degree <= n/2 and should have been marked
+    with pytest.raises(RuntimeError):
+        ffpoly._factor_counts(1 | 2 << ffpoly._DEG_SHIFT, 4)
+
+
+def test_irreducible_polynomials_checks_the_budget_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sieve ran")
+
+    monkeypatch.setattr(ffpoly, "_irreducible_arrays", refuse)
+    with pytest.raises(EnumerationBudgetError) as exc:
+        irreducible_polynomials(2, 27)
+    assert str(ffpoly.MAX_BUDGET) in str(exc.value)
 
 
 def test_enumerate_budget():
