@@ -23,7 +23,7 @@ from .ffpoly import (
     is_squarefree,
 )
 from .report import RunConfig, VerificationReport
-from .series import RATIONAL_FUNCTIONS, RATIONALS, CoefficientRing, TruncatedSeries
+from .series import TruncatedSeries
 from .sqfree import (
     SequenceTable,
     count_irreducibles,

@@ -30,10 +30,10 @@ Two enumeration methods produce identical stats:
     degrees sum to S < n, the rest is one irreducible factor of degree
     n - S > n/2, whose counts are added when the code is read.  The
     statistics are read off one histogram of the packed per-polynomial
-    counters.  Discriminant classes come from one batched Euclidean
-    resultant Res(f', f) over all square-free polynomials at once, in
-    numpy blocks of fixed-width coefficient rows, with Euler's criterion
-    once per row at the end.
+    counters, sorted in place.  Discriminant classes come from one
+    batched Euclidean resultant Res(f', f) over all square-free
+    polynomials at once, in numpy blocks of fixed-width coefficient rows,
+    with Euler's criterion once per row at the end.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -660,10 +660,17 @@ def _factor_counts(code: int, n: int) -> tuple[int, int, int] | None:
 
 def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     packed = _factor_codes(n, p)
+    want_disc = discriminants and p % 2 == 1
+    # the discriminant pass needs the indices, which the sort below loses
+    sf_indices = np.flatnonzero(packed < _SQUARE) if want_disc else None
 
     # every statistic is a total over the square-free codes, so one
-    # histogram of the packed codes carries all of them
-    codes, counts = np.unique(packed, return_counts=True)
+    # histogram of the packed codes carries all of them; it is read off the
+    # runs of the codes sorted in place, so no second p^n array is made
+    packed.sort()
+    starts = np.concatenate(([0], np.flatnonzero(packed[1:] != packed[:-1]) + 1))
+    codes = packed[starts]
+    counts = np.diff(np.append(starts, packed.size))
     stats = dict.fromkeys(
         ("squarefree_count", "sum_n1", "sum_n1_pairs", "sum_n2", "mu_sum"), 0
     )
@@ -679,8 +686,7 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
         stats["mu_sum"] += -count if r % 2 else count
 
     disc_residue = disc_nonresidue = None
-    if discriminants and p % 2 == 1:
-        sf_indices = np.flatnonzero(packed < _SQUARE)
+    if want_disc:
         disc_residue = int(np.count_nonzero(_disc_residues(sf_indices, n, p)))
         disc_nonresidue = stats["squarefree_count"] - disc_residue
 

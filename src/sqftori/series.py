@@ -1,9 +1,8 @@
-"""Truncated formal power series in u over an exact coefficient ring.
+"""Truncated formal power series in u over Q(q).
 
-One series engine serves both Q (``fractions.Fraction`` coefficients)
-and Q(q) (`RationalFunction` coefficients).  A ring is described by a
-small `CoefficientRing` record; the elements themselves carry the
-arithmetic through the usual operators, all of it exact.
+Every generating function of the paper lives in Q(q): the degree
+products, the torus cycle index and the Euler series.  Coefficients are
+`RationalFunction` elements, and all arithmetic on them is exact.
 
 A series tracks coefficients for u^0 .. u^N inclusive, where the
 truncation order N is fixed at construction.  Binary operations take
@@ -13,53 +12,21 @@ past the order rather than silently returning zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .exact import RationalFunction
-
-
-@dataclass(frozen=True)
-class CoefficientRing:
-    """The capabilities the series engine needs from a coefficient ring.
-
-    The ring must contain Q: `from_fraction` is what makes the exp/log
-    recurrences (which divide by integers) possible.  Elements render
-    through ``str``.
-    """
-
-    name: str
-    zero: Any
-    one: Any
-    from_fraction: Callable[[Fraction], Any]
-
-
-RATIONALS = CoefficientRing(
-    name="Q",
-    zero=Fraction(0),
-    one=Fraction(1),
-    from_fraction=Fraction,
-)
-
-RATIONAL_FUNCTIONS = CoefficientRing(
-    name="Q(q)",
-    zero=RationalFunction(0),
-    one=RationalFunction(1),
-    from_fraction=RationalFunction.from_fraction,
-)
+from .exact import ONE, ZERO, RationalFunction
 
 
 class TruncatedSeries:
     """A power series known through order N, immutable after construction."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring: CoefficientRing, coeffs: Iterable[Any]):
+    def __init__(self, coeffs: Iterable[RationalFunction]):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -68,27 +35,19 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_terms(ring: CoefficientRing, order: int, terms: Mapping[int, Any]) -> "TruncatedSeries":
+    def from_terms(order: int, terms: Mapping[int, RationalFunction]) -> "TruncatedSeries":
         """Series with the given nonzero terms, zero elsewhere."""
-        cs = [ring.zero] * (order + 1)
+        cs = [ZERO] * (order + 1)
         for k, v in terms.items():
             if k < 0:
                 raise ValueError("negative exponent in a power series")
             if k <= order:
                 cs[k] = v
-        return TruncatedSeries(ring, cs)
+        return TruncatedSeries(cs)
 
     @staticmethod
-    def constant(ring: CoefficientRing, value: Any, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_terms(ring, order, {0: value})
-
-    @staticmethod
-    def one(ring: CoefficientRing, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.constant(ring, ring.one, order)
-
-    @staticmethod
-    def u(ring: CoefficientRing, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_terms(ring, order, {1: ring.one})
+    def one(order: int) -> "TruncatedSeries":
+        return TruncatedSeries.from_terms(order, {0: ONE})
 
     # -- queries -------------------------------------------------------
 
@@ -109,64 +68,48 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- ring operations -----------------------------------------------
 
-    def _common_order(self, other: "TruncatedSeries") -> int:
-        if self.ring is not other.ring:
-            raise ValueError(
-                f"mixing series over {self.ring.name} and {other.ring.name}"
-            )
-        return min(self.order, other.order)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        return TruncatedSeries(
-            self.ring, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-        )
+        n = min(self.order, other.order)
+        return TruncatedSeries(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, [-c for c in self.coeffs])
+        return TruncatedSeries(-c for c in self.coeffs)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        return TruncatedSeries(
-            self.ring, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)]
-        )
+        n = min(self.order, other.order)
+        return TruncatedSeries(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        zero = self.ring.zero
-        out = [zero] * (n + 1)
+        n = min(self.order, other.order)
+        out = [ZERO] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == zero:
+            if a == ZERO:
                 continue
             for j in range(n + 1 - i):
                 b = other.coeffs[j]
-                if b != zero:
+                if b != ZERO:
                     out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ring, out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, [c * x for x in self.coeffs])
+        return TruncatedSeries(out)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        zero = self.ring.zero
+        n = min(self.order, other.order)
         g0 = other.coeffs[0]
-        if g0 == zero:
+        if g0 == ZERO:
             raise ZeroDivisionError("series division: constant term is not a unit")
-        inv = self.ring.one / g0
-        out = [zero] * (n + 1)
+        inv = ONE / g0
+        out = [ZERO] * (n + 1)
         for k in range(n + 1):
             acc = self.coeffs[k]
             for j in range(1, k + 1):
                 b = other.coeffs[j]
-                if b != zero and out[k - j] != zero:
+                if b != ZERO and out[k - j] != ZERO:
                     acc = acc - b * out[k - j]
             out[k] = acc * inv
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(out)
 
     # -- transcendental operations --------------------------------------
 
@@ -176,16 +119,15 @@ class TruncatedSeries:
         Computed through (log f)' = f'/f followed by termwise
         integration, which needs only one series division.
         """
-        if self.coeffs[0] != self.ring.one:
+        if self.coeffs[0] != ONE:
             raise ValueError("series log requires constant term 1")
         h = self.derivative() / self.truncate(self.order - 1 if self.order else 0)
-        zero = self.ring.zero
-        out = [zero] * (self.order + 1)
+        out = [ZERO] * (self.order + 1)
         for k in range(1, self.order + 1):
             c = h.coeffs[k - 1]
-            if c != zero:
-                out[k] = c * self.ring.from_fraction(Fraction(1, k))
-        return TruncatedSeries(self.ring, out)
+            if c != ZERO:
+                out[k] = c * RationalFunction.from_fraction(Fraction(1, k))
+        return TruncatedSeries(out)
 
     def exp(self) -> "TruncatedSeries":
         """Formal exp; requires constant term 0.
@@ -193,27 +135,26 @@ class TruncatedSeries:
         Uses the recurrence g' = f' g, i.e.
         n*g_n = sum_{k=1..n} k * f_k * g_{n-k}.
         """
-        zero = self.ring.zero
-        if self.coeffs[0] != zero:
+        if self.coeffs[0] != ZERO:
             raise ValueError("series exp requires constant term 0")
         n = self.order
-        weighted = [self.ring.from_fraction(k) * self.coeffs[k] for k in range(n + 1)]
-        out = [zero] * (n + 1)
-        out[0] = self.ring.one
+        weighted = [RationalFunction.from_fraction(k) * self.coeffs[k] for k in range(n + 1)]
+        out = [ZERO] * (n + 1)
+        out[0] = ONE
         for m in range(1, n + 1):
-            acc = zero
+            acc = ZERO
             for k in range(1, m + 1):
                 w = weighted[k]
-                if w != zero and out[m - k] != zero:
+                if w != ZERO and out[m - k] != ZERO:
                     acc = acc + w * out[m - k]
-            out[m] = acc * self.ring.from_fraction(Fraction(1, m))
-        return TruncatedSeries(self.ring, out)
+            out[m] = acc * RationalFunction.from_fraction(Fraction(1, m))
+        return TruncatedSeries(out)
 
     def pow(self, e: int) -> "TruncatedSeries":
         """f**e for an integer e, by repeated squaring (f must be a unit if e < 0)."""
         if e < 0:
-            return (TruncatedSeries.one(self.ring, self.order) / self).pow(-e)
-        out = TruncatedSeries.one(self.ring, self.order)
+            return (TruncatedSeries.one(self.order) / self).pow(-e)
+        out = TruncatedSeries.one(self.order)
         base = self
         while e:
             if e & 1:
@@ -222,28 +163,21 @@ class TruncatedSeries:
             e >>= 1
         return out
 
-    def substitute(self, c, d: int = 1) -> "TruncatedSeries":
-        """g(u) = f(c * u^d), truncated at the original order."""
-        if d < 1:
-            raise ValueError("substitution exponent must be a positive integer")
-        zero = self.ring.zero
-        out = [zero] * (self.order + 1)
-        ck = self.ring.one
-        for k, a in enumerate(self.coeffs):
-            if k * d > self.order:
-                break
-            if a != zero:
-                out[k * d] = a * ck
+    def substitute(self, c: RationalFunction) -> "TruncatedSeries":
+        """g(u) = f(c * u), truncated at the original order."""
+        out = []
+        ck = ONE
+        for a in self.coeffs:
+            out.append(a * ck if a != ZERO else ZERO)
             ck = ck * c
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(out)
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/du, one order lower."""
         if self.order == 0:
-            return TruncatedSeries(self.ring, [self.ring.zero])
+            return TruncatedSeries([ZERO])
         return TruncatedSeries(
-            self.ring,
-            [self.ring.from_fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)],
+            RationalFunction.from_fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)
         )
 
     # -- comparisons / rendering ----------------------------------------
@@ -251,13 +185,13 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ring.name, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({self.ring.name}, order={self.order})"
+        return f"TruncatedSeries(order={self.order})"
 
     def __str__(self) -> str:
         return render_series(self)

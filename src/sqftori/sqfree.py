@@ -22,13 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import ONE, Q, RationalFunction
-from .series import RATIONALS, RATIONAL_FUNCTIONS, TruncatedSeries
+from .series import TruncatedSeries
 
 #: default truncation order for verification runs; covers every displayed
 #: coefficient with headroom and still builds in well under a second.
 DEFAULT_ORDER = 24
-
-_RING = RATIONAL_FUNCTIONS
 
 
 def _mobius(n: int) -> int:
@@ -80,13 +78,13 @@ def _binomial_factor(order: int, d: int, sign: int, negate_exponent: bool) -> Tr
     for k in range(1, order // d + 1):
         c = c * (e - (k - 1)) * RationalFunction.from_fraction(Fraction(sign, k))
         terms[d * k] = c
-    return TruncatedSeries.from_terms(_RING, order, terms)
+    return TruncatedSeries.from_terms(order, terms)
 
 
 @lru_cache(maxsize=None)
 def squarefree_product_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 + u^d)^N(d,q): square-free monic polynomials by degree."""
-    acc = TruncatedSeries.one(_RING, order)
+    acc = TruncatedSeries.one(order)
     for d in range(1, order + 1):
         acc = acc * _binomial_factor(order, d, +1, False)
     return acc
@@ -95,7 +93,7 @@ def squarefree_product_series(order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def signed_product_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 - u^d)^N(d,q): sign-weighted square-free count."""
-    acc = TruncatedSeries.one(_RING, order)
+    acc = TruncatedSeries.one(order)
     for d in range(1, order + 1):
         acc = acc * _binomial_factor(order, d, -1, False)
     return acc
@@ -104,7 +102,7 @@ def signed_product_series(order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def inverse_factorization_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 - u^d)^(-N(d,q)): all monic polynomials by degree."""
-    acc = TruncatedSeries.one(_RING, order)
+    acc = TruncatedSeries.one(order)
     for d in range(1, order + 1):
         acc = acc * _binomial_factor(order, d, -1, True)
     return acc
@@ -112,15 +110,15 @@ def inverse_factorization_series(order: int) -> TruncatedSeries:
 
 def geometric_q_series(order: int) -> TruncatedSeries:
     """1/(1 - qu), the generating function of all monic polynomials."""
-    one = TruncatedSeries.one(_RING, order)
-    return one / TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: -Q})
+    one = TruncatedSeries.one(order)
+    return one / TruncatedSeries.from_terms(order, {0: ONE, 1: -Q})
 
 
 @lru_cache(maxsize=None)
 def _closed_squarefree_series(order: int) -> TruncatedSeries:
     """(1 - qu^2)/(1 - qu), the closed form of the square-free product."""
-    num = TruncatedSeries.from_terms(_RING, order, {0: ONE, 2: -Q})
-    den = TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: -Q})
+    num = TruncatedSeries.from_terms(order, {0: ONE, 2: -Q})
+    den = TruncatedSeries.from_terms(order, {0: ONE, 1: -Q})
     return num / den
 
 
@@ -167,8 +165,8 @@ def moebius_signed_sum(n: int) -> RationalFunction:
 @lru_cache(maxsize=None)
 def _linear_factor_series(order: int) -> TruncatedSeries:
     """qu/(1+u) * (1-qu^2)/(1-qu): the x-derivative of the marked product at x=1."""
-    num = TruncatedSeries.from_terms(_RING, order, {1: Q})
-    den = TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: ONE})
+    num = TruncatedSeries.from_terms(order, {1: Q})
+    den = TruncatedSeries.from_terms(order, {0: ONE, 1: ONE})
     return (num / den) * _closed_squarefree_series(order)
 
 
@@ -210,16 +208,14 @@ def _quad_excess_series(order: int) -> TruncatedSeries:
     monic degree-n polynomial, where n_i counts degree-i irreducible
     factors.
     """
-    one = TruncatedSeries.one(_RING, order)
+    one = TruncatedSeries.one(order)
     inv_q = RationalFunction.q_power(-1)
-    a = one + TruncatedSeries.from_terms(_RING, order, {2: RationalFunction.q_power(-2)})
-    b = one + TruncatedSeries.from_terms(_RING, order, {1: inv_q})
+    a = one + TruncatedSeries.from_terms(order, {2: RationalFunction.q_power(-2)})
+    b = one + TruncatedSeries.from_terms(order, {1: inv_q})
     bracket = one / a - one / (b * b)
-    front = TruncatedSeries.from_terms(
-        _RING, order, {2: RationalFunction.from_fraction(Fraction(1, 2))}
-    )
-    tail_num = TruncatedSeries.from_terms(_RING, order, {0: ONE, 2: -inv_q})
-    tail_den = TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: -ONE})
+    front = TruncatedSeries.from_terms(order, {2: RationalFunction.from_fraction(Fraction(1, 2))})
+    tail_num = TruncatedSeries.from_terms(order, {0: ONE, 2: -inv_q})
+    tail_den = TruncatedSeries.from_terms(order, {0: ONE, 1: -ONE})
     return bracket * front * (tail_num / tail_den)
 
 
@@ -255,21 +251,17 @@ class SequenceTable:
     def generate(kind: str, count: int) -> "SequenceTable":
         if kind not in ("a", "b"):
             raise ValueError("sequence kind must be 'a' or 'b'")
-        order = count
-        ring = RATIONALS
-        one = TruncatedSeries.one(ring, order)
-        u = TruncatedSeries.u(ring, order)
+        one = TruncatedSeries.one(count)
+        u = TruncatedSeries.from_terms(count, {1: ONE})
         den = (one - u) * (one - u) * (one + u * u)
-        if kind == "a":
-            f = (u + u * u) / den
-        else:
-            f = one / den - one
+        f = (u + u * u) / den if kind == "a" else one / den - one
         values = []
         for i in range(1, count + 1):
             c = f.coefficient(i)
-            if c.denominator != 1 or c <= 0:
+            value = c.num[0]
+            if c != value or value.denominator != 1 or value <= 0:
                 raise ArithmeticError(f"sequence {kind} produced a non-positive term {c} at {i}")
-            values.append(int(c))
+            values.append(int(value))
         return SequenceTable(kind, tuple(values))
 
 
@@ -278,11 +270,7 @@ def _default_tables(count: int) -> tuple[SequenceTable, SequenceTable]:
     return SequenceTable.generate("a", count), SequenceTable.generate("b", count)
 
 
-def quad_excess_formula(
-    n: int,
-    a_table: SequenceTable | None = None,
-    b_table: SequenceTable | None = None,
-) -> RationalFunction:
+def quad_excess_formula(n: int) -> RationalFunction:
     """The finite-n excess formula.
 
     0 for n = 2, 1/q for n = 3, and for n >= 4
@@ -295,15 +283,12 @@ def quad_excess_formula(
         return RationalFunction(0)
     if n == 3:
         return RationalFunction.q_power(-1)
-    if a_table is None or b_table is None:
-        a_default, b_default = _default_tables(max(n - 3, 1))
-        a_table = a_table or a_default
-        b_table = b_table or b_default
+    a, b = _default_tables(_working_order(n))
     acc = RationalFunction(0)
     for i in range(1, n - 2):
-        term = RationalFunction.from_fraction(Fraction(a_table[i])) * RationalFunction.q_power(-i)
+        term = RationalFunction.from_fraction(Fraction(a[i])) * RationalFunction.q_power(-i)
         acc = acc + (term if i % 2 == 1 else -term)
-    tail = RationalFunction.from_fraction(Fraction(b_table[n - 3])) * RationalFunction.q_power(-(n - 2))
+    tail = RationalFunction.from_fraction(Fraction(b[n - 3])) * RationalFunction.q_power(-(n - 2))
     return acc - (tail if n % 2 == 0 else -tail)
 
 

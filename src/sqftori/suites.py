@@ -5,8 +5,7 @@ and to the two routes of the identity.  `_run` evaluates both routes at
 every grid point, renders them in canonical text form and makes one
 `VerificationReport` per point; it is the only place where routes are
 compared.  Each suite is one call of `_run`, and ``verify_all``
-concatenates every suite; an injected sequence table lets tests
-exercise the failure path without touching the real tables.
+concatenates every suite.
 
 Routes look library functions up on their module when called
 (``sqfree.f(n)``, never a stored ``f``), so a row always evaluates what
@@ -184,27 +183,23 @@ _LINEAR_FACTOR = {
 }
 
 
-def _quad_excess_rows(
-    a_table: sqfree.SequenceTable | None, b_table: sqfree.SequenceTable | None
-) -> dict:
-    return {
-        "quad-excess-finite-n": (
-            _DEGREES,
-            lambda n: sqfree.quad_excess_formula(n, a_table, b_table),
-            lambda n: sqfree.quad_excess_exact(n),
-        ),
-        "quad-excess-limit-series": (
-            _point({"order": len(_INTRO_QUAD_EXCESS)}, len(_INTRO_QUAD_EXCESS)),
-            lambda order: _joined(sqfree.quad_excess_limit().inverse_q_expansion(order)[1:]),
-            lambda order: _joined(_INTRO_QUAD_EXCESS),
-        ),
-        "quad-excess-oracle": (
-            _oracle,
-            lambda n, p: sqfree.quad_excess_exact(n).eval(p),
-            lambda n, p: _oracle_mean(n, p, lambda s: s.sum_n2 - s.sum_n1_pairs),
-        ),
-    }
-
+_QUAD_EXCESS = {
+    "quad-excess-finite-n": (
+        _DEGREES,
+        lambda n: sqfree.quad_excess_formula(n),
+        lambda n: sqfree.quad_excess_exact(n),
+    ),
+    "quad-excess-limit-series": (
+        _point({"order": len(_INTRO_QUAD_EXCESS)}, len(_INTRO_QUAD_EXCESS)),
+        lambda order: _joined(sqfree.quad_excess_limit().inverse_q_expansion(order)[1:]),
+        lambda order: _joined(_INTRO_QUAD_EXCESS),
+    ),
+    "quad-excess-oracle": (
+        _oracle,
+        lambda n, p: sqfree.quad_excess_exact(n).eval(p),
+        lambda n, p: _oracle_mean(n, p, lambda s: s.sum_n2 - s.sum_n1_pairs),
+    ),
+}
 
 _MU_SUM = {
     "mu-signed-sum-symbolic": (
@@ -377,12 +372,8 @@ def linear_factor_reports(config: RunConfig) -> list[VerificationReport]:
     return _run(_LINEAR_FACTOR, config)
 
 
-def quad_excess_reports(
-    config: RunConfig,
-    a_table: sqfree.SequenceTable | None = None,
-    b_table: sqfree.SequenceTable | None = None,
-) -> list[VerificationReport]:
-    return _run(_quad_excess_rows(a_table, b_table), config)
+def quad_excess_reports(config: RunConfig) -> list[VerificationReport]:
+    return _run(_QUAD_EXCESS, config)
 
 
 def mu_sum_reports(config: RunConfig) -> list[VerificationReport]:
@@ -423,17 +414,13 @@ def cayley_reports(config: RunConfig) -> list[VerificationReport]:
     return _run(_CAYLEY, config)
 
 
-def verify_all(
-    config: RunConfig,
-    a_table: sqfree.SequenceTable | None = None,
-    b_table: sqfree.SequenceTable | None = None,
-) -> list[VerificationReport]:
+def verify_all(config: RunConfig) -> list[VerificationReport]:
     """Every identity suite at the configured sizes."""
     reports: list[VerificationReport] = []
     reports += factorization_reports(config)
     reports += squarefree_count_reports(config)
     reports += linear_factor_reports(config)
-    reports += quad_excess_reports(config, a_table, b_table)
+    reports += quad_excess_reports(config)
     reports += mu_sum_reports(config)
     reports += discriminant_reports(config)
     reports += tori_count_reports(config)

@@ -28,14 +28,12 @@ from math import comb, factorial
 from typing import Iterator, Mapping
 
 from .exact import ONE, QPoly, RationalFunction, gl_order
-from .series import RATIONAL_FUNCTIONS, TruncatedSeries
+from .series import TruncatedSeries
 
 # tori builds no reports; `make_report` is bound here only because
 # perfbench/test_perfbench.py checks that the tracer patches `tori.make_report`.
 # Drop it together with that entry of the benchmark test (ROADMAP item 6).
 from .report import make_report  # noqa: F401,E402
-
-_RING = RATIONAL_FUNCTIONS
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def cycle_index_series(order: int, weights: Mapping[int, Fraction | int]) -> Tru
         for i in range(1, order + 1)
         if Fraction(weights[i]) != 0
     }
-    return TruncatedSeries.from_terms(_RING, order, arg).exp()
+    return TruncatedSeries.from_terms(order, arg).exp()
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +249,7 @@ def euler_sum_series(which: int, order: int) -> TruncatedSeries:
         )
         c = c / step
         coeffs.append(c)
-    return TruncatedSeries(_RING, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
@@ -267,8 +265,8 @@ def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
     inv_q = RationalFunction.q_power(-1)
     shifted = euler_sum_series(which, order).substitute(inv_q)
     if which == 1:
-        return shifted / TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: -inv_q})
-    return TruncatedSeries.from_terms(_RING, order, {0: ONE, 1: inv_q}) * shifted
+        return shifted / TruncatedSeries.from_terms(order, {0: ONE, 1: -inv_q})
+    return TruncatedSeries.from_terms(order, {0: ONE, 1: inv_q}) * shifted
 
 
 # ---------------------------------------------------------------------------

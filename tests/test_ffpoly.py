@@ -402,6 +402,20 @@ def test_square_walk_at_large_p_stays_chunk_sized():
     assert peak - packed.nbytes < 8 * 2**20
 
 
+def test_stats_histogram_makes_no_copy_of_the_packed_codes():
+    # the histogram sorts the packed uint32 codes in place; a flattened copy
+    # (as np.unique makes) would put the peak at 2.5 times the packed array
+    n, p = 9, 5
+    ffpoly._irreducible_arrays(p, n // 2)
+    tracemalloc.start()
+    try:
+        enumerate_stats(n, p, discriminants=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 4 * p**n
+
+
 def test_factor_counts_rejects_an_unmarked_small_factor():
     # square-free, but its marked degrees sum to 2 of 4: the other factors
     # would have degree <= n/2 and should have been marked

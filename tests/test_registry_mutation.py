@@ -1,8 +1,8 @@
 """Every identity of the registry fails when one of its sides is corrupted.
 
 The rows are collected from `suites` itself: every module-level table of
-rows, plus the two row builders, called with arguments that give every
-row at least one grid point.  A row added to a table is covered without
+rows, plus the row builder, called with arguments that give every row
+at least one grid point.  A row added to a table is covered without
 editing this file; a new builder makes `test_every_row_is_collected` fail
 until it is listed in `BUILDERS`.
 
@@ -28,7 +28,6 @@ TYPE_RANK = 3
 
 #: row builders of `suites` and the arguments that reach every row they build
 BUILDERS = {
-    "_quad_excess_rows": (None, None),
     "_tori_type_rows": (TYPE_RANK, True),
 }
 
@@ -63,7 +62,7 @@ def _bumped(value):
     """`value` plus one, in the value's own ring."""
     if isinstance(value, TruncatedSeries):
         *head, last = value.coeffs
-        return TruncatedSeries(value.ring, (*head, last + value.ring.one))
+        return TruncatedSeries((*head, last + ONE))
     if isinstance(value, RationalFunction):
         return value + ONE
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):

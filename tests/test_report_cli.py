@@ -148,9 +148,10 @@ def _corrupted_tables():
     return bad, b
 
 
-def test_verify_all_flags_corrupted_sequence_table():
+def test_verify_all_flags_corrupted_sequence_table(monkeypatch):
     bad_a, b = _corrupted_tables()
-    reports = suites.verify_all(SMALL, a_table=bad_a, b_table=b)
+    monkeypatch.setattr(sqfree, "_default_tables", lambda count: (bad_a, b))
+    reports = suites.verify_all(SMALL)
     names = failing_names(reports)
     assert names == ["quad-excess-finite-n"]
 

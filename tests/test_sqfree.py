@@ -141,10 +141,12 @@ def test_quad_excess_formula_matches_exact():
         assert sqfree.quad_excess_formula(n) == sqfree.quad_excess_exact(n)
 
 
-def test_quad_excess_corrupted_table_detected():
+def test_quad_excess_corrupted_table_detected(monkeypatch):
     a = sqfree.SequenceTable.generate("a", 10)
     corrupted = sqfree.SequenceTable("a", a.values[:2] + (99,) + a.values[3:])
-    assert sqfree.quad_excess_formula(8, corrupted, sqfree.SequenceTable.generate("b", 10)) != sqfree.quad_excess_exact(8)
+    b = sqfree.SequenceTable.generate("b", 10)
+    monkeypatch.setattr(sqfree, "_default_tables", lambda count: (corrupted, b))
+    assert sqfree.quad_excess_formula(8) != sqfree.quad_excess_exact(8)
 
 
 def test_sequences_match_displayed_values():
@@ -155,22 +157,29 @@ def test_sequences_match_displayed_values():
 
 
 def test_sequences_match_verbal_patterns():
+    # 40 terms, past the working order DEFAULT_ORDER = 24 of every run
+    count = 40
     # a: the odd numbers with each positive even number doubled in between
-    a = sqfree.SequenceTable.generate("a", 16)
-    odds = [1, 3, 5, 7, 9, 11, 13, 15]
-    evens = [4, 8, 12, 16]
+    a = sqfree.SequenceTable.generate("a", count)
     woven = []
-    for k in range(4):
-        woven += [odds[2 * k], odds[2 * k + 1], evens[k], evens[k]]
+    for k in range(count // 4):
+        woven += [4 * k + 1, 4 * k + 3, 4 * k + 4, 4 * k + 4]
     assert list(a.values) == woven
     # b: three copies of each even number followed by one odd number
-    b = sqfree.SequenceTable.generate("b", 19)
+    b = sqfree.SequenceTable.generate("b", count)
     expected_b = []
     k = 1
-    while len(expected_b) < 19:
+    while len(expected_b) < count:
         expected_b += [2 * k] * 3 + [2 * k + 1]
         k += 1
-    assert list(b.values) == expected_b[:19]
+    assert list(b.values) == expected_b[:count]
+
+
+def test_sequence_tables_are_built_once_per_run():
+    # every degree of the run reads the tables of the one working order
+    sqfree._default_tables.cache_clear()
+    suites.quad_excess_reports(RunConfig())
+    assert sqfree._default_tables.cache_info().misses == 1
 
 
 def test_quad_excess_oracle():
