@@ -32,8 +32,8 @@ Two enumeration methods produce identical stats:
     statistics are read off one histogram of the packed per-polynomial
     counters, sorted in place.  Discriminant classes come from one
     batched Euclidean resultant Res(f', f) over all square-free
-    polynomials at once, in numpy blocks of fixed-width coefficient rows,
-    with Euler's criterion once per row at the end.
+    polynomials at once, in digit-major int32 numpy blocks (int64 above
+    p = 2^15), with Euler's criterion once per polynomial at the end.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -51,11 +51,11 @@ import numpy as np
 #: hard cap on polynomial visits per enumeration call
 DEFAULT_BUDGET = 10_000_000
 
-#: the largest budget accepted anywhere: the sieve peaks at about 10 bytes
-#: per polynomial (123 MiB at 5^10 = 9.8M polynomials, 29 MiB of which is
-#: the interpreter with numpy; the same at 3137^2), and about 13.5 with
-#: discriminant classes (at 5^9 and 3137^2), so 10^8 polynomials stay
-#: near 1.0 GiB, or 1.3 GiB;
+#: the largest budget accepted anywhere: the sieve peaks at about 5 bytes
+#: per polynomial (77 MiB at 5^10 = 9.8M polynomials, 29 MiB of which is
+#: the interpreter with numpy; the same at 3137^2), and about 10 with
+#: discriminant classes (9.8 at 5^9, 9.4 at 3137^2), so 10^8 polynomials
+#: stay near 0.5 GiB, or 0.9 GiB;
 #: it also keeps every product-walk index below 2^31
 MAX_BUDGET = 100_000_000
 
@@ -375,9 +375,9 @@ def _disc_class_ints(coeffs: list[int], n: int, p: int) -> bool:
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p by floor division, which numpy does several times faster than
-    %; the result lies in [0, p) for negative x too.  It is built in place
-    on the quotient, so it allocates one array, as % does."""
+    """x mod p in [0, p), also for negative x, in the dtype of x, by floor
+    division: on a 7 x 9362 block about 18x faster than % in int32, 6x in
+    int64.  Built in place on the quotient, it allocates one array, as %."""
     r = x // p
     r *= -p
     r += x
@@ -390,9 +390,9 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
 
     Runs the Euclidean resultant Res(f', f) = Res(f, f') on all rows of a
     block of at most _CHUNK coefficients at once; b = f stays monic even
-    when p | n.  Rows are top-aligned (column 0 is the coefficient of
-    x^deg), so a - c*x^(deg a - deg b)*b is a difference of columns.  In
-    each step, with s = deg a + deg b the same in every row:
+    when p | n.  Blocks are digit-major and top-aligned (row 0 holds the
+    coefficients of x^deg), so every operation runs on vectors as long as
+    the block.  In each step, with s = deg a + deg b the same in every row:
       - where lc(a) != 0 and deg a < deg b, swap a and b, at a sign
         (-1)^(deg a * deg b);
       - set a to lc(b)*a - lc(a)*x^(deg a - deg b)*b, at a factor
@@ -403,26 +403,30 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     telescope to (-1)^(n(n-1)) = 1.  After 2n-1 steps every row has
     deg a = deg b = 0 (a constant b keeps taking its factors of
     Res(a, b) = b^deg a), and Euler's criterion runs once per row.
-    Products stay below p^2 < 2^62.
+    Intermediates stay below 2p^2: int32 where that fits, else int64.
     """
     out = np.empty(len(idx), dtype=bool)
     block = max(1, _CHUNK // (n + 1))
+    dtype = np.int32 if 2 * p * p < 2**31 else np.int64
     for lo in range(0, len(idx), block):
-        b = _monic_rows(idx[lo : lo + block], p, n)[:, ::-1]
+        b = _monic_rows(idx[lo : lo + block], p, n).T[::-1]  # digit-major, leading row first
+        b = np.ascontiguousarray(b, dtype=dtype)
         a = np.zeros_like(b)
-        a[:, :n] = _mod(b[:, :n] * np.arange(n, 0, -1), p)  # f' at formal degree n-1
-        db = np.full(len(b), n)
-        acc = np.ones(len(b), dtype=np.int64)
-        sign = np.full(len(b), n * (n - 1) // 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f')
+        a[:n] = _mod(b[:n] * (np.arange(n, 0, -1) % p)[:, None], p)  # f' at formal degree n-1
+        acc = np.ones(b.shape[1], dtype=dtype)
+        db = np.full_like(acc, n)
+        sign = np.full_like(acc, n * (n - 1) // 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f')
         for s in range(2 * n - 1, 0, -1):
-            swap = (a[:, 0] != 0) & (2 * db > s)
+            swap = (a[0] != 0) & (2 * db > s)
             sign += swap * (s - db) * db
-            a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
-            db = np.where(swap, s - db, db)
-            acc = np.where(db % 2, acc, _mod(acc * b[:, 0], p))
-            a[:, :-1] = _mod(b[:, :1] * a[:, 1:] - a[:, :1] * b[:, 1:], p)
-            a[:, -1] = 0
-        acc = np.where(sign % 2, p - acc, acc)
+            d = (b - a) * swap  # swap in place
+            a += d
+            b -= d
+            db += swap * (s - 2 * db)
+            acc = np.where(db & 1, acc, _mod(acc * b[0], p))
+            a[:-1] = _mod(b[0] * a[1:] - a[0] * b[1:], p)
+            a[-1] = 0
+        acc = np.where(sign & 1, p - acc, acc)
         chi = np.ones_like(acc)
         e = (p - 1) // 2
         while e:
@@ -660,9 +664,18 @@ def _factor_counts(code: int, n: int) -> tuple[int, int, int] | None:
 
 def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     packed = _factor_codes(n, p)
-    want_disc = discriminants and p % 2 == 1
-    # the discriminant pass needs the indices, which the sort below loses
-    sf_indices = np.flatnonzero(packed < _SQUARE) if want_disc else None
+    disc_residue = disc_nonresidue = None
+    if discriminants and p % 2 == 1:
+        # the square-free indices, which the sort below loses: int32, as
+        # p^n <= MAX_BUDGET, found chunk by chunk so no int64 copy is made
+        sf_indices = np.empty(np.count_nonzero(packed < _SQUARE), dtype=np.int32)
+        k = 0
+        for lo in range(0, packed.size, _CHUNK):
+            found = np.flatnonzero(packed[lo : lo + _CHUNK] < _SQUARE) + lo
+            sf_indices[k : k + len(found)] = found
+            k += len(found)
+        disc_residue = int(np.count_nonzero(_disc_residues(sf_indices, n, p)))
+        disc_nonresidue = len(sf_indices) - disc_residue
 
     # every statistic is a total over the square-free codes, so one
     # histogram of the packed codes carries all of them; it is read off the
@@ -684,11 +697,6 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
         stats["sum_n1_pairs"] += count * (n1 * (n1 - 1) // 2)
         stats["sum_n2"] += count * n2
         stats["mu_sum"] += -count if r % 2 else count
-
-    disc_residue = disc_nonresidue = None
-    if want_disc:
-        disc_residue = int(np.count_nonzero(_disc_residues(sf_indices, n, p)))
-        disc_nonresidue = stats["squarefree_count"] - disc_residue
 
     return SquareFreeStats(
         n=n,
@@ -748,8 +756,8 @@ def enumerate_stats(
 
     Both methods visit every polynomial and must return identical stats;
     ``direct`` exists as the slow definitional cross-check of the
-    vectorized ``sieve``.  Discriminant classes (odd p only) are the
-    expensive part and can be switched off.
+    vectorized ``sieve``.  Discriminant classes (odd p only) are still most
+    of the time (about 90% at 7^6, 70% at 3137^2) and can be switched off.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")

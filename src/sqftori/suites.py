@@ -104,15 +104,15 @@ def _euler_point(which: int):
 
 
 @lru_cache(maxsize=None)
-def _oracle_stats(n: int, p: int, discriminants: bool) -> ffpoly.SquareFreeStats:
-    return ffpoly.enumerate_stats(
-        n, p, budget=p**n, discriminants=discriminants
-    )
+def _oracle_stats(n: int, p: int) -> ffpoly.SquareFreeStats:
+    """One enumeration per (n, p), with the discriminant classes wherever
+    the discriminant suite reads them (odd p, n <= DISC_N_CAP)."""
+    return ffpoly.enumerate_stats(n, p, budget=p**n, discriminants=p % 2 == 1 and n <= DISC_N_CAP)
 
 
 def _oracle_mean(n: int, p: int, total: Callable[[ffpoly.SquareFreeStats], int]) -> Fraction:
     """An oracle total over square-free polynomials, divided by their number."""
-    stats = _oracle_stats(n, p, False)
+    stats = _oracle_stats(n, p)
     return Fraction(total(stats), stats.squarefree_count)
 
 
@@ -165,7 +165,7 @@ _SQUAREFREE_COUNT = {
     "squarefree-count-oracle": (
         _oracle,
         lambda n, p: sqfree.squarefree_count(n).eval(p),
-        lambda n, p: _oracle_stats(n, p, False).squarefree_count,
+        lambda n, p: _oracle_stats(n, p).squarefree_count,
     ),
 }
 
@@ -209,7 +209,7 @@ _MU_SUM = {
     ),
     "mu-signed-sum-oracle": (
         _oracle,
-        lambda n, p: _oracle_stats(n, p, False).mu_sum,
+        lambda n, p: _oracle_stats(n, p).mu_sum,
         lambda n, p: 0,
     ),
 }
@@ -217,8 +217,8 @@ _MU_SUM = {
 _DISCRIMINANT = {
     "discriminant-balance": (
         lambda config: _oracle(config, DISC_N_CAP, min_p=3),
-        lambda n, p: _oracle_stats(n, p, True).disc_residue,
-        lambda n, p: _oracle_stats(n, p, True).disc_nonresidue,
+        lambda n, p: _oracle_stats(n, p).disc_residue,
+        lambda n, p: _oracle_stats(n, p).disc_nonresidue,
     ),
 }
 

@@ -230,6 +230,51 @@ def test_batched_discriminant_at_large_p(monkeypatch, chunk, p, n):
     assert _disc_residues(sample, n, p).tolist() == expected
 
 
+#: the pass runs on int32 while 2p^2 < 2^31: the largest prime that keeps
+#: that width, the smallest above it, and the largest prime within
+#: MAX_BUDGET; at n = 2 over F_65537 the products of residues overflow int32
+_NARROW_TOP, _WIDE_BOTTOM, _BUDGET_TOP, _OVERFLOW = 32749, 32771, 99999989, 65537
+
+
+def test_width_edge_primes():
+    assert 2 * _NARROW_TOP**2 < 2**31 < 2 * _WIDE_BOTTOM**2
+    assert not any(is_prime(q) for q in range(_NARROW_TOP + 1, _WIDE_BOTTOM))
+    assert not any(is_prime(q) for q in range(_BUDGET_TOP + 1, ffpoly.MAX_BUDGET + 1))
+    assert all(is_prime(q) for q in (_NARROW_TOP, _WIDE_BOTTOM, _BUDGET_TOP, _OVERFLOW))
+    assert (_OVERFLOW - 1) ** 2 >= 2**31
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+@pytest.mark.parametrize(
+    "p,n",
+    [(_NARROW_TOP, 1), (_NARROW_TOP, 2), (_WIDE_BOTTOM, 1), (_WIDE_BOTTOM, 2), (_BUDGET_TOP, 1), (_OVERFLOW, 2)],
+)
+def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
+    # a strided sample of the square-free rows, both ends included: every
+    # x + c, and x^2 + b*x + c with b^2 - 4c != 0
+    if chunk is not None:
+        monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
+    idx = np.append(np.arange(0, p**n, p**n // 500 + 1), p**n - 1)
+    if n == 2:
+        idx = idx[(idx // p * (idx // p) - 4 * (idx % p)) % p != 0]
+    expected = [_disc_class_ints(row, n, p) for row in ffpoly._monic_rows(idx, p, n).tolist()]
+    assert _disc_residues(idx, n, p).tolist() == expected
+
+
+def test_discriminant_pass_at_large_p_stays_chunk_sized():
+    # a block at a time: a full-size int64 copy of the million indices alone
+    # would be 7.8 MiB above the bool output
+    p, n = 1009, 2
+    sf = np.flatnonzero(ffpoly._factor_codes(n, p) < ffpoly._SQUARE).astype(np.int32)
+    tracemalloc.start()
+    try:
+        out = _disc_residues(sf, n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 4 * 2**20
+
+
 # every odd p with a point p^n <= 729 of degree 2 or more
 _odd_points = [
     (p, n) for p in range(3, 28, 2) if is_prime(p) for n in range(1, 7) if p**n <= 729

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sqftori
-from sqftori import cli, exact, sqfree, suites, tori
+from sqftori import cli, exact, ffpoly, sqfree, suites, tori
 from sqftori.ffpoly import MAX_BUDGET
 from sqftori.report import (
     RunConfig,
@@ -159,6 +159,26 @@ def test_verify_all_flags_corrupted_sequence_table(monkeypatch):
 def test_verify_all_passes_clean():
     reports = suites.verify_all(SMALL)
     assert failing_names(reports) == []
+
+
+def test_verify_all_enumerates_each_oracle_point_once(monkeypatch):
+    # the oracle rows of one (n, p) share one enumeration, which carries the
+    # discriminant classes exactly where the discriminant suite reads them
+    calls = []
+    enumerate_stats = ffpoly.enumerate_stats
+
+    def counted(n, p, **kwargs):
+        calls.append((n, p, kwargs["discriminants"]))
+        return enumerate_stats(n, p, **kwargs)
+
+    monkeypatch.setattr(ffpoly, "enumerate_stats", counted)
+    suites._oracle_stats.cache_clear()
+    config = RunConfig()
+    assert failing_names(suites.verify_all(config)) == []
+    points = [(n, p) for n, p, _ in calls]
+    assert len(points) == len(set(points))
+    assert set(points) == {args for _, args in suites._oracle(config)}
+    assert all(disc == (p % 2 == 1 and n <= suites.DISC_N_CAP) for n, p, disc in calls)
 
 
 def test_verify_all_json_is_byte_identical_to_recorded_digest():
