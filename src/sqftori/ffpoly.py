@@ -365,9 +365,9 @@ def resultant(a: FieldPoly, b: FieldPoly) -> int:
         a, b = b, r
 
 
-def _disc_class_ints(coeffs: list[int], n: int, p: int) -> bool:
+def _disc_residue(f: FieldPoly) -> bool:
     """True when disc(f) is a nonzero square in F_p (f monic square-free)."""
-    f = FieldPoly(PrimeField(p), coeffs)
+    n, p = f.degree, f.field.p
     r = resultant(f, f.derivative())
     if n * (n - 1) // 2 % 2:
         r = -r % p
@@ -386,7 +386,7 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     """Whether disc(f) is a nonzero square in F_p for each index of a
-    monic square-free f of degree n, p odd: _disc_class_ints, batched.
+    monic square-free f of degree n, p odd: _disc_residue, batched.
 
     Runs the Euclidean resultant Res(f', f) = Res(f, f') on all rows of a
     block of at most _CHUNK coefficients at once; b = f stays monic even
@@ -447,11 +447,7 @@ def discriminant_class(f: FieldPoly) -> Literal["residue", "nonresidue"]:
     if f.field.p == 2:
         raise ValueError("discriminant classes need an odd field size")
     _require_squarefree(f, "the discriminant class")
-    return (
-        "residue"
-        if _disc_class_ints(list(f.coeffs), f.degree, f.field.p)
-        else "nonresidue"
-    )
+    return "residue" if _disc_residue(f) else "nonresidue"
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,20 @@ where N(d,q) is the number of monic irreducible polynomials of degree d.
 Truncating at order N only needs the factors with d <= N, since higher
 degrees cannot touch the coefficients of u^0..u^N.
 
-The quadratic-factor statistics use two interchangeable routes: direct
-coefficient extraction from a closed-form series, and a finite-n formula
-driven by two integer sequences defined by their generating functions.
-Their exact agreement in Q(q) is the heart of the verification suite.
+Every expectation is a combination of binomial moments E[prod_d C(X_d, k_d)],
+X_d the number of degree-d irreducible factors.  Marking the square-free
+product as prod_d (1 + x_d u^d)^N(d,q) and setting x_d = 1 + t_d gives
+all of them in one closed form (`binomial_moment`): with s = sum_d d*k_d,
+
+    E[prod_d C(X_d, k_d)] = prod_d C(N(d,q), k_d)
+        * [u^(n-s)] (1-qu^2)/(1-qu) prod_d (1+u^d)^(-k_d) / S_n,
+
+S_n = q^n - q^(n-1) (n >= 2) the number of square-free f of degree n.
+
+It is checked against routes that share no intermediate value with it:
+the alternating partial sum for E[X_1], and for E[X_2 - C(X_1,2)] a
+finite-n formula driven by two integer sequences defined by their
+generating functions.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 from .exact import ONE, Q, RationalFunction
 from .series import TruncatedSeries
@@ -64,15 +75,12 @@ def count_irreducibles(d: int) -> RationalFunction:
     return acc
 
 
-def _binomial_factor(order: int, d: int, sign: int, negate_exponent: bool) -> TruncatedSeries:
-    """(1 + sign*u^d) ** E for E = +-N(d,q), as a truncated series over Q(q).
+def _binomial_factor(order: int, d: int, sign: int, e: RationalFunction) -> TruncatedSeries:
+    """(1 + sign*u^d) ** e, as a truncated series over Q(q).
 
-    The binomial series: sum_k C(E,k) sign^k u^(dk), where
-    C(E,k) = E(E-1)...(E-k+1)/k! is a polynomial in q.
+    The binomial series: sum_k C(e,k) sign^k u^(dk), where
+    C(e,k) = e(e-1)...(e-k+1)/k! is a polynomial in q for e = +-N(d,q).
     """
-    e = count_irreducibles(d)
-    if negate_exponent:
-        e = -e
     terms = {0: ONE}
     c = ONE
     for k in range(1, order // d + 1):
@@ -86,7 +94,7 @@ def squarefree_product_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 + u^d)^N(d,q): square-free monic polynomials by degree."""
     acc = TruncatedSeries.one(order)
     for d in range(1, order + 1):
-        acc = acc * _binomial_factor(order, d, +1, False)
+        acc = acc * _binomial_factor(order, d, +1, count_irreducibles(d))
     return acc
 
 
@@ -95,7 +103,7 @@ def signed_product_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 - u^d)^N(d,q): sign-weighted square-free count."""
     acc = TruncatedSeries.one(order)
     for d in range(1, order + 1):
-        acc = acc * _binomial_factor(order, d, -1, False)
+        acc = acc * _binomial_factor(order, d, -1, count_irreducibles(d))
     return acc
 
 
@@ -104,7 +112,7 @@ def inverse_factorization_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 - u^d)^(-N(d,q)): all monic polynomials by degree."""
     acc = TruncatedSeries.one(order)
     for d in range(1, order + 1):
-        acc = acc * _binomial_factor(order, d, -1, True)
+        acc = acc * _binomial_factor(order, d, -1, -count_irreducibles(d))
     return acc
 
 
@@ -158,28 +166,41 @@ def moebius_signed_sum(n: int) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# expected number of linear factors
+# binomial moments E[prod_d C(X_d, k_d)]
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _linear_factor_series(order: int) -> TruncatedSeries:
-    """qu/(1+u) * (1-qu^2)/(1-qu): the x-derivative of the marked product at x=1."""
-    num = TruncatedSeries.from_terms(order, {1: Q})
-    den = TruncatedSeries.from_terms(order, {0: ONE, 1: ONE})
-    return (num / den) * _closed_squarefree_series(order)
+def _moment_series(order: int, k: tuple[tuple[int, int], ...]) -> TruncatedSeries:
+    """(1-qu^2)/(1-qu) * prod_d (1+u^d)^(-k_d), for k as sorted (d, k_d) pairs."""
+    acc = _closed_squarefree_series(order)
+    for d, kd in k:
+        acc = acc * _binomial_factor(order, d, +1, RationalFunction.from_fraction(-kd))
+    return acc
 
 
-def expected_linear_factors_series(n: int) -> RationalFunction:
-    """Series route: extract [u^n] and divide by the square-free count."""
-    if n < 2:
-        raise ValueError("the linear-factor expectation needs n >= 2")
-    coeff = _linear_factor_series(_working_order(n)).coefficient(n)
-    return coeff / squarefree_count_formula(n)
+def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
+    """E[prod_d C(X_d, k_d)] for a uniform square-free monic f of degree n,
+    X_d the number of degree-d irreducible factors of f, by the closed form
+    of the module docstring; it is 0 when sum_d d*k_d > n."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    if any(d < 1 or kd < 0 for d, kd in k.items()):
+        raise ValueError(f"moment orders need positive degrees and non-negative orders: {dict(k)}")
+    key = tuple(sorted((d, kd) for d, kd in k.items() if kd))
+    s = sum(d * kd for d, kd in key)
+    if s > n:
+        return RationalFunction(0)
+    out = _moment_series(_working_order(n), key).coefficient(n - s)
+    for d, kd in key:  # times C(N(d,q), k_d), the top coefficient of (1+u)^N(d,q) at order k_d
+        out = out * _binomial_factor(kd, 1, +1, count_irreducibles(d)).coefficient(kd)
+    return out / squarefree_count_formula(n)
 
 
-def expected_linear_factors_sum(n: int) -> RationalFunction:
-    """Closed form: the alternating partial sum 1 - 1/q + ... +- 1/q^(n-2)."""
+def expected_linear_factors(n: int) -> RationalFunction:
+    """Expected number of distinct roots of a random square-free monic
+    degree-n polynomial, E[X_1], as the alternating partial sum
+    1 - 1/q + ... +- 1/q^(n-2)."""
     if n < 2:
         raise ValueError("the linear-factor expectation needs n >= 2")
     acc = RationalFunction(0)
@@ -189,41 +210,17 @@ def expected_linear_factors_sum(n: int) -> RationalFunction:
     return acc
 
 
-def expected_linear_factors(n: int) -> RationalFunction:
-    """Expected number of distinct roots of a random square-free monic
-    degree-n polynomial, by the closed-form partial sum."""
-    return expected_linear_factors_sum(n)
-
-
-# ---------------------------------------------------------------------------
-# excess of irreducible over reducible quadratic factors
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _quad_excess_series(order: int) -> TruncatedSeries:
-    """[1/(1+(u/q)^2) - 1/(1+u/q)^2] * (u^2/2) * (1-u^2/q)/(1-u).
-
-    The coefficient of u^n is E[n_2 - C(n_1,2)] for a uniform square-free
-    monic degree-n polynomial, where n_i counts degree-i irreducible
-    factors.
-    """
-    one = TruncatedSeries.one(order)
-    inv_q = RationalFunction.q_power(-1)
-    a = one + TruncatedSeries.from_terms(order, {2: RationalFunction.q_power(-2)})
-    b = one + TruncatedSeries.from_terms(order, {1: inv_q})
-    bracket = one / a - one / (b * b)
-    front = TruncatedSeries.from_terms(order, {2: RationalFunction.from_fraction(Fraction(1, 2))})
-    tail_num = TruncatedSeries.from_terms(order, {0: ONE, 2: -inv_q})
-    tail_den = TruncatedSeries.from_terms(order, {0: ONE, 1: -ONE})
-    return bracket * front * (tail_num / tail_den)
-
-
 def quad_excess_exact(n: int) -> RationalFunction:
-    """E[n_2 - C(n_1,2)] by direct coefficient extraction."""
+    """E[X_2 - C(X_1,2)], the excess of irreducible over reducible
+    quadratic factors, from the binomial moments."""
     if n < 2:
         raise ValueError("the quadratic excess needs n >= 2")
-    return _quad_excess_series(_working_order(n)).coefficient(n)
+    return binomial_moment(n, {2: 1}) - binomial_moment(n, {1: 2})
+
+
+# ---------------------------------------------------------------------------
+# the finite-n quadratic excess formula
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -312,10 +309,9 @@ def quad_excess_limit() -> RationalFunction:
 __all__ = [
     "DEFAULT_ORDER",
     "SequenceTable",
+    "binomial_moment",
     "count_irreducibles",
     "expected_linear_factors",
-    "expected_linear_factors_series",
-    "expected_linear_factors_sum",
     "geometric_q_series",
     "inverse_factorization_series",
     "moebius_signed_sum",

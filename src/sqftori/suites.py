@@ -172,8 +172,8 @@ _SQUAREFREE_COUNT = {
 _LINEAR_FACTOR = {
     "linear-factors-symbolic": (
         _DEGREES,
-        lambda n: sqfree.expected_linear_factors_sum(n),
-        lambda n: sqfree.expected_linear_factors_series(n),
+        lambda n: sqfree.expected_linear_factors(n),
+        lambda n: sqfree.binomial_moment(n, {1: 1}),
     ),
     "linear-factors-oracle": (
         _oracle,
@@ -187,7 +187,7 @@ _QUAD_EXCESS = {
     "quad-excess-finite-n": (
         _DEGREES,
         lambda n: sqfree.quad_excess_formula(n),
-        lambda n: sqfree.quad_excess_exact(n),
+        lambda n: sqfree.binomial_moment(n, {2: 1}) - sqfree.binomial_moment(n, {1: 2}),
     ),
     "quad-excess-limit-series": (
         _point({"order": len(_INTRO_QUAD_EXCESS)}, len(_INTRO_QUAD_EXCESS)),
@@ -291,12 +291,12 @@ def _tori_type_rows(n: int, with_evaluations: bool) -> dict:
 _EIGENVECTOR = {
     "eigenvectors-partition": (
         _RANKS,
-        lambda n: tori.expected_eigenvectors_closed(n),
-        lambda n: tori.expected_eigenvectors_partition(n),
+        lambda n: tori.binomial_moment(n, {1: 1}),
+        lambda n: tori.binomial_moment_partition(n, {1: 1}),
     ),
     "eigenvectors-series": (
         _RANKS,
-        lambda n: tori.expected_eigenvectors_closed(n),
+        lambda n: tori.binomial_moment(n, {1: 1}),
         lambda n: tori.expected_eigenvectors_series(n),
     ),
 }
@@ -304,18 +304,18 @@ _EIGENVECTOR = {
 _SUBTORI_EXCESS = {
     "subtori-excess-partition": (
         _RANKS_FROM_2,
-        lambda n: tori.tori_quad_excess_closed(n),
-        lambda n: tori.tori_quad_excess_partition(n),
+        lambda n: tori.binomial_moment(n, {1: 2}) - tori.binomial_moment(n, {2: 1}),
+        lambda n: tori.binomial_moment_partition(n, {1: 2}) - tori.binomial_moment_partition(n, {2: 1}),
     ),
     "subtori-excess-pair-moment": (
         _RANKS_FROM_2,
-        lambda n: tori.pair_moment_closed(n),
-        lambda n: tori.pair_moment_partition(n),
+        lambda n: tori.binomial_moment(n, {1: 2}),
+        lambda n: tori.binomial_moment_partition(n, {1: 2}),
     ),
     "subtori-excess-quad-moment": (
         _RANKS_FROM_2,
-        lambda n: tori.quad_moment_closed(n),
-        lambda n: tori.quad_moment_partition(n),
+        lambda n: tori.binomial_moment(n, {2: 1}),
+        lambda n: tori.binomial_moment_partition(n, {2: 1}),
     ),
     "subtori-excess-limit-series": (
         _point({"order": len(_INTRO_SUBTORI_EXCESS)}, len(_INTRO_SUBTORI_EXCESS)),

@@ -7,10 +7,19 @@ Tori are classified up to the relevant equivalence by partitions of n
 
 with n_i the multiplicity of the part i.  Every headline quantity is
 computed along two independent routes: an exact sum over partitions,
-and coefficient extraction from the torus analogue of the cycle index
+and the torus analogue of the cycle index
 
     1 + sum_n u^n/|GL(n,q)| sum_T prod_i x_i^(n_i(T))
         = prod_i exp[ x_i u^i / ((q^i - 1) i) ].
+
+Each expectation is a combination of binomial moments E[prod_i C(n_i, k_i)];
+with x_i = 1 + t_i the cycle index gives all of them in one closed form,
+
+    E[prod_i C(n_i, k_i)] = (|GL_n|/q^(n^2-n)) * (q^(m^2-m)/|GL_m|)
+                            * prod_i 1/(i^k_i k_i! (q^i - 1)^k_i),
+
+with m = n - sum_i i*k_i (`binomial_moment`), checked against the
+partition sum (`binomial_moment_partition`).
 
 Infinite products over r in powers of 1/q (such as prod_r 1/(1-u/q^r))
 are never truncated in r; they enter only through their summatory
@@ -24,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
 from .exact import ONE, QPoly, RationalFunction, gl_order
@@ -270,29 +279,49 @@ def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# expected eigenvectors (fixed lines): E[n_1]
+# binomial moments E[prod_i C(n_i, k_i)]
 # ---------------------------------------------------------------------------
 
 
-def expected_eigenvectors_closed(n: int) -> RationalFunction:
-    """1 + 1/q + ... + 1/q^(n-1)."""
+def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
+    """E[prod_i C(n_i, k_i)] for a uniform torus of GL_n, n_i the parts equal
+    to i, by the closed form of the module docstring; it is 0 when
+    sum_i i*k_i > n.  k = {1: 1} gives the expected number of fixed lines,
+    {1: 2} and {2: 1} the reducible and irreducible dimension-2 subtori.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    acc = RationalFunction(0)
-    for i in range(n):
-        acc = acc + RationalFunction.q_power(-i)
-    return acc
+    if any(i < 1 or ki < 0 for i, ki in k.items()):
+        raise ValueError(f"moment orders need positive parts and non-negative orders: {dict(k)}")
+    m = n - sum(i * ki for i, ki in k.items())
+    if m < 0:
+        return RationalFunction(0)
+    out = RationalFunction(gl_order(n) // gl_order(m))
+    out = out * RationalFunction.q_power(m * m - m - n * n + n)
+    for i, ki in k.items():
+        out = out / ((RationalFunction.q_power(i) - ONE) ** ki * (i**ki * factorial(ki)))
+    return out
 
 
-def expected_eigenvectors_partition(n: int) -> RationalFunction:
-    """sum over types of P(lambda) * n_1(lambda)."""
+def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:
+    """The same moment as a sum over the types: sum of P(lambda) prod_i C(n_i(lambda), k_i)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _type_sum(n, lambda l: l.multiplicities().get(1, 0)) / total_tori_formula(n)
+
+    def weight(l: Partition) -> int:
+        mult = l.multiplicities()
+        return prod(comb(mult.get(i, 0), ki) for i, ki in k.items())
+
+    return _type_sum(n, weight) / total_tori_formula(n)
+
+
+def expected_eigenvectors(n: int) -> RationalFunction:
+    """Expected number of fixed lines of a uniform torus, E[n_1] = 1 + 1/q + ... + 1/q^(n-1)."""
+    return binomial_moment(n, {1: 1})
 
 
 def expected_eigenvectors_series(n: int) -> RationalFunction:
-    """|GL(n,q)|/q^(n^2-n) times [u^n] of u/(q-1) * F(u).
+    """E[n_1] as |GL(n,q)|/q^(n^2-n) times [u^n] of u/(q-1) * F(u).
 
     The front factor has the single term u, so the coefficient needed is
     just F's coefficient of u^(n-1) scaled by 1/(q-1).
@@ -304,80 +333,16 @@ def expected_eigenvectors_series(n: int) -> RationalFunction:
     return coeff * RationalFunction(gl_order(n)) / total_tori_formula(n)
 
 
-def expected_eigenvectors(n: int) -> RationalFunction:
-    """Expected number of fixed lines of a uniform torus, by the closed form."""
-    return expected_eigenvectors_closed(n)
-
-
-# ---------------------------------------------------------------------------
-# excess of reducible over irreducible dimension-2 subtori
-# ---------------------------------------------------------------------------
-
-
 def _one_minus_qpow(k: int) -> RationalFunction:
     return ONE - RationalFunction.q_power(-k)
 
 
-def pair_moment_closed(n: int) -> RationalFunction:
-    """E[C(n_1,2)] = q^2 (1-1/q^(n-1)) (1-1/q^n) / (2 (q-1)^2)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    q = RationalFunction.q_power(1)
-    return (
-        q
-        * q
-        * _one_minus_qpow(n - 1)
-        * _one_minus_qpow(n)
-        / (RationalFunction.from_fraction(2) * (q - ONE) ** 2)
-    )
-
-
-def pair_moment_partition(n: int) -> RationalFunction:
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return _type_sum(n, lambda l: comb(l.multiplicities().get(1, 0), 2)) / total_tori_formula(n)
-
-
-def quad_moment_closed(n: int) -> RationalFunction:
-    """E[n_2] = q^2 (1-1/q^(n-1)) (1-1/q^n) / (2 (q^2-1))."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    q = RationalFunction.q_power(1)
-    return (
-        q
-        * q
-        * _one_minus_qpow(n - 1)
-        * _one_minus_qpow(n)
-        / (RationalFunction.from_fraction(2) * (q * q - ONE))
-    )
-
-
-def quad_moment_partition(n: int) -> RationalFunction:
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return _type_sum(n, lambda l: l.multiplicities().get(2, 0)) / total_tori_formula(n)
-
-
-def tori_quad_excess_closed(n: int) -> RationalFunction:
-    """(1/q) (1-1/q^(n-1)) (1-1/q^n) / ((1-1/q)(1-1/q^2))."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return (
-        RationalFunction.q_power(-1)
-        * _one_minus_qpow(n - 1)
-        * _one_minus_qpow(n)
-        / (_one_minus_qpow(1) * _one_minus_qpow(2))
-    )
-
-
-def tori_quad_excess_partition(n: int) -> RationalFunction:
-    """Partition sum of C(n_1,2) - n_2 (reducible minus irreducible pairs)."""
-    return pair_moment_partition(n) - quad_moment_partition(n)
-
-
 def tori_quad_excess(n: int) -> RationalFunction:
-    """E[C(n_1,2) - n_2], by the closed form."""
-    return tori_quad_excess_closed(n)
+    """E[C(n_1,2) - n_2], the excess of reducible over irreducible dimension-2
+    subtori: (1/q) (1-1/q^(n-1)) (1-1/q^n) / ((1-1/q)(1-1/q^2))."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return binomial_moment(n, {1: 2}) - binomial_moment(n, {2: 1})
 
 
 def tori_quad_excess_limit() -> RationalFunction:

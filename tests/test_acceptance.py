@@ -62,26 +62,27 @@ def test_criterion_02_squarefree_counts():
 
 def test_criterion_03_expected_linear_factors():
     for n in range(2, SERIES_ORDER + 1):
-        assert sqfree.expected_linear_factors_sum(n) == sqfree.expected_linear_factors_series(n)
+        assert sqfree.expected_linear_factors(n) == sqfree.binomial_moment(n, {1: 1})
     for p in ORACLE_PRIMES:
         for n in ORACLE_DEGREES:
             stats = ffpoly.enumerate_stats(n, p, discriminants=False)
             assert sqfree.expected_linear_factors(n).eval(p) == Fraction(
                 stats.sum_n1, stats.squarefree_count
             )
-    _ok(3, "linear-factor expectation: partial sum = series route = oracle mean")
+    _ok(3, "linear-factor expectation: partial sum = binomial moment = oracle mean")
 
 
 def test_criterion_04_quad_excess_finite_n():
     assert sqfree.quad_excess_formula(2) == RF(0)
     assert sqfree.quad_excess_formula(3) == RF.q_power(-1)
     for n in range(4, SERIES_ORDER + 1):
-        assert sqfree.quad_excess_formula(n) == sqfree.quad_excess_exact(n)
+        moments = sqfree.binomial_moment(n, {2: 1}) - sqfree.binomial_moment(n, {1: 2})
+        assert sqfree.quad_excess_formula(n) == moments == sqfree.quad_excess_exact(n)
     a = sqfree.SequenceTable.generate("a", 16)
     b = sqfree.SequenceTable.generate("b", 19)
     assert a.values == (1, 3, 4, 4, 5, 7, 8, 8, 9, 11, 12, 12, 13, 15, 16, 16)
     assert b.values == (2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 9, 10, 10, 10)
-    _ok(4, "finite-n quadratic excess formula = coefficient extraction, 4<=n<=24")
+    _ok(4, "finite-n quadratic excess formula = binomial moments, 4<=n<=24")
 
 
 def test_criterion_05_quad_excess_limit():
@@ -126,19 +127,24 @@ def test_criterion_09_probabilities_sum_to_one():
 
 def test_criterion_10_expected_eigenvectors():
     for n in range(1, TORI_N_MAX + 1):
-        closed = tori.expected_eigenvectors_closed(n)
-        assert closed == tori.expected_eigenvectors_partition(n)
+        closed = tori.binomial_moment(n, {1: 1})
+        assert closed == sum((RF.q_power(-i) for i in range(n)), RF(0))
+        assert closed == tori.binomial_moment_partition(n, {1: 1})
         assert closed == tori.expected_eigenvectors_series(n)
     assert tori.expected_eigenvectors(2).eval(2) == Fraction(3, 2)
     _ok(10, "eigenvector expectation: closed form = partition sum = series route, n<=12")
 
 
 def test_criterion_11_subtori_excess():
+    q = RF.q_power(1)
     for n in range(2, TORI_N_MAX + 1):
-        closed = tori.tori_quad_excess_closed(n)
-        assert closed == tori.tori_quad_excess_partition(n)
-        assert tori.pair_moment_closed(n) == tori.pair_moment_partition(n)
-        assert tori.quad_moment_closed(n) == tori.quad_moment_partition(n)
+        tail = (ONE - RF.q_power(1 - n)) * (ONE - RF.q_power(-n))
+        pair = tori.binomial_moment_partition(n, {1: 2})
+        quad = tori.binomial_moment_partition(n, {2: 1})
+        closed = RF.q_power(-1) * tail / ((ONE - RF.q_power(-1)) * (ONE - RF.q_power(-2)))
+        assert closed == tori.tori_quad_excess(n) == pair - quad
+        assert tori.binomial_moment(n, {1: 2}) == pair == q * q * tail / (2 * (q - ONE) ** 2)
+        assert tori.binomial_moment(n, {2: 1}) == quad == q * q * tail / (2 * (q * q - ONE))
     assert tori.tori_quad_excess(TORI_N_MAX).inverse_q_expansion(8)[1:] == [1, 1, 2, 2, 3, 3, 4, 4]
     _ok(11, "subtorus excess: closed form = partition sum; moments match; series prefix 1,1,2,2,3,3,4,4")
 

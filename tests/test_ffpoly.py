@@ -12,7 +12,7 @@ from sqftori.ffpoly import (
     EnumerationBudgetError,
     FieldPoly,
     PrimeField,
-    _disc_class_ints,
+    _disc_residue,
     _disc_residues,
     _monic_polys,
     count_irreducible_factors,
@@ -201,7 +201,7 @@ def test_batched_discriminant_matches_scalar_per_row(monkeypatch, chunk):
     for p, n in [(3, 1), (3, 3), (3, 6), (5, 5), (7, 4)]:
         polys = _squarefree_polys(p, n)
         got = _disc_residues(np.array([i for i, _ in polys]), n, p)
-        assert got.tolist() == [_disc_class_ints(list(f.coeffs), n, p) for _, f in polys]
+        assert got.tolist() == [_disc_residue(f) for _, f in polys]
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
@@ -226,7 +226,8 @@ def test_batched_discriminant_at_large_p(monkeypatch, chunk, p, n):
     else:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
     sample = sf[::211]
-    expected = [_disc_class_ints(row, n, p) for row in ffpoly._monic_rows(sample, p, n).tolist()]
+    field = PrimeField(p)
+    expected = [_disc_residue(FieldPoly(field, row)) for row in ffpoly._monic_rows(sample, p, n).tolist()]
     assert _disc_residues(sample, n, p).tolist() == expected
 
 
@@ -244,6 +245,15 @@ def test_width_edge_primes():
     assert (_OVERFLOW - 1) ** 2 >= 2**31
 
 
+def test_discriminant_class_reuses_the_field_of_f(monkeypatch):
+    # building PrimeField(p) again re-runs trial division, about 1 ms at this p
+    f = fp(PrimeField(_BUDGET_TOP), 1, 0, 1)
+    calls = []
+    monkeypatch.setattr(ffpoly, "is_prime", lambda p: calls.append(p) or True)
+    assert discriminant_class(f) == "residue"  # disc(x^2+1) = -4, and p = 1 mod 4
+    assert calls == []
+
+
 @pytest.mark.parametrize("chunk", [None, 8])
 @pytest.mark.parametrize(
     "p,n",
@@ -257,7 +267,8 @@ def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
     idx = np.append(np.arange(0, p**n, p**n // 500 + 1), p**n - 1)
     if n == 2:
         idx = idx[(idx // p * (idx // p) - 4 * (idx % p)) % p != 0]
-    expected = [_disc_class_ints(row, n, p) for row in ffpoly._monic_rows(idx, p, n).tolist()]
+    field = PrimeField(p)
+    expected = [_disc_residue(FieldPoly(field, row)) for row in ffpoly._monic_rows(idx, p, n).tolist()]
     assert _disc_residues(idx, n, p).tolist() == expected
 
 

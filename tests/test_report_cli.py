@@ -1,6 +1,8 @@
 """Report serialization, run configuration, and the command-line interface."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -281,6 +283,17 @@ def test_runtime_imports_no_sympy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve():
+    # a deleted function that is still exported fails here, not at a user's import *
+    assert [name for name in sqfree.__all__ if not hasattr(sqfree, name)] == []
+    tree = ast.parse(Path(sqftori.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module("." * node.level + (node.module or ""), "sqftori")
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{module.__name__}.{alias.name}"
 
 
 def test_cli_csv_format(capsys):

@@ -1,6 +1,8 @@
 """Square-free polynomial identities on the symbolic (generating function) side."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -109,9 +111,46 @@ def test_expected_linear_factors_oracle_mean():
 
 def test_expected_linear_factors_telescopes():
     for n in range(2, 12):
-        diff = sqfree.expected_linear_factors_sum(n) - sqfree.expected_linear_factors_sum(n + 1)
+        diff = sqfree.expected_linear_factors(n) - sqfree.expected_linear_factors(n + 1)
         sign = 1 if n % 2 == 0 else -1
         assert diff == RF.from_fraction(sign) * RF.q_power(-(n - 1))
+
+
+def test_expected_linear_factors_is_the_first_moment():
+    for n in range(2, 15):
+        assert sqfree.expected_linear_factors(n) == sqfree.binomial_moment(n, {1: 1})
+
+
+# ---------------------------------------------------------------------------
+# binomial moments against trial division
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _factor_counts(p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(X_1, X_2) of every square-free monic f of degree n over F_p, by trial division."""
+    return tuple(
+        (ffpoly.count_linear_factors(f), ffpoly.count_irreducible_quadratic_factors(f))
+        for f in ffpoly._monic_polys(ffpoly.PrimeField(p), n)
+        if ffpoly.is_squarefree(f)
+    )
+
+
+@pytest.mark.parametrize("k", [{1: k1, 2: k2} for k1 in range(4) for k2 in range(3)], ids=str)
+def test_binomial_moment_matches_trial_division(k):
+    for p, n in [(2, 5), (3, 4), (5, 3)]:
+        counts = _factor_counts(p, n)
+        total = sum(comb(x1, k[1]) * comb(x2, k[2]) for x1, x2 in counts)
+        assert sqfree.binomial_moment(n, k).eval(p) == Fraction(total, len(counts))
+
+
+def test_binomial_moment_small_degrees_and_bad_orders():
+    assert sqfree.binomial_moment(0, {}) == ONE
+    assert sqfree.binomial_moment(1, {1: 1}) == ONE
+    assert sqfree.binomial_moment(3, {2: 2}) == RF(0)
+    for k in ({1: -1}, {0: 1}):
+        with pytest.raises(ValueError):
+            sqfree.binomial_moment(3, k)
 
 
 # ---------------------------------------------------------------------------

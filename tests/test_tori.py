@@ -203,9 +203,11 @@ def test_expected_eigenvectors_partition_sum_f2():
 
 def test_expected_eigenvectors_routes_agree():
     for n in range(1, 13):
-        closed = tori.expected_eigenvectors_closed(n)
-        assert closed == tori.expected_eigenvectors_partition(n)
+        closed = tori.binomial_moment(n, {1: 1})
+        assert closed == sum((RF.q_power(-i) for i in range(n)), RF(0))
+        assert closed == tori.binomial_moment_partition(n, {1: 1})
         assert closed == tori.expected_eigenvectors_series(n)
+        assert closed == tori.expected_eigenvectors(n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,8 @@ def test_subtori_excess_small():
     assert tori.tori_quad_excess(2) == RF.q_power(-1)
     assert tori.tori_quad_excess(2).eval(2) == Fraction(1, 2)
     # direct partition route at n=2, q=2: (3*1 + 1*(-1))/4
-    assert tori.tori_quad_excess_partition(2).eval(2) == Fraction(1, 2)
+    excess = tori.binomial_moment_partition(2, {1: 2}) - tori.binomial_moment_partition(2, {2: 1})
+    assert excess.eval(2) == Fraction(1, 2)
 
 
 def test_subtori_excess_n3_display():
@@ -231,12 +234,40 @@ def test_subtori_excess_n3_display():
 
 
 def test_subtori_excess_routes_agree():
+    q = RF.q_power(1)
     for n in range(2, 13):
-        closed = tori.tori_quad_excess_closed(n)
-        assert closed == tori.tori_quad_excess_partition(n)
-        assert closed == tori.pair_moment_closed(n) - tori.quad_moment_closed(n)
-        assert tori.pair_moment_closed(n) == tori.pair_moment_partition(n)
-        assert tori.quad_moment_closed(n) == tori.quad_moment_partition(n)
+        tail = (ONE - RF.q_power(1 - n)) * (ONE - RF.q_power(-n))
+        # E[C(n_1,2)] = q^2 tail / (2 (q-1)^2) and E[n_2] = q^2 tail / (2 (q^2-1))
+        pair, quad = q * q * tail / (2 * (q - ONE) ** 2), q * q * tail / (2 * (q * q - ONE))
+        closed = RF.q_power(-1) * tail / ((ONE - RF.q_power(-1)) * (ONE - RF.q_power(-2)))
+        assert closed == tori.tori_quad_excess(n)
+        assert closed == tori.binomial_moment_partition(n, {1: 2}) - tori.binomial_moment_partition(n, {2: 1})
+        assert closed == pair - quad
+        assert pair == tori.binomial_moment(n, {1: 2}) == tori.binomial_moment_partition(n, {1: 2})
+        assert quad == tori.binomial_moment(n, {2: 1}) == tori.binomial_moment_partition(n, {2: 1})
+
+
+def _orders_of_weight_at_most(w: int) -> list[dict[int, int]]:
+    """Every k with sum_i i*k_i <= w, as the multiplicities of a partition."""
+    return [l.multiplicities() for s in range(w + 1) for l in tori.partitions(s)]
+
+
+@pytest.mark.parametrize("k", _orders_of_weight_at_most(4), ids=str)
+def test_binomial_moment_closed_form_equals_partition_sum(k):
+    weight = sum(i * ki for i, ki in k.items())
+    for n in range(1, 9):
+        closed = tori.binomial_moment(n, k)
+        assert closed == tori.binomial_moment_partition(n, k)
+        if not k:
+            assert closed == ONE
+        if weight > n:
+            assert closed == RF(0)
+
+
+def test_binomial_moment_rejects_negative_orders():
+    for k in ({1: -1}, {0: 1}):
+        with pytest.raises(ValueError):
+            tori.binomial_moment(3, k)
 
 
 def test_subtori_excess_limit_expansion():
