@@ -1,5 +1,6 @@
 """The exhaustive oracle: scalar polynomial ops and bulk enumeration."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from sqftori.ffpoly import (
     count_linear_factors,
     discriminant_class,
     enumerate_stats,
+    factor_degrees,
     irreducible_polynomials,
     is_irreducible,
     is_prime,
@@ -120,6 +122,8 @@ def test_count_irreducible_factors():
     # x(x+1)(x^2+x+1) over F_2
     f = fp(F2, 0, 1, 1) * fp(F2, 1, 1, 1)
     assert count_irreducible_factors(f) == 3
+    assert factor_degrees(f) == (2, 1, 1)
+    assert factor_degrees(fp(F3, 0, 1, 0, 1) * fp(F3, 1, 2, 0, 1)) == (3, 2, 1)  # x(x^2+1)(x^3+2x+1)
 
 
 def test_degree_accounting():
@@ -272,11 +276,17 @@ def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
     assert _disc_residues(idx, n, p).tolist() == expected
 
 
+#: a few arrays of about _CHUNK entries each, as the product walk and the
+#: discriminant blocks hold at a time
+_CHUNK_ALLOWANCE = 4 * 2**20
+
+
 def test_discriminant_pass_at_large_p_stays_chunk_sized():
     # a block at a time: a full-size int64 copy of the million indices alone
     # would be 7.8 MiB above the bool output
     p, n = 1009, 2
-    sf = np.flatnonzero(ffpoly._factor_codes(n, p) < ffpoly._SQUARE).astype(np.int32)
+    square = math.prod(ffpoly._type_code(n, p)[0][:-1])  # the first code not square-free
+    sf = np.flatnonzero(ffpoly._factor_codes(n, p) < square).astype(np.int32)
     tracemalloc.start()
     try:
         out = _disc_residues(sf, n, p)
@@ -284,6 +294,23 @@ def test_discriminant_pass_at_large_p_stays_chunk_sized():
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 4 * 2**20
+
+
+def test_discriminant_classes_need_no_array_of_all_squarefree_indices():
+    # the square-free indices go to the batched resultant a window at a
+    # time; an int32 index for each of the 706k square-free polynomials
+    # alone would be 2.7 MiB
+    n, p = 7, 7
+    ffpoly._irreducible_arrays(p, n // 2)
+    tracemalloc.start()
+    try:
+        stats = enumerate_stats(n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.disc_residue + stats.disc_nonresidue == stats.squarefree_count == p**n - p ** (n - 1)
+    codes_bytes = np.dtype(ffpoly._type_code(n, p)[1]).itemsize * p**n
+    assert peak - codes_bytes < _CHUNK_ALLOWANCE
 
 
 # every odd p with a point p^n <= 729 of degree 2 or more
@@ -298,9 +325,11 @@ def test_batched_discriminant_follows_stickelberger(point):
     # Stickelberger (Swan 1962): for odd p and square-free f with r
     # irreducible factors, disc f is a square exactly when n - r is even
     p, n = point
-    polys = _squarefree_polys(p, n)
-    got = _disc_residues(np.array([i for i, _ in polys]), n, p)
-    assert got.tolist() == [(n - count_irreducible_factors(f)) % 2 == 0 for _, f in polys]
+    radices = ffpoly._type_code(n, p)[0]
+    types = [ffpoly._code_type(code, n, radices) for code in ffpoly._factor_codes(n, p).tolist()]
+    idx = [i for i, parts in enumerate(types) if parts is not None]
+    got = _disc_residues(np.array(idx), n, p)
+    assert got.tolist() == [(n - len(types[i])) % 2 == 0 for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +453,22 @@ def test_stats_sieve_stops_below_degree_n(monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 4])
 def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
     # the sieve = direct tests compare totals, in which errors can cancel;
-    # here each polynomial's code is decoded and checked on its own
+    # here each polynomial's code is decoded and its whole type, every m_d,
+    # checked on its own; at (2, 8) the radices of degrees 1 to 4 are capped
+    # by the number of irreducibles, not by n//d
     if chunk is not None:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
         monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
     for p, n in [(2, 8), (3, 5), (5, 4), (7, 3)]:
+        radices = ffpoly._type_code(n, p)[0]
         codes = ffpoly._factor_codes(n, p).tolist()
         for code, f in zip(codes, _monic_polys(PrimeField(p), n), strict=True):
-            counts = ffpoly._factor_counts(code, n)
+            parts = ffpoly._code_type(code, n, radices)
             if not is_squarefree(f):
-                assert counts is None, f
+                assert parts is None, f
             else:
-                assert counts == (
-                    count_irreducible_factors(f),
+                assert parts == factor_degrees(f), f
+                assert (parts.count(1), parts.count(2)) == (
                     count_linear_factors(f),
                     count_irreducible_quadratic_factors(f),
                 ), f
@@ -445,17 +477,17 @@ def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
 def test_square_walk_at_large_p_stays_chunk_sized():
     # at n = 2 the squares of the p linear g have no cofactor digits; the
     # walk must not build its per-(g, a) tables for them, which at p = 1009
-    # would be 3*p^2 int64 entries (about 70 MiB over the packed array)
+    # would be 3*p^2 int64 entries (about 70 MiB over the code array)
     p = 1009
     ffpoly._irreducible_arrays(p, 1)
     tracemalloc.start()
     try:
-        packed = ffpoly._factor_codes(2, p)
+        codes = ffpoly._factor_codes(2, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # a few arrays of at most about _CHUNK*(e+1) int64 entries at a time
-    assert peak - packed.nbytes < 8 * 2**20
+    assert peak - codes.nbytes < 8 * 2**20
 
 
 def test_stats_histogram_makes_no_copy_of_the_packed_codes():
@@ -472,11 +504,50 @@ def test_stats_histogram_makes_no_copy_of_the_packed_codes():
     assert peak <= 2.0 * 4 * p**n
 
 
+def test_stats_peak_is_two_and_a_half_bytes_per_polynomial():
+    # uint16 type codes, sorted in place, and runs found by binary search:
+    # no bool or index array of p^n entries is made beside them
+    n, p = 9, 5
+    ffpoly._irreducible_arrays(p, n // 2)
+    tracemalloc.start()
+    try:
+        enumerate_stats(n, p, discriminants=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * p**n + _CHUNK_ALLOWANCE
+
+
+@pytest.mark.parametrize("p,n,dtype", [(2, 15, np.uint16), (5, 10, np.uint16), (2, 16, np.uint32)])
+def test_type_code_width_by_enumeration(p, n, dtype):
+    assert ffpoly._factor_codes(n, p).dtype == dtype
+
+
+def test_type_code_width_rule():
+    # from (n, p) alone: nothing is sieved or enumerated
+    assert ffpoly._type_code(14, 3)[1] is np.uint32
+    radices, dtype = ffpoly._type_code(26, 2)
+    assert dtype is np.uint32 and math.prod(radices) - 1 == 117_573_119
+    # every point within the budget fits in uint32: n = 1 has no digits
+    # whatever p, and n >= 2 needs p^2 <= MAX_BUDGET
+    assert ffpoly._type_code(1, _BUDGET_TOP) == ([1], np.uint16)
+    for p in range(2, math.isqrt(ffpoly.MAX_BUDGET) + 1):
+        if is_prime(p):
+            n = 2
+            while p**n <= ffpoly.MAX_BUDGET:
+                assert math.prod(ffpoly._type_code(n, p)[0]) <= 2**32, (p, n)
+                n += 1
+    # beyond the budget the rule refuses, before anything is allocated
+    with pytest.raises(ValueError):
+        ffpoly._type_code(40, 2)
+
+
 def test_factor_counts_rejects_an_unmarked_small_factor():
     # square-free, but its marked degrees sum to 2 of 4: the other factors
     # would have degree <= n/2 and should have been marked
+    radices = ffpoly._type_code(4, 3)[0]
     with pytest.raises(RuntimeError):
-        ffpoly._factor_counts(1 | 2 << ffpoly._DEG_SHIFT, 4)
+        ffpoly._code_type(radices[0], 4, radices)  # m_1 = 0, m_2 = 1
 
 
 def test_irreducible_polynomials_checks_the_budget_first(monkeypatch):
