@@ -3,10 +3,10 @@
 Enumerates all p^n monic degree-n polynomials and counts the
 square-free ones by factorization type: the degrees of their distinct
 irreducible factors, a partition of n.  The square-free count, the
-number of roots, of irreducible quadratic factors and the sign
-(-1)^(number of factors) are sums over the types; discriminant residue
-classes are counted beside them.  Everything is integer arithmetic, so
-the results are exact and byte-reproducible.
+binomial moments of the factor counts and the sign (-1)^(number of
+factors) are sums over the types; discriminant residue classes are
+counted beside them.  Everything is integer arithmetic, so the results
+are exact and byte-reproducible.
 
 Two enumeration methods produce identical stats:
 
@@ -17,21 +17,19 @@ Two enumeration methods produce identical stats:
     Simple, slow, used for cross-checks at small sizes.
 
 ``sieve``
-    The default.  Irreducible polynomials of degree up to n/2 are
-    generated by a sieve (a monic polynomial is composite exactly when
-    it is a product g*h with g irreducible of at most half its degree);
-    the per-polynomial type codes are then accumulated by marking every
-    product (irreducible g) * (monic h) of degree n with deg(g) <= n/2,
-    and every g^2*h with a square mark.  A type code is mixed-radix:
-    digit d is m_d, the number of distinct degree-d irreducible factors,
-    with radix min(n//d, N(d, p)) + 1, and the number of repeated factors
-    sits on top; the codes are uint16 where they fit, else uint32.  The
-    products are built in the index domain, vectorized with numpy:
-    starting from the index of g*x^deg(h), each coefficient a of h adds
-    a*g to a window of deg(g)+1 base-p digits, digit by digit mod p, so
-    no coefficient rows are formed.  A repeated factor has degree at most
-    n/2, so the square-free polynomials are exactly those without a
-    square mark.
+    The default.  The per-polynomial type codes are accumulated by
+    marking every product (irreducible g) * (monic h) of degree n with
+    deg(g) <= n/2, and every g^2*h with a square mark.  A type code is
+    mixed-radix: digit d is m_d, the number of distinct degree-d
+    irreducible factors, with radix min(n//d, N(d, p)) + 1, and the
+    number of repeated factors sits on top; the codes are uint16 where
+    they fit, else uint32.  The products are built in the index domain,
+    vectorized with numpy: starting from the index of g*x^deg(h), each
+    coefficient a of h adds a*g to a window of deg(g)+1 base-p digits,
+    digit by digit mod p, so no coefficient rows are formed.  A repeated
+    factor has degree at most n/2, so the square-free polynomials are
+    exactly those without a square mark, and the irreducibles those with
+    code 0: the same pass at each degree d <= n/2 yields the g.
     Each is hit once per irreducible factor of degree <= n/2; when those
     degrees sum to S < n, the rest is one irreducible factor of degree
     n - S > n/2, which is added when the code is decoded.  The types are
@@ -53,7 +51,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from fractions import Fraction
+from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 
@@ -330,6 +329,11 @@ def factor_degrees(f: FieldPoly) -> tuple[int, ...]:
     for small fields; cost grows like p^(n/2).
     """
     _require_squarefree(f, "the factorization type")
+    return _factor_degrees(f)
+
+
+def _factor_degrees(f: FieldPoly) -> tuple[int, ...]:
+    """factor_degrees for an f already known to be square-free."""
     rem = f
     degrees = []
     d = 1
@@ -563,18 +567,13 @@ def _add_cofactor_digits(
 def _irreducible_arrays(p: int, max_degree: int) -> list[np.ndarray]:
     """Coefficient arrays of monic irreducibles up to max_degree, cached per p.
 
-    Degree d is sieved: mark every product of an irreducible of degree
-    <= d/2 with a monic cofactor; the unmarked polynomials are
-    irreducible.  At d = 1 nothing is marked, so all p linear
-    polynomials are kept.
+    The degree-d irreducibles are the zero codes of _factor_codes(d, p):
+    no factor of degree <= d/2 and no square mark.  At d = 1 nothing is
+    marked, so all p linear polynomials are kept.
     """
     irr = _IRR_CACHE.setdefault(p, [np.empty((0, 1), dtype=np.int64)])
     for d in range(len(irr), max_degree + 1):
-        composite = np.zeros(p**d, dtype=bool)
-        for e in range(1, d // 2 + 1):
-            for idx in _product_indices(irr[e], p, d - e):
-                composite[idx] = True
-        irr.append(_monic_rows(np.flatnonzero(~composite), p, d))
+        irr.append(_monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d))
     return irr
 
 
@@ -617,20 +616,15 @@ class SquareFreeStats:
     def squarefree_count(self) -> int:
         return self._type_sum(lambda parts: 1)
 
-    @property
-    def sum_n1(self) -> int:
-        """Total number of roots (linear factors)."""
-        return self._type_sum(lambda parts: parts.count(1))
-
-    @property
-    def sum_n1_pairs(self) -> int:
-        """Total of C(n1, 2), the pairs of roots."""
-        return self._type_sum(lambda parts: math.comb(parts.count(1), 2))
-
-    @property
-    def sum_n2(self) -> int:
-        """Total number of irreducible quadratic factors."""
-        return self._type_sum(lambda parts: parts.count(2))
+    def binomial_moment(self, k: Mapping[int, int]) -> Fraction:
+        """E[prod_d C(X_d, k_d)] over the square-free polynomials, X_d the
+        number of degree-d irreducible factors (k = {1: 1}: the mean root count)."""
+        if any(d < 1 or kd < 0 for d, kd in k.items()):
+            raise ValueError(f"moment orders need positive degrees and non-negative orders: {dict(k)}")
+        total = self._type_sum(
+            lambda parts: math.prod(math.comb(parts.count(d), kd) for d, kd in k.items())
+        )
+        return Fraction(total, self.squarefree_count)
 
     @property
     def mu_sum(self) -> int:
@@ -775,28 +769,21 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
 
 
 def _stats_direct(n: int, p: int, discriminants: bool) -> SquareFreeStats:
-    field = PrimeField(p)
     types: Counter[tuple[int, ...]] = Counter()
-    disc_residue = disc_nonresidue = None
+    residues: Counter[bool] = Counter()
     want_disc = discriminants and p % 2 == 1
-    if want_disc:
-        disc_residue = disc_nonresidue = 0
-    for f in _monic_polys(field, n):
-        if not is_squarefree(f):
-            continue
-        types[factor_degrees(f)] += 1
-        if want_disc:
-            if discriminant_class(f) == "residue":
-                disc_residue += 1
-            else:
-                disc_nonresidue += 1
+    for f in _monic_polys(PrimeField(p), n):
+        if is_squarefree(f):  # decided once here: the helpers below do not check it again
+            types[_factor_degrees(f)] += 1
+            if want_disc:
+                residues[_disc_residue(f)] += 1
     return SquareFreeStats(
         n=n,
         p=p,
         total_monic=p**n,
         type_counts=tuple(sorted(types.items())),
-        disc_residue=disc_residue,
-        disc_nonresidue=disc_nonresidue,
+        disc_residue=residues[True] if want_disc else None,
+        disc_nonresidue=residues[False] if want_disc else None,
     )
 
 

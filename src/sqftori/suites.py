@@ -110,12 +110,6 @@ def _oracle_stats(n: int, p: int) -> ffpoly.SquareFreeStats:
     return ffpoly.enumerate_stats(n, p, budget=p**n, discriminants=p % 2 == 1 and n <= DISC_N_CAP)
 
 
-def _oracle_mean(n: int, p: int, total: Callable[[ffpoly.SquareFreeStats], int]) -> Fraction:
-    """An oracle total over square-free polynomials, divided by their number."""
-    stats = _oracle_stats(n, p)
-    return Fraction(total(stats), stats.squarefree_count)
-
-
 def _joined(values) -> str:
     return ", ".join(str(c) for c in values)
 
@@ -178,7 +172,7 @@ _LINEAR_FACTOR = {
     "linear-factors-oracle": (
         _oracle,
         lambda n, p: sqfree.expected_linear_factors(n).eval(p),
-        lambda n, p: _oracle_mean(n, p, lambda s: s.sum_n1),
+        lambda n, p: _oracle_stats(n, p).binomial_moment({1: 1}),
     ),
 }
 
@@ -197,7 +191,7 @@ _QUAD_EXCESS = {
     "quad-excess-oracle": (
         _oracle,
         lambda n, p: sqfree.quad_excess_exact(n).eval(p),
-        lambda n, p: _oracle_mean(n, p, lambda s: s.sum_n2 - s.sum_n1_pairs),
+        lambda n, p: _oracle_stats(n, p).binomial_moment({2: 1}) - _oracle_stats(n, p).binomial_moment({1: 2}),
     ),
 }
 
@@ -235,7 +229,7 @@ _TORI_COUNT = {
     ),
     "tori-total-series": (
         _RANKS,
-        lambda n: tori.cycle_index_coefficient(n, {i: 1 for i in range(1, n + 1)}),
+        lambda n: tori.cycle_index_coefficient(n, 1),
         lambda n: tori.total_tori_formula(n),
     ),
 }

@@ -12,6 +12,9 @@ and the torus analogue of the cycle index
     1 + sum_n u^n/|GL(n,q)| sum_T prod_i x_i^(n_i(T))
         = prod_i exp[ x_i u^i / ((q^i - 1) i) ].
 
+The series route sets every mark x_i to one rational weight w
+(`cycle_index_coefficient`): w = 1 counts the tori, w = -1 gives the mod-2 bias.
+
 Each expectation is a combination of binomial moments E[prod_i C(n_i, k_i)];
 with x_i = 1 + t_i the cycle index gives all of them in one closed form,
 
@@ -192,45 +195,22 @@ def _series_order(n: int) -> int:
     return max(n, _SERIES_CACHE_ORDER)
 
 
-def cycle_index_series(order: int, weights: Mapping[int, Fraction | int]) -> TruncatedSeries:
-    """exp( sum_{i<=order} w_i u^i / ((q^i - 1) i) ) over Q(q).
-
-    This is the product over i of exp[w_i u^i/((q^i-1) i)] with the
-    rational constants w_i standing in for the marks.
-    """
-    arg = {
-        i: RationalFunction.from_fraction(Fraction(weights[i]))
-        / ((RationalFunction.q_power(i) - ONE) * i)
-        for i in range(1, order + 1)
-        if Fraction(weights[i]) != 0
-    }
+@lru_cache(maxsize=None)
+def cycle_index_series(weight: Fraction | int, order: int) -> TruncatedSeries:
+    """exp( sum_{i<=order} w u^i / ((q^i - 1) i) ) over Q(q): the cycle
+    index with every mark x_i set to the one rational weight w."""
+    w = RationalFunction.from_fraction(Fraction(weight))
+    arg = {i: w / ((RationalFunction.q_power(i) - ONE) * i) for i in range(1, order + 1)}
     return TruncatedSeries.from_terms(order, arg).exp()
 
 
-@lru_cache(maxsize=None)
-def _uniform_cycle_series(weight: Fraction, order: int) -> TruncatedSeries:
-    return cycle_index_series(order, {i: weight for i in range(1, order + 1)})
-
-
-def cycle_index_coefficient(
-    n: int, weights: Mapping[int, Fraction | int]
-) -> RationalFunction:
-    """|GL(n,q)| times the u^n coefficient of the weighted cycle index.
-
-    With all weights 1 this is the total number of tori.  The u^n
-    coefficient only involves the weights for part sizes up to n, so
-    uniform weight maps are served from a shared higher-order build.
-    """
+def cycle_index_coefficient(n: int, weight: Fraction | int) -> RationalFunction:
+    """|GL(n,q)| times the u^n coefficient of the cycle index at weight w:
+    the sum over the tori of w^(number of parts), their number at w = 1.
+    Read off one shared build at order max(n, 12)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    missing = [i for i in range(1, n + 1) if i not in weights]
-    if missing:
-        raise ValueError(f"weights missing for part sizes {missing}")
-    values = {Fraction(weights[i]) for i in range(1, n + 1)}
-    if len(values) == 1:
-        coeff = _uniform_cycle_series(values.pop(), _series_order(n)).coefficient(n)
-    else:
-        coeff = cycle_index_series(n, weights).coefficient(n)
+    coeff = cycle_index_series(weight, _series_order(n)).coefficient(n)
     return RationalFunction(gl_order(n)) * coeff
 
 
@@ -373,13 +353,10 @@ def mod2_bias_partition(n: int) -> RationalFunction:
 
 
 def mod2_bias_series(n: int) -> RationalFunction:
-    """Series route: weights -1 composed with u -> -u in the cycle index."""
+    """Series route: (-1)^n times the cycle index at weight -1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    flipped = _uniform_cycle_series(Fraction(-1), _series_order(n)).substitute(
-        -ONE
-    )
-    return RationalFunction(gl_order(n)) * flipped.coefficient(n)
+    return cycle_index_coefficient(n, -1) * (-1) ** n
 
 
 def mod2_bias(n: int) -> RationalFunction:

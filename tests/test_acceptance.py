@@ -66,9 +66,7 @@ def test_criterion_03_expected_linear_factors():
     for p in ORACLE_PRIMES:
         for n in ORACLE_DEGREES:
             stats = ffpoly.enumerate_stats(n, p, discriminants=False)
-            assert sqfree.expected_linear_factors(n).eval(p) == Fraction(
-                stats.sum_n1, stats.squarefree_count
-            )
+            assert sqfree.expected_linear_factors(n).eval(p) == stats.binomial_moment({1: 1})
     _ok(3, "linear-factor expectation: partial sum = binomial moment = oracle mean")
 
 

@@ -353,6 +353,18 @@ def test_sieve_irreducibles_agree_with_trial_division(p, d):
     assert len(sieved) == sqfree.count_irreducibles(d).eval(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sieve_irreducible_counts_beyond_trial_division(p):
+    # the zero codes of the marking pass at each degree, up to 5^6 polynomials
+    for d in range(1, 7):
+        assert len(irreducible_polynomials(p, d)) == sqfree.count_irreducibles(d).eval(p)
+
+
+def test_sieve_keeps_every_linear_polynomial_at_large_p():
+    p = 3137
+    assert [f.coeffs for f in irreducible_polynomials(p, 1)] == [(c, 1) for c in range(p)]
+
+
 def _index(f):
     """Base-p index of a monic polynomial: its non-leading coefficients."""
     return sum(c * f.field.p**i for i, c in enumerate(f.coeffs[:-1]))
@@ -392,7 +404,7 @@ def test_enumerate_stats_examples():
     s = enumerate_stats(2, 2)
     assert s.total_monic == 4
     assert s.squarefree_count == 2
-    assert s.sum_n1 == 2
+    assert s.binomial_moment({1: 1}) * s.squarefree_count == 2  # two roots in all
     assert s.mu_sum == 0
     assert s.disc_residue is None  # p = 2
 
@@ -584,15 +596,28 @@ def test_enumerate_rejects_degree_zero():
         enumerate_stats(0, 3)
 
 
+def test_direct_method_decides_squarefreeness_once_per_polynomial(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_squarefree(f)
+
+    monkeypatch.setattr(ffpoly, "is_squarefree", counted)
+    enumerate_stats(4, 3, method="direct")
+    assert len(calls) == 3**4
+
+
 def test_enumerate_discriminants_optional():
     s = enumerate_stats(3, 3, discriminants=False)
     assert s.disc_residue is None and s.disc_nonresidue is None
     full = enumerate_stats(3, 3, discriminants=True)
-    assert (s.n, s.p, s.squarefree_count, s.sum_n1, s.sum_n2, s.mu_sum) == (
+    moments = (s.binomial_moment({1: 1}), s.binomial_moment({2: 1}))
+    assert (s.n, s.p, s.squarefree_count, *moments, s.mu_sum) == (
         full.n,
         full.p,
         full.squarefree_count,
-        full.sum_n1,
-        full.sum_n2,
+        full.binomial_moment({1: 1}),
+        full.binomial_moment({2: 1}),
         full.mu_sum,
     )

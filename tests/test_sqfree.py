@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from sqftori import ffpoly, sqfree, suites
+from sqftori import ffpoly, sqfree, suites, tori
 from sqftori.exact import ONE, Q, RationalFunction
 from sqftori.report import RunConfig
 
@@ -104,7 +104,7 @@ def test_expected_linear_factors_needs_n_at_least_2():
 
 def test_expected_linear_factors_oracle_mean():
     stats = ffpoly.enumerate_stats(3, 2)
-    mean = Fraction(stats.sum_n1, stats.squarefree_count)
+    mean = stats.binomial_moment({1: 1})
     assert mean == Fraction(1, 2)
     assert sqfree.expected_linear_factors(3).eval(2) == mean
 
@@ -151,6 +151,25 @@ def test_binomial_moment_small_degrees_and_bad_orders():
     for k in ({1: -1}, {0: 1}):
         with pytest.raises(ValueError):
             sqfree.binomial_moment(3, k)
+
+
+#: every k with sum_d d*k_d <= 4 (12 of them), as the multiplicities of a partition
+_ORDERS_OF_WEIGHT_AT_MOST_4 = [l.multiplicities() for s in range(5) for l in tori.partitions(s)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (2, 7), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3)])
+def test_binomial_moment_matches_oracle_type_histogram(p, n):
+    stats = ffpoly.enumerate_stats(n, p, discriminants=False)
+    assert len(_ORDERS_OF_WEIGHT_AT_MOST_4) == 12
+    for k in _ORDERS_OF_WEIGHT_AT_MOST_4:
+        assert sqfree.binomial_moment(n, k).eval(p) == stats.binomial_moment(k)
+
+
+def test_oracle_binomial_moment_rejects_bad_orders():
+    stats = ffpoly.enumerate_stats(3, 3, discriminants=False)
+    for k in ({1: -1}, {0: 1}):
+        with pytest.raises(ValueError):
+            stats.binomial_moment(k)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +243,7 @@ def test_sequence_tables_are_built_once_per_run():
 def test_quad_excess_oracle():
     for p, n in [(3, 4), (3, 5), (5, 4), (2, 6)]:
         stats = ffpoly.enumerate_stats(n, p)
-        oracle = Fraction(stats.sum_n2 - stats.sum_n1_pairs, stats.squarefree_count)
+        oracle = stats.binomial_moment({2: 1}) - stats.binomial_moment({1: 2})
         assert sqfree.quad_excess_exact(n).eval(p) == oracle
 
 
@@ -279,8 +298,8 @@ def test_symbolic_matches_oracle_statistics(p):
         stats = ffpoly.enumerate_stats(n, p)
         sf = stats.squarefree_count
         assert sqfree.squarefree_count(n).eval(p) == sf
-        assert sqfree.expected_linear_factors(n).eval(p) == Fraction(stats.sum_n1, sf)
-        assert sqfree.quad_excess_exact(n).eval(p) == Fraction(
-            stats.sum_n2 - stats.sum_n1_pairs, sf
+        assert sqfree.expected_linear_factors(n).eval(p) == stats.binomial_moment({1: 1})
+        assert sqfree.quad_excess_exact(n).eval(p) == (
+            stats.binomial_moment({2: 1}) - stats.binomial_moment({1: 2})
         )
         assert stats.mu_sum == 0

@@ -122,36 +122,30 @@ def test_cayley_identity():
 
 
 def test_cycle_index_all_ones_gives_totals():
-    assert tori.cycle_index_coefficient(3, {1: 1, 2: 1, 3: 1}) == RF.q_power(6)
+    assert tori.cycle_index_coefficient(3, 1) == RF.q_power(6)
     for n in range(1, 9):
-        weights = {i: 1 for i in range(1, n + 1)}
-        assert tori.cycle_index_coefficient(n, weights) == tori.total_tori_formula(n)
+        assert tori.cycle_index_coefficient(n, 1) == tori.total_tori_formula(n)
 
 
 def test_cycle_index_zero_weights():
-    assert tori.cycle_index_coefficient(2, {1: 0, 2: 0}) == RF(0)
-    assert tori.cycle_index_coefficient(5, {i: 0 for i in range(1, 6)}) == RF(0)
+    assert tori.cycle_index_coefficient(2, 0) == RF(0)
+    assert tori.cycle_index_coefficient(5, 0) == RF(0)
 
 
-def test_cycle_index_isolates_single_type():
-    # weight 1 on parts of size 1 only: picks out the split type (1,1)
-    value = tori.cycle_index_coefficient(2, {1: 1, 2: 0})
-    assert value == tori.torus_type_count(tori.Partition((1, 1)))
-
-
-def test_cycle_index_missing_weights():
-    with pytest.raises(ValueError):
-        tori.cycle_index_coefficient(3, {1: 1, 2: 1})
+def test_cycle_index_weight_marks_each_part():
+    # weight w counts each torus w^(number of parts) times
+    for n in range(1, 9):
+        assert tori.cycle_index_coefficient(n, 2) == tori._type_sum(n, lambda l: 2**l.num_parts)
 
 
 def test_cycle_index_minus_one_reproduces_bias():
     for n in range(1, 9):
-        weights = {i: -1 for i in range(1, n + 1)}
-        series = tori.cycle_index_series(n, weights).substitute(
+        series = tori.cycle_index_series(-1, n).substitute(
             tori.RationalFunction.from_fraction(-1)
         )
         bias = RF(gl_order(n)) * series.coefficient(n)
         assert bias == tori.mod2_bias_formula(n)
+        assert tori.cycle_index_coefficient(n, -1) == RF.from_fraction((-1) ** n) * bias
 
 
 # ---------------------------------------------------------------------------
