@@ -8,37 +8,32 @@ factors) are sums over the types; discriminant residue classes are
 counted beside them.  Everything is integer arithmetic, so the results
 are exact and byte-reproducible.
 
-Two enumeration methods produce identical stats:
+The oracle is a sieve.  The per-polynomial type codes are accumulated
+by marking every product (irreducible g) * (monic h) of degree n with
+deg(g) <= n/2, and every g^2*h with a square mark.  A type code is
+mixed-radix: digit d is m_d, the number of distinct degree-d
+irreducible factors, with radix min(n//d, N(d, p)) + 1, and the number
+of repeated factors sits on top; the codes are uint16 where they fit,
+else uint32.  The products are built in the index domain, vectorized
+with numpy: starting from the index of g*x^deg(h), each coefficient a
+of h adds a*g to a window of deg(g)+1 base-p digits, digit by digit
+mod p, so no coefficient rows are formed.  A repeated factor has degree
+at most n/2, so the square-free polynomials are exactly those without a
+square mark, and the irreducibles those with code 0: the same pass at
+each degree d <= n/2 yields the g.  Each is hit once per irreducible
+factor of degree <= n/2; when those degrees sum to S < n, the rest is
+one irreducible factor of degree n - S > n/2, which is added when the
+code is decoded.  The types are read off one histogram of the codes,
+sorted in place, each distinct code decoded once.  Discriminant classes
+come from one batched Euclidean resultant Res(f', f) over the
+square-free polynomials, passed on one window of codes at a time, in
+digit-major int32 numpy blocks (int64 above p = 2^15), with Euler's
+criterion once per polynomial at the end.
 
-``direct``
-    One polynomial at a time with the definitional scalar operations
-    (derivative gcd for square-freeness, trial division for the type, a
-    Euclidean resultant for the discriminant).
-    Simple, slow, used for cross-checks at small sizes.
-
-``sieve``
-    The default.  The per-polynomial type codes are accumulated by
-    marking every product (irreducible g) * (monic h) of degree n with
-    deg(g) <= n/2, and every g^2*h with a square mark.  A type code is
-    mixed-radix: digit d is m_d, the number of distinct degree-d
-    irreducible factors, with radix min(n//d, N(d, p)) + 1, and the
-    number of repeated factors sits on top; the codes are uint16 where
-    they fit, else uint32.  The products are built in the index domain,
-    vectorized with numpy: starting from the index of g*x^deg(h), each
-    coefficient a of h adds a*g to a window of deg(g)+1 base-p digits,
-    digit by digit mod p, so no coefficient rows are formed.  A repeated
-    factor has degree at most n/2, so the square-free polynomials are
-    exactly those without a square mark, and the irreducibles those with
-    code 0: the same pass at each degree d <= n/2 yields the g.
-    Each is hit once per irreducible factor of degree <= n/2; when those
-    degrees sum to S < n, the rest is one irreducible factor of degree
-    n - S > n/2, which is added when the code is decoded.  The types are
-    read off one histogram of the codes, sorted in place, each distinct
-    code decoded once.  Discriminant classes come from one batched
-    Euclidean resultant Res(f', f) over the square-free polynomials,
-    gathered window by window, in digit-major int32 numpy blocks (int64
-    above p = 2^15), with Euler's criterion once per polynomial at the
-    end.
+The tests hold the sieve to a direct walk, ``_stats_direct``: one
+polynomial at a time with the definitional scalar operations
+(derivative gcd for square-freeness, trial division for the type, a
+Euclidean resultant for the discriminant), simple and slow.
 
 A polynomial is encoded as the base-p integer of its non-leading
 coefficients with the constant term fastest, which fixes the
@@ -52,30 +47,29 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 
-#: hard cap on polynomial visits per enumeration call
-DEFAULT_BUDGET = 10_000_000
-
-#: the largest budget accepted anywhere: above the 29 MiB of the
-#: interpreter with numpy, the sieve peaks at about 2.4 bytes per
-#: polynomial with uint16 type codes (22 MiB at 5^10 = 9.8M polynomials,
-#: 24 MiB at 3137^2), and the same with discriminant classes, whose pass
-#: holds arrays of about _CHUNK entries (24 MiB at 3137^2, 8 MiB at 5^9);
-#: uint32 codes, needed only at p = 2 with n >= 16 and p = 3 with n >= 14,
-#: take about 5 to 6 bytes (23 MiB at 3^14 = 4.8M with or without
-#: discriminant classes, 24 MiB at 2^22 = 4.2M), so 10^8 polynomials stay
-#: near 0.2 GiB, and the largest uint32 point, 2^26, near 0.3 GiB;
-#: it also keeps every product-walk index below 2^31
+#: the most polynomials one enumeration may visit, checked before
+#: anything is allocated: above the 29 MiB of the interpreter with
+#: numpy, the sieve peaks at about 2.4 bytes per polynomial with uint16
+#: type codes (22 MiB at 5^10 = 9.8M polynomials, 24 MiB at 3137^2), and
+#: the same with discriminant classes, whose pass holds arrays of about
+#: _CHUNK entries (24 MiB at 3137^2, 8 MiB at 5^9); uint32 codes, needed
+#: only at p = 2 with n >= 16 and p = 3 with n >= 14, take about 5 to 6
+#: bytes (23 MiB at 3^14 = 4.8M with or without discriminant classes, 24
+#: MiB at 2^22 = 4.2M), so 10^8 polynomials stay near 0.2 GiB, and the
+#: largest uint32 point, 2^26, near 0.3 GiB; it also keeps every
+#: product-walk index below 2^31
 MAX_BUDGET = 100_000_000
 
 _CHUNK = 1 << 16
 
 
 class EnumerationBudgetError(ValueError):
-    """Raised when an enumeration would exceed the configured budget."""
+    """Raised when an enumeration would visit more than MAX_BUDGET polynomials."""
 
 
 def is_prime(p: int) -> bool:
@@ -408,12 +402,6 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
-def _disc_block(n: int) -> int:
-    """Rows per block of _disc_residues: n+1 coefficients of each, at most
-    _CHUNK in all."""
-    return max(1, _CHUNK // (n + 1))
-
-
 def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     """Whether disc(f) is a nonzero square in F_p for each index of a
     monic square-free f of degree n, p odd: _disc_residue, batched.
@@ -436,7 +424,7 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     Intermediates stay below 2p^2: int32 where that fits, else int64.
     """
     out = np.empty(len(idx), dtype=bool)
-    block = _disc_block(n)
+    block = max(1, _CHUNK // (n + 1))  # rows of n+1 coefficients
     dtype = np.int32 if 2 * p * p < 2**31 else np.int64
     for lo in range(0, len(idx), block):
         b = _monic_rows(idx[lo : lo + block], p, n).T[::-1]  # digit-major, leading row first
@@ -483,9 +471,6 @@ def discriminant_class(f: FieldPoly) -> Literal["residue", "nonresidue"]:
 # ---------------------------------------------------------------------------
 # irreducible polynomials by sieve
 # ---------------------------------------------------------------------------
-
-_IRR_CACHE: dict[int, list[np.ndarray]] = {}
-
 
 def _monic_rows(idx: np.ndarray, p: int, degree: int) -> np.ndarray:
     """Coefficient rows (with leading 1) of monic polynomials by index.
@@ -564,25 +549,24 @@ def _add_cofactor_digits(
         yield from _add_cofactor_digits(W.reshape(B, -1), step, thr, pows, j + 1, m)
 
 
-def _irreducible_arrays(p: int, max_degree: int) -> list[np.ndarray]:
-    """Coefficient arrays of monic irreducibles up to max_degree, cached per p.
+@lru_cache(maxsize=None)
+def _irreducibles(p: int, d: int) -> np.ndarray:
+    """Coefficient rows of the monic irreducibles of degree d >= 1.
 
-    The degree-d irreducibles are the zero codes of _factor_codes(d, p):
-    no factor of degree <= d/2 and no square mark.  At d = 1 nothing is
-    marked, so all p linear polynomials are kept.
+    They are the zero codes of _factor_codes(d, p): no factor of degree
+    <= d/2 and no square mark.  At d = 1 nothing is marked, so all p
+    linear polynomials are kept.
     """
-    irr = _IRR_CACHE.setdefault(p, [np.empty((0, 1), dtype=np.int64)])
-    for d in range(len(irr), max_degree + 1):
-        irr.append(_monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d))
-    return irr
+    return _monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d)
 
 
 def irreducible_polynomials(p: int, degree: int) -> list[FieldPoly]:
     """The sieve's monic irreducibles of the given degree, in index order."""
+    if degree < 1:
+        raise ValueError("irreducibility is defined for degree >= 1")
     field = PrimeField(p)
-    _check_budget(degree, p, MAX_BUDGET)
-    rows = _irreducible_arrays(p, degree)[degree]
-    return [FieldPoly(field, row.tolist()) for row in rows]
+    _check_budget(degree, p)
+    return [FieldPoly(field, row.tolist()) for row in _irreducibles(p, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +616,14 @@ class SquareFreeStats:
         return self._type_sum(lambda parts: -1 if len(parts) % 2 else 1)
 
 
-def _check_budget(n: int, p: int, budget: int) -> int:
-    if budget > MAX_BUDGET:
+def _check_budget(n: int, p: int) -> None:
+    # p >= 2, so a degree of MAX_BUDGET's bit length or more is over it
+    # without forming p^n, which at n = 10^6 has too many digits to print
+    if n >= MAX_BUDGET.bit_length() or p**n > MAX_BUDGET:
         raise EnumerationBudgetError(
-            f"budget {budget} exceeds the maximum of {MAX_BUDGET} polynomials"
+            f"enumerating degree {n} over F_{p} visits {p}^{n} polynomials, "
+            f"above the maximum of {MAX_BUDGET}"
         )
-    total = p**n
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"enumerating degree {n} over F_{p} visits {total} polynomials; "
-            f"requires a budget of at least {total} (configured: {budget})"
-        )
-    return total
 
 
 def _type_code(n: int, p: int) -> tuple[list[int], type[np.unsignedinteger]]:
@@ -676,11 +656,11 @@ def _factor_codes(n: int, p: int) -> np.ndarray:
     the product of the lower radices.
     """
     radices, dtype = _type_code(n, p)
-    irr = _irreducible_arrays(p, n // 2)
+    # sieved before the code array is made, so their passes add nothing to its peak
+    irr = [_irreducibles(p, d) for d in range(1, n // 2 + 1)]
     codes = np.zeros(p**n, dtype=dtype)
     square = dtype(math.prod(radices[:-1]))
-    for d in range(1, n // 2 + 1):
-        g = irr[d]
+    for d, g in enumerate(irr, 1):
         weight = dtype(math.prod(radices[: d - 1]))
         for idx in _product_indices(g, p, n - d):
             np.add.at(codes, idx, weight)
@@ -717,19 +697,15 @@ def _disc_counts(codes: np.ndarray, square: int, n: int, p: int) -> tuple[int, i
     """(residue, nonresidue): how many square-free codes have disc f a
     square, and how many a non-square, p odd.
 
-    The square-free indices are gathered from windows of the code array
-    and passed on in whole blocks of _disc_residues, the remainder carried
-    into the next window, so no array of all of them is made.
+    The square-free indices are gathered one window of the code array at
+    a time and passed to _disc_residues, which splits them into blocks, so
+    no array of all of them is made.
     """
-    block = _disc_block(n)
     residue = total = 0
-    rest = np.empty(0, dtype=np.int64)
     for lo in range(0, codes.size, _CHUNK):
-        idx = np.concatenate((rest, np.flatnonzero(codes[lo : lo + _CHUNK] < square) + lo))
-        cut = len(idx) if lo + _CHUNK >= codes.size else len(idx) - len(idx) % block
-        residue += int(np.count_nonzero(_disc_residues(idx[:cut], n, p)))
-        total += cut
-        rest = idx[cut:]
+        idx = np.flatnonzero(codes[lo : lo + _CHUNK] < square) + lo
+        residue += int(np.count_nonzero(_disc_residues(idx, n, p)))
+        total += len(idx)
     return residue, total - residue
 
 
@@ -787,27 +763,16 @@ def _stats_direct(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     )
 
 
-def enumerate_stats(
-    n: int,
-    p: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    method: Literal["sieve", "direct"] = "sieve",
-    discriminants: bool = True,
-) -> SquareFreeStats:
-    """Exact statistics over all p^n monic degree-n polynomials over F_p.
+def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFreeStats:
+    """Exact statistics over all p^n monic degree-n polynomials over F_p, by
+    the sieve.
 
-    Both methods visit every polynomial and must return identical stats;
-    ``direct`` exists as the slow definitional cross-check of the
-    vectorized ``sieve``.  Discriminant classes (odd p only) are still most
-    of the time (about 90% at 7^6, 65% at 3137^2) and can be switched off.
+    A composite p and p^n above MAX_BUDGET are refused before anything is
+    allocated.  Discriminant classes (odd p only) are still most of the
+    time (about 90% at 7^6, 65% at 3137^2) and can be switched off.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     PrimeField(p)
-    _check_budget(n, p, budget)
-    if method == "sieve":
-        return _stats_sieve(n, p, discriminants)
-    if method == "direct":
-        return _stats_direct(n, p, discriminants)
-    raise ValueError(f"unknown enumeration method {method!r}")
+    _check_budget(n, p)
+    return _stats_sieve(n, p, discriminants)

@@ -70,6 +70,11 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        # a float or bool size would fail deep inside the run, or run wrongly
+        sizes = [(name, getattr(self, name)) for name in ("n_max", "series_order", "enumeration_budget")]
+        for name, value in sizes + [("prime", p) for p in self.primes]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.series_order < self.n_max:

@@ -107,7 +107,7 @@ def _euler_point(which: int):
 def _oracle_stats(n: int, p: int) -> ffpoly.SquareFreeStats:
     """One enumeration per (n, p), with the discriminant classes wherever
     the discriminant suite reads them (odd p, n <= DISC_N_CAP)."""
-    return ffpoly.enumerate_stats(n, p, budget=p**n, discriminants=p % 2 == 1 and n <= DISC_N_CAP)
+    return ffpoly.enumerate_stats(n, p, discriminants=p % 2 == 1 and n <= DISC_N_CAP)
 
 
 def _joined(values) -> str:

@@ -16,6 +16,7 @@ from sqftori.ffpoly import (
     _disc_residue,
     _disc_residues,
     _monic_polys,
+    _stats_direct,
     count_irreducible_factors,
     count_irreducible_quadratic_factors,
     count_linear_factors,
@@ -281,6 +282,13 @@ def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
 _CHUNK_ALLOWANCE = 4 * 2**20
 
 
+def _sieve_irreducibles(p, top):
+    """Cache the irreducibles of degrees 1..top, so that a measured pass
+    does not sieve them."""
+    for d in range(1, top + 1):
+        ffpoly._irreducibles(p, d)
+
+
 def test_discriminant_pass_at_large_p_stays_chunk_sized():
     # a block at a time: a full-size int64 copy of the million indices alone
     # would be 7.8 MiB above the bool output
@@ -301,7 +309,7 @@ def test_discriminant_classes_need_no_array_of_all_squarefree_indices():
     # time; an int32 index for each of the 706k square-free polynomials
     # alone would be 2.7 MiB
     n, p = 7, 7
-    ffpoly._irreducible_arrays(p, n // 2)
+    _sieve_irreducibles(p, n // 2)
     tracemalloc.start()
     try:
         stats = enumerate_stats(n, p)
@@ -311,6 +319,16 @@ def test_discriminant_classes_need_no_array_of_all_squarefree_indices():
     assert stats.disc_residue + stats.disc_nonresidue == stats.squarefree_count == p**n - p ** (n - 1)
     codes_bytes = np.dtype(ffpoly._type_code(n, p)[1]).itemsize * p**n
     assert peak - codes_bytes < _CHUNK_ALLOWANCE
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
+def test_discriminant_classes_across_many_windows(monkeypatch, p, n):
+    # 64 codes a window: 4 to 10 windows, each cut into blocks of 10 to 16
+    # rows with a partial one at its end; a window dropped or counted twice
+    # moves the classes off the direct walk's
+    monkeypatch.setattr(ffpoly, "_CHUNK", 64)
+    assert p**n > 3 * 64
+    assert enumerate_stats(n, p) == _stats_direct(n, p, True)
 
 
 # every odd p with a point p^n <= 729 of degree 2 or more
@@ -377,7 +395,7 @@ def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
     if chunk is not None:
         # a tiny chunk forces the walk to branch over blocks of a
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
-        monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
+        ffpoly._irreducibles.cache_clear()
     for p, e, m in [(2, 1, 5), (3, 2, 3), (5, 1, 3), (7, 2, 1), (13, 1, 2), (9973, 1, 1)]:
         field = PrimeField(p)
         irr = [g for g in _monic_polys(field, e) if is_irreducible(g)]
@@ -431,7 +449,7 @@ def test_enumerate_stats_counts_match_formula():
     ],
 )
 def test_sieve_and_direct_methods_agree(p, n):
-    assert enumerate_stats(n, p, method="sieve") == enumerate_stats(n, p, method="direct")
+    assert enumerate_stats(n, p) == _stats_direct(n, p, True)
 
 
 _small_grid = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 10) if p**n <= 729]
@@ -441,7 +459,7 @@ _small_grid = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 10) if p**n <= 729
 @given(st.sampled_from(_small_grid))
 def test_sieve_equals_direct_property(point):
     p, n = point
-    assert enumerate_stats(n, p, method="sieve") == enumerate_stats(n, p, method="direct")
+    assert enumerate_stats(n, p) == _stats_direct(n, p, True)
 
 
 @pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
@@ -454,12 +472,16 @@ def test_large_p_closed_forms(p, n):
 
 def test_stats_sieve_stops_below_degree_n(monkeypatch):
     # factors of degree above n/2 are read off the marked degree sum, not
-    # sieved: the cache holds degrees 0..n//2
-    monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
+    # sieved: only degrees 1..n//2 are
+    sieved = []
+    factor_codes = ffpoly._factor_codes
+    monkeypatch.setattr(ffpoly, "_factor_codes", lambda n, p: sieved.append((n, p)) or factor_codes(n, p))
+    ffpoly._irreducibles.cache_clear()
     enumerate_stats(4, 3)
-    assert len(ffpoly._IRR_CACHE[3]) == 3
+    assert sorted(sieved) == [(1, 3), (2, 3), (4, 3)]
     enumerate_stats(5, 3)
-    assert len(ffpoly._IRR_CACHE[3]) == 3
+    assert sorted(sieved) == [(1, 3), (2, 3), (4, 3), (5, 3)]
+    assert ffpoly._irreducibles.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("chunk", [None, 4])
@@ -470,7 +492,7 @@ def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
     # by the number of irreducibles, not by n//d
     if chunk is not None:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
-        monkeypatch.setattr(ffpoly, "_IRR_CACHE", {})
+        ffpoly._irreducibles.cache_clear()
     for p, n in [(2, 8), (3, 5), (5, 4), (7, 3)]:
         radices = ffpoly._type_code(n, p)[0]
         codes = ffpoly._factor_codes(n, p).tolist()
@@ -491,7 +513,7 @@ def test_square_walk_at_large_p_stays_chunk_sized():
     # walk must not build its per-(g, a) tables for them, which at p = 1009
     # would be 3*p^2 int64 entries (about 70 MiB over the code array)
     p = 1009
-    ffpoly._irreducible_arrays(p, 1)
+    _sieve_irreducibles(p, 1)
     tracemalloc.start()
     try:
         codes = ffpoly._factor_codes(2, p)
@@ -506,7 +528,7 @@ def test_stats_histogram_makes_no_copy_of_the_packed_codes():
     # the histogram sorts the packed uint32 codes in place; a flattened copy
     # (as np.unique makes) would put the peak at 2.5 times the packed array
     n, p = 9, 5
-    ffpoly._irreducible_arrays(p, n // 2)
+    _sieve_irreducibles(p, n // 2)
     tracemalloc.start()
     try:
         enumerate_stats(n, p, discriminants=False)
@@ -520,7 +542,7 @@ def test_stats_peak_is_two_and_a_half_bytes_per_polynomial():
     # uint16 type codes, sorted in place, and runs found by binary search:
     # no bool or index array of p^n entries is made beside them
     n, p = 9, 5
-    ffpoly._irreducible_arrays(p, n // 2)
+    _sieve_irreducibles(p, n // 2)
     tracemalloc.start()
     try:
         enumerate_stats(n, p, discriminants=False)
@@ -566,29 +588,52 @@ def test_irreducible_polynomials_checks_the_budget_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("sieve ran")
 
-    monkeypatch.setattr(ffpoly, "_irreducible_arrays", refuse)
+    monkeypatch.setattr(ffpoly, "_irreducibles", refuse)
     with pytest.raises(EnumerationBudgetError) as exc:
         irreducible_polynomials(2, 27)
     assert str(ffpoly.MAX_BUDGET) in str(exc.value)
 
 
-def test_enumerate_budget():
-    with pytest.raises(EnumerationBudgetError) as exc:
-        enumerate_stats(10, 3, budget=1000)
-    assert str(3**10) in str(exc.value)
+def test_irreducible_polynomials_rejects_degree_below_one(monkeypatch):
+    # with degree 2 sieved, a negative degree must not read a cached
+    # degree, nor degree 0 come back empty
+    irreducible_polynomials(3, 2)
+
+    def refuse(*args):
+        raise AssertionError("sieve ran")
+
+    monkeypatch.setattr(ffpoly, "_irreducibles", refuse)
+    for degree in (0, -1):
+        with pytest.raises(ValueError):
+            irreducible_polynomials(3, degree)
 
 
 def test_enumerate_rejects_budget_above_the_maximum(monkeypatch):
-    # refused before anything is allocated: neither method runs
+    # refused before anything is allocated: the sieve does not run
     def refuse(*args):
         raise AssertionError("enumeration ran")
 
     monkeypatch.setattr(ffpoly, "_stats_sieve", refuse)
-    monkeypatch.setattr(ffpoly, "_stats_direct", refuse)
-    for method in ("sieve", "direct"):
+    assert 2**27 > ffpoly.MAX_BUDGET
+    with pytest.raises(EnumerationBudgetError) as exc:
+        enumerate_stats(27, 2)
+    assert str(ffpoly.MAX_BUDGET) in str(exc.value)
+    with pytest.raises(ValueError, match="not prime"):
+        enumerate_stats(2, 4)
+
+
+def test_enumerate_refuses_a_huge_degree_without_forming_p_to_the_n():
+    # 3^(10^6) alone is 193 KiB and has too many digits to print; 3^(10^8)
+    # takes minutes to form
+    tracemalloc.start()
+    try:
         with pytest.raises(EnumerationBudgetError) as exc:
-            enumerate_stats(2, 2, budget=ffpoly.MAX_BUDGET + 1, method=method)
-        assert str(ffpoly.MAX_BUDGET) in str(exc.value)
+            enumerate_stats(10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(ffpoly.MAX_BUDGET) in str(exc.value)
+    assert peak < 2**16
 
 
 def test_enumerate_rejects_degree_zero():
@@ -604,7 +649,7 @@ def test_direct_method_decides_squarefreeness_once_per_polynomial(monkeypatch):
         return is_squarefree(f)
 
     monkeypatch.setattr(ffpoly, "is_squarefree", counted)
-    enumerate_stats(4, 3, method="direct")
+    _stats_direct(4, 3, True)
     assert len(calls) == 3**4
 
 

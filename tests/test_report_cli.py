@@ -71,6 +71,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="out of range"):
         RunConfig(primes=(LARGE_PRIME,))  # range-checked before any primality test
     assert RunConfig(enumeration_budget=MAX_BUDGET).enumeration_budget == MAX_BUDGET
+    # sizes are ints, checked at construction rather than deep inside the run
+    for bad in (
+        dict(primes=(3.0,), n_max=3, series_order=3),
+        dict(n_max=2.0),
+        dict(n_max=True, series_order=3),
+        dict(series_order=24.0),
+        dict(enumeration_budget=1e7),
+        dict(primes=(True,)),
+    ):
+        with pytest.raises(ValueError, match="must be an int"):
+            RunConfig(**bad)
 
 
 def test_sorting_is_by_name_then_parameters():
