@@ -670,8 +670,9 @@ def render_rational_function(f: RationalFunction) -> str:
     return f"({render_poly(f.num)})/({render_poly(f.den)})"
 
 
+# a `*` only ever joins a coefficient to q, and a coefficient's denominator is nonzero
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?(?:q(?:\^(?P<exp>\d+))?)?$"
+    r"^(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\s*(?:\*\s*(?=q))?)?(?:q(?:\^(?P<exp>\d+))?)?$"
 )
 
 
@@ -714,5 +715,8 @@ def parse_rational_function(text: str) -> RationalFunction:
         m = re.fullmatch(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)", text)
         if not m:
             raise ValueError(f"cannot parse rational function {text!r}")
-        return RationalFunction(_parse_poly(m.group("num")), _parse_poly(m.group("den")))
+        den = _parse_poly(m.group("den"))
+        if den.is_zero():
+            raise ValueError(f"zero denominator in {text!r}")
+        return RationalFunction(_parse_poly(m.group("num")), den)
     return RationalFunction(_parse_poly(text))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .ffpoly import MAX_BUDGET, PrimeField
+from .sqfree import DEFAULT_ORDER
 
 
 @dataclass(frozen=True)
@@ -28,17 +29,15 @@ class VerificationReport:
     passed: bool
     elapsed_ms: int = 0
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "identity_name": self.identity_name,
             "parameters": dict(self.parameters),
             "lhs_rendered": self.lhs_rendered,
             "rhs_rendered": self.rhs_rendered,
             "pass": self.passed,
+            "elapsed_ms": self.elapsed_ms,
         }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def make_report(
@@ -64,7 +63,7 @@ class RunConfig:
 
     n_max: int = 10
     primes: tuple[int, ...] = (2, 3, 5)
-    series_order: int = 24
+    series_order: int = DEFAULT_ORDER
     enumeration_budget: int = 10_000_000
     output_format: str = "table"
     output_path: str | None = None
@@ -128,14 +127,10 @@ def summarize(reports: Sequence[VerificationReport]) -> dict:
     return {"passed": passed, "failed": len(reports) - passed}
 
 
-def reports_to_json(
-    config: RunConfig,
-    reports: Sequence[VerificationReport],
-    include_timing: bool = True,
-) -> str:
+def reports_to_json(config: RunConfig, reports: Sequence[VerificationReport]) -> str:
     payload = {
         "config": config.to_json_dict(),
-        "reports": [r.to_json_dict(include_timing) for r in sort_reports(reports)],
+        "reports": [r.to_json_dict() for r in sort_reports(reports)],
         "summary": summarize(reports),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

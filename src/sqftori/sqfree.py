@@ -9,6 +9,14 @@ where N(d,q) is the number of monic irreducible polynomials of degree d.
 Truncating at order N only needs the factors with d <= N, since higher
 degrees cannot touch the coefficients of u^0..u^N.
 
+Each degree product is one exp of its logarithm (`_degree_product`):
+
+    prod_d (1 + sign*u^d)^(e_d) = exp(-sum_d e_d sum_k (-sign)^k u^(dk)/k).
+
+At sign +1 and e_d = N(d,q) it is the powerset of the irreducibles (the
+square-free f), at sign -1 and e_d = -N(d,q) their multiset (all monic f):
+the Polya exponentials of Flajolet and Sedgewick, Analytic Combinatorics, I.2.
+
 Every expectation is a combination of binomial moments E[prod_d C(X_d, k_d)],
 X_d the number of degree-d irreducible factors.  Marking the square-free
 product as prod_d (1 + x_d u^d)^N(d,q) and setting x_d = 1 + t_d gives
@@ -32,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .exact import ONE, Q, RationalFunction
+from .exact import ONE, Q, ZERO, RationalFunction
 from .series import TruncatedSeries
 
 #: default truncation order for verification runs; covers every displayed
@@ -75,45 +83,31 @@ def count_irreducibles(d: int) -> RationalFunction:
     return acc
 
 
-def _binomial_factor(order: int, d: int, sign: int, e: RationalFunction) -> TruncatedSeries:
-    """(1 + sign*u^d) ** e, as a truncated series over Q(q).
-
-    The binomial series: sum_k C(e,k) sign^k u^(dk), where
-    C(e,k) = e(e-1)...(e-k+1)/k! is a polynomial in q for e = +-N(d,q).
-    """
-    terms = {0: ONE}
-    c = ONE
-    for k in range(1, order // d + 1):
-        c = c * (e - (k - 1)) * RationalFunction.from_fraction(Fraction(sign, k))
-        terms[d * k] = c
-    return TruncatedSeries.from_terms(order, terms)
+def _degree_product(order: int, sign: int, exponents) -> TruncatedSeries:
+    """prod over (d, e) of (1 + sign*u^d)^e, as the one exp of the module docstring."""
+    log = [ZERO] * (order + 1)
+    for d, e in exponents:
+        for k in range(1, order // d + 1):
+            log[d * k] = log[d * k] + e * RationalFunction.from_fraction(Fraction(-((-sign) ** k), k))
+    return TruncatedSeries(log).exp()
 
 
 @lru_cache(maxsize=None)
 def squarefree_product_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 + u^d)^N(d,q): square-free monic polynomials by degree."""
-    acc = TruncatedSeries.one(order)
-    for d in range(1, order + 1):
-        acc = acc * _binomial_factor(order, d, +1, count_irreducibles(d))
-    return acc
+    return _degree_product(order, +1, ((d, count_irreducibles(d)) for d in range(1, order + 1)))
 
 
 @lru_cache(maxsize=None)
 def signed_product_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 - u^d)^N(d,q): sign-weighted square-free count."""
-    acc = TruncatedSeries.one(order)
-    for d in range(1, order + 1):
-        acc = acc * _binomial_factor(order, d, -1, count_irreducibles(d))
-    return acc
+    return _degree_product(order, -1, ((d, count_irreducibles(d)) for d in range(1, order + 1)))
 
 
 @lru_cache(maxsize=None)
 def inverse_factorization_series(order: int) -> TruncatedSeries:
     """prod_{d<=order} (1 - u^d)^(-N(d,q)): all monic polynomials by degree."""
-    acc = TruncatedSeries.one(order)
-    for d in range(1, order + 1):
-        acc = acc * _binomial_factor(order, d, -1, -count_irreducibles(d))
-    return acc
+    return _degree_product(order, -1, ((d, -count_irreducibles(d)) for d in range(1, order + 1)))
 
 
 def geometric_q_series(order: int) -> TruncatedSeries:
@@ -125,9 +119,7 @@ def geometric_q_series(order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def _closed_squarefree_series(order: int) -> TruncatedSeries:
     """(1 - qu^2)/(1 - qu), the closed form of the square-free product."""
-    num = TruncatedSeries.from_terms(order, {0: ONE, 2: -Q})
-    den = TruncatedSeries.from_terms(order, {0: ONE, 1: -Q})
-    return num / den
+    return TruncatedSeries.from_terms(order, {0: ONE, 2: -Q}) * geometric_q_series(order)
 
 
 def _working_order(n: int) -> int:
@@ -173,10 +165,7 @@ def moebius_signed_sum(n: int) -> RationalFunction:
 @lru_cache(maxsize=None)
 def _moment_series(order: int, k: tuple[tuple[int, int], ...]) -> TruncatedSeries:
     """(1-qu^2)/(1-qu) * prod_d (1+u^d)^(-k_d), for k as sorted (d, k_d) pairs."""
-    acc = _closed_squarefree_series(order)
-    for d, kd in k:
-        acc = acc * _binomial_factor(order, d, +1, RationalFunction.from_fraction(-kd))
-    return acc
+    return _closed_squarefree_series(order) * _degree_product(order, +1, ((d, -kd) for d, kd in k))
 
 
 def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
@@ -192,8 +181,9 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     if s > n:
         return RationalFunction(0)
     out = _moment_series(_working_order(n), key).coefficient(n - s)
-    for d, kd in key:  # times C(N(d,q), k_d), the top coefficient of (1+u)^N(d,q) at order k_d
-        out = out * _binomial_factor(kd, 1, +1, count_irreducibles(d)).coefficient(kd)
+    for d, kd in key:  # times C(N(d,q), k_d) = N(N-1)...(N-k_d+1)/k_d!
+        for i in range(kd):
+            out = out * (count_irreducibles(d) - i) / (i + 1)
     return out / squarefree_count_formula(n)
 
 

@@ -26,23 +26,14 @@ from functools import lru_cache
 from typing import Callable
 
 from . import ffpoly, sqfree, tori
-from .exact import RationalFunction, render_poly, render_rational_function
+from .exact import RationalFunction, render_poly
 from .report import RunConfig, VerificationReport, make_report
-from .series import TruncatedSeries, render_series
 
 #: largest degree used for discriminant equidistribution checks
 DISC_N_CAP = 6
 
 _INTRO_QUAD_EXCESS = (1, -3, 4, -4, 5, -7, 8, -8)
 _INTRO_SUBTORI_EXCESS = (1, 1, 2, 2, 3, 3, 4, 4)
-
-
-def _render(value) -> str:
-    if isinstance(value, RationalFunction):
-        return render_rational_function(value)
-    if isinstance(value, TruncatedSeries):
-        return render_series(value)
-    return str(value)
 
 
 def _run(rows: dict, config: RunConfig) -> list[VerificationReport]:
@@ -59,7 +50,7 @@ def _run(rows: dict, config: RunConfig) -> list[VerificationReport]:
             lhs = lhs_route(*args)
             rhs = rhs_route(*args)
             elapsed = int((time.perf_counter() - start) * 1000)
-            reports.append(make_report(name, params, _render(lhs), _render(rhs), elapsed))
+            reports.append(make_report(name, params, str(lhs), str(rhs), elapsed))
     return reports
 
 

@@ -171,6 +171,12 @@ def test_parse_roundtrip(text):
     assert render_rational_function(parse_rational_function(text)) == text
 
 
+@pytest.mark.parametrize("text", ["", "q^", "2*", "q*", "*q", "1/0*q", "1/0", "(q)/(0)", "(q + 1"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_rational_function(text)
+
+
 # ---------------------------------------------------------------------------
 # property tests: field axioms and evaluation homomorphism
 # ---------------------------------------------------------------------------

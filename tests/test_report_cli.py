@@ -1,7 +1,6 @@
 """Report serialization, run configuration, and the command-line interface."""
 
 import ast
-import hashlib
 import importlib
 import json
 import os
@@ -25,6 +24,10 @@ from sqftori.report import (
     sort_reports,
     summarize,
 )
+
+# the benchmark's own canonicalization: JSON without `elapsed_ms`, hashed
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from child import timing_free_digest  # noqa: E402
 
 SMALL = RunConfig(n_max=3, primes=(2, 3), series_order=8)
 
@@ -50,7 +53,6 @@ def test_json_dict_uses_pass_key():
     assert d["pass"] is True
     assert d["elapsed_ms"] == 7
     assert "passed" not in d
-    assert "elapsed_ms" not in make_report("x", {}, "a", "a").to_json_dict(False)
 
 
 def test_config_validation():
@@ -139,8 +141,8 @@ def test_reports_are_byte_reproducible():
     first = suites.mu_sum_reports(SMALL)
     second = suites.mu_sum_reports(SMALL)
     assert reports_to_csv(first) == reports_to_csv(second)
-    assert reports_to_json(SMALL, first, include_timing=False) == reports_to_json(
-        SMALL, second, include_timing=False
+    assert timing_free_digest(reports_to_json(SMALL, first)) == timing_free_digest(
+        reports_to_json(SMALL, second)
     )
 
 
@@ -197,9 +199,7 @@ def test_verify_all_enumerates_each_oracle_point_once(monkeypatch):
 def test_verify_all_json_is_byte_identical_to_recorded_digest():
     # guards every refactor of the report path: names, parameters and renderings
     reports = suites.verify_all(SMALL)
-    text = reports_to_json(SMALL, reports, include_timing=False)
-    assert len(reports) == 90
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_DIGEST
+    assert timing_free_digest(reports_to_json(SMALL, reports)) == (SMALL_DIGEST, 90)
 
 
 def _clear_symbolic_caches():
@@ -223,11 +223,11 @@ def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(monkeypatch):
     monkeypatch.setattr(exact, "_euclidean_gcd", counted)
     _clear_symbolic_caches()
     try:
-        text = reports_to_json(SMALL, suites.verify_all(SMALL), include_timing=False)
+        text = reports_to_json(SMALL, suites.verify_all(SMALL))
     finally:
         _clear_symbolic_caches()
     assert fallback_calls
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_DIGEST
+    assert timing_free_digest(text) == (SMALL_DIGEST, 90)
 
 
 def test_type_reports_flag_coefficient_signs():

@@ -9,12 +9,17 @@ import pytest
 from sqftori import ffpoly, sqfree, suites, tori
 from sqftori.exact import ONE, Q, RationalFunction
 from sqftori.report import RunConfig
+from sqftori.series import TruncatedSeries
 
 RF = RationalFunction
 
 # displayed prefixes of the two sequences in the finite-n excess formula
 A_PREFIX = (1, 3, 4, 4, 5, 7, 8, 8, 9, 11, 12, 12, 13, 15, 16, 16)
 B_PREFIX = (2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 9, 10, 10, 10)
+
+
+#: every k with sum_d d*k_d <= 4 (12 of them), as the multiplicities of a partition
+_ORDERS_OF_WEIGHT_AT_MOST_4 = [l.multiplicities() for s in range(5) for l in tori.partitions(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +63,37 @@ def test_factorization_identity(order):
 def test_factorization_identity_first_coefficient():
     f = sqfree.inverse_factorization_series(1)
     assert f.coefficient(1) == Q
+
+
+def _binomial_product(order, sign, exponents):
+    """prod over (d, e) of (1 + sign*u^d)^e, one binomial series
+    sum_k C(e,k) sign^k u^(dk) multiplied in per degree."""
+    acc = TruncatedSeries.one(order)
+    for d, e in exponents:
+        terms, c = {0: ONE}, ONE
+        for k in range(1, order // d + 1):
+            c = c * (e - (k - 1)) * RF.from_fraction(Fraction(sign, k))
+            terms[d * k] = c
+        acc = acc * TruncatedSeries.from_terms(order, terms)
+    return acc
+
+
+def test_degree_products_equal_their_per_degree_binomial_products():
+    # each product is built as one exp of its logarithm; this is the per-degree
+    # product of binomial series it replaced, written out
+    for order in range(14):
+        n_d = [(d, sqfree.count_irreducibles(d)) for d in range(1, order + 1)]
+        assert sqfree.squarefree_product_series(order) == _binomial_product(order, +1, n_d)
+        assert sqfree.signed_product_series(order) == _binomial_product(order, -1, n_d)
+        inverse = _binomial_product(order, -1, [(d, -e) for d, e in n_d])
+        assert sqfree.inverse_factorization_series(order) == inverse
+    for k in _ORDERS_OF_WEIGHT_AT_MOST_4:
+        key = tuple(sorted(k.items()))
+        for order in range(14):
+            expected = sqfree._closed_squarefree_series(order) * _binomial_product(
+                order, +1, [(d, RF.from_fraction(-kd)) for d, kd in key]
+            )
+            assert sqfree._moment_series(order, key) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +187,6 @@ def test_binomial_moment_small_degrees_and_bad_orders():
     for k in ({1: -1}, {0: 1}):
         with pytest.raises(ValueError):
             sqfree.binomial_moment(3, k)
-
-
-#: every k with sum_d d*k_d <= 4 (12 of them), as the multiplicities of a partition
-_ORDERS_OF_WEIGHT_AT_MOST_4 = [l.multiplicities() for s in range(5) for l in tori.partitions(s)]
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (2, 7), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3)])
