@@ -15,13 +15,7 @@ from .exact import (
     render_poly,
     render_rational_function,
 )
-from .ffpoly import (
-    FieldPoly,
-    PrimeField,
-    SquareFreeStats,
-    enumerate_stats,
-    is_squarefree,
-)
+from .ffpoly import PrimeField, SquareFreeStats, enumerate_stats
 from .report import RunConfig, VerificationReport
 from .series import TruncatedSeries
 from .sqfree import (

@@ -30,8 +30,8 @@ square-free polynomials, passed on one window of codes at a time, in
 digit-major int32 numpy blocks (int64 above p = 2^15), with Euler's
 criterion once per polynomial at the end.
 
-The tests hold the sieve to a direct walk, ``_stats_direct``: one
-polynomial at a time with the definitional scalar operations
+The tests hold the sieve to a scalar reference, ``tests/fp_reference.py``,
+which walks one polynomial at a time with the definitional operations
 (derivative gcd for square-freeness, trial division for the type, a
 Euclidean resultant for the discriminant), simple and slow.
 
@@ -42,13 +42,11 @@ enumeration order.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Literal, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -59,7 +57,7 @@ import numpy as np
 #: the same with discriminant classes, whose pass holds arrays of about
 #: _CHUNK entries (24 MiB at 3137^2, 8 MiB at 5^9); uint32 codes, needed
 #: only at p = 2 with n >= 16 and p = 3 with n >= 14, take about 5 to 6
-#: bytes (23 MiB at 3^14 = 4.8M with or without discriminant classes, 24
+#: bytes (22 MiB at 3^14 = 4.8M with or without discriminant classes, 22
 #: MiB at 2^22 = 4.2M), so 10^8 polynomials stay near 0.2 GiB, and the
 #: largest uint32 point, 2^26, near 0.3 GiB; it also keeps every
 #: product-walk index below 2^31
@@ -89,6 +87,9 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        # a float or bool p passes the range and trial division checks
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"prime must be an int, not {p!r}")
         if not 2 <= p < 2**31:
             raise ValueError(f"field size {p} out of range")
         if not is_prime(p):
@@ -97,12 +98,6 @@ class PrimeField:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PrimeField is immutable")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and self.p == other.p
@@ -114,282 +109,9 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class FieldPoly:
-    """Dense polynomial over F_p, coefficients lowest degree first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: PrimeField, coeffs):
-        cs = [c % field.p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("FieldPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _check_same_field(self, other: "FieldPoly"):
-        if self.field.p != other.field.p:
-            raise ValueError(
-                f"field mismatch: F_{self.field.p} vs F_{other.field.p}"
-            )
-
-    def __add__(self, other: "FieldPoly") -> "FieldPoly":
-        self._check_same_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return FieldPoly(self.field, out)
-
-    def __neg__(self) -> "FieldPoly":
-        return FieldPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "FieldPoly") -> "FieldPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "FieldPoly") -> "FieldPoly":
-        self._check_same_field(other)
-        if self.is_zero() or other.is_zero():
-            return FieldPoly(self.field, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca:
-                for j, cb in enumerate(other.coeffs):
-                    out[i + j] += ca * cb
-        return FieldPoly(self.field, out)
-
-    def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
-        self._check_same_field(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = self.field.inv(other.leading())
-        quot = [0] * max(len(rem) - db, 0)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k] % p
-            if c == 0:
-                continue
-            c = c * inv_lead % p
-            quot[k - db] = c
-            for j, cb in enumerate(other.coeffs):
-                rem[k - db + j] -= c * cb
-        return FieldPoly(self.field, quot), FieldPoly(self.field, rem)
-
-    def __mod__(self, other: "FieldPoly") -> "FieldPoly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "FieldPoly") -> "FieldPoly":
-        return self.divmod(other)[0]
-
-    def monic(self) -> "FieldPoly":
-        if self.is_zero() or self.coeffs[-1] == 1:
-            return self
-        inv = self.field.inv(self.coeffs[-1])
-        return FieldPoly(self.field, [c * inv for c in self.coeffs])
-
-    def derivative(self) -> "FieldPoly":
-        return FieldPoly(
-            self.field, [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    def eval(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldPoly)
-            and self.field.p == other.field.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"FieldPoly(F_{self.field.p}, {list(self.coeffs)})"
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                x = "x" if k == 1 else f"x^{k}"
-                parts.append(x if c == 1 else f"{c}*{x}")
-        return " + ".join(parts)
-
-
-def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(f, 0) = monic f."""
-    a._check_same_field(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def is_squarefree(f: FieldPoly) -> bool:
-    """True when gcd(f, f') is constant, for monic f of degree >= 1."""
-    if not f.is_monic() or f.degree < 1:
-        raise ValueError("square-freeness is defined for monic polynomials of degree >= 1")
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
-def _require_squarefree(f: FieldPoly, what: str):
-    if not is_squarefree(f):
-        raise ValueError(f"{what} is only defined for square-free polynomials")
-
-
-def count_linear_factors(f: FieldPoly) -> int:
-    """Number of roots of a monic square-free f in F_p."""
-    _require_squarefree(f, "the linear-factor count")
-    return sum(1 for x in range(f.field.p) if f.eval(x) == 0)
-
-
-def _monic_polys(field: PrimeField, degree: int) -> Iterator[FieldPoly]:
-    """All monic polynomials of the given degree, constant term fastest.
-
-    The order matches the base-p index encoding used by the sieve."""
-    for high in itertools.product(range(field.p), repeat=degree):
-        yield FieldPoly(field, list(high[::-1]) + [1])
-
-
-def count_irreducible_quadratic_factors(f: FieldPoly) -> int:
-    """Number of monic irreducible quadratics dividing a square-free f.
-
-    Trial division over all p^2 monic quadratics, with irreducibility
-    decided by absence of roots.
-    """
-    _require_squarefree(f, "the quadratic-factor count")
-    field = f.field
-    count = 0
-    for g in _monic_polys(field, 2):
-        if any(g.eval(x) == 0 for x in range(field.p)):
-            continue
-        if (f % g).is_zero():
-            count += 1
-    return count
-
-
-def is_irreducible(f: FieldPoly) -> bool:
-    """Trial division by every monic polynomial of at most half the degree."""
-    if f.degree < 1:
-        raise ValueError("irreducibility is defined for degree >= 1")
-    for d in range(1, f.degree // 2 + 1):
-        for g in _monic_polys(f.field, d):
-            if (f % g).is_zero():
-                return False
-    return True
-
-
-def factor_degrees(f: FieldPoly) -> tuple[int, ...]:
-    """The factorization type of a monic square-free f: the degrees of its
-    (distinct) irreducible factors, largest first, a partition of deg f.
-
-    Divides out factors in order of increasing degree; a divisor found at
-    the lowest remaining degree is automatically irreducible, and what is
-    left once twice that degree exceeds its own is irreducible.  Intended
-    for small fields; cost grows like p^(n/2).
-    """
-    _require_squarefree(f, "the factorization type")
-    return _factor_degrees(f)
-
-
-def _factor_degrees(f: FieldPoly) -> tuple[int, ...]:
-    """factor_degrees for an f already known to be square-free."""
-    rem = f
-    degrees = []
-    d = 1
-    while rem.degree > 0:
-        if 2 * d > rem.degree:
-            degrees.append(rem.degree)
-            break
-        for g in _monic_polys(rem.field, d):
-            if rem.degree >= d and (rem % g).is_zero():
-                rem = rem // g
-                degrees.append(d)
-        d += 1
-    return tuple(reversed(degrees))
-
-
-def count_irreducible_factors(f: FieldPoly) -> int:
-    """Number of (distinct) irreducible factors of a monic square-free f."""
-    return len(factor_degrees(f))
-
-
 # ---------------------------------------------------------------------------
-# resultants and discriminants
+# discriminant classes
 # ---------------------------------------------------------------------------
-
-
-def resultant(a: FieldPoly, b: FieldPoly) -> int:
-    """Res(a, b) as an element of F_p, with the convention
-
-        Res(a, b) = lc(a)^deg(b) * prod over roots alpha of a of b(alpha),
-
-    computed by the Euclidean remainder recurrence; zero exactly when
-    gcd(a, b) is nonconstant."""
-    a._check_same_field(b)
-    if a.is_zero() or b.is_zero():
-        raise ValueError("the resultant of the zero polynomial is not defined")
-    p = a.field.p
-    res = 1
-    while True:
-        da, db = a.degree, b.degree
-        if da == 0:
-            return res * pow(a.coeffs[0], db, p) % p
-        if db == 0:
-            return res * pow(b.coeffs[0], da, p) % p
-        if (da * db) % 2:
-            res = -res % p
-        if da < db:
-            a, b = b, a
-            continue
-        r = a % b
-        if r.is_zero():
-            return 0
-        res = res * pow(b.leading(), da - r.degree, p) % p
-        a, b = b, r
-
-
-def _disc_residue(f: FieldPoly) -> bool:
-    """True when disc(f) is a nonzero square in F_p (f monic square-free)."""
-    n, p = f.degree, f.field.p
-    r = resultant(f, f.derivative())
-    if n * (n - 1) // 2 % 2:
-        r = -r % p
-    return pow(r, (p - 1) // 2, p) == 1
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -404,7 +126,7 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     """Whether disc(f) is a nonzero square in F_p for each index of a
-    monic square-free f of degree n, p odd: _disc_residue, batched.
+    monic square-free f of degree n, p odd.
 
     Runs the Euclidean resultant Res(f', f) = Res(f, f') on all rows of a
     block of at most _CHUNK coefficients at once; b = f stays monic even
@@ -454,18 +176,6 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
             e >>= 1
         out[lo : lo + block] = chi == 1
     return out
-
-
-def discriminant_class(f: FieldPoly) -> Literal["residue", "nonresidue"]:
-    """Residue class of disc(f) = (-1)^(n(n-1)/2) Res(f, f') in F_p^*.
-
-    Decided by Euler's criterion; only defined for odd p and monic
-    square-free f (the discriminant is then nonzero).
-    """
-    if f.field.p == 2:
-        raise ValueError("discriminant classes need an odd field size")
-    _require_squarefree(f, "the discriminant class")
-    return "residue" if _disc_residue(f) else "nonresidue"
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +250,15 @@ def _add_cofactor_digits(
         q = rest // p
         old.append((rest - q * p)[:, None, :])
         rest = q
+    del rest, q  # every level of the walk is alive at once: free what it is done with
     shift = step * pows[j]
     s = max(1, _CHUNK // V.size)
     for a0 in range(0, p, s):
         W = V[:, None, :] + shift[:, a0 : a0 + s, None]
         for i in range(e1):
             W -= (old[i] >= thr[i, :, a0 : a0 + s, None]) * wrap[i]
+        if a0 + s >= p:
+            del old
         yield from _add_cofactor_digits(W.reshape(B, -1), step, thr, pows, j + 1, m)
 
 
@@ -558,15 +271,6 @@ def _irreducibles(p: int, d: int) -> np.ndarray:
     linear polynomials are kept.
     """
     return _monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d)
-
-
-def irreducible_polynomials(p: int, degree: int) -> list[FieldPoly]:
-    """The sieve's monic irreducibles of the given degree, in index order."""
-    if degree < 1:
-        raise ValueError("irreducibility is defined for degree >= 1")
-    field = PrimeField(p)
-    _check_budget(degree, p)
-    return [FieldPoly(field, row.tolist()) for row in _irreducibles(p, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -744,25 +448,6 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     )
 
 
-def _stats_direct(n: int, p: int, discriminants: bool) -> SquareFreeStats:
-    types: Counter[tuple[int, ...]] = Counter()
-    residues: Counter[bool] = Counter()
-    want_disc = discriminants and p % 2 == 1
-    for f in _monic_polys(PrimeField(p), n):
-        if is_squarefree(f):  # decided once here: the helpers below do not check it again
-            types[_factor_degrees(f)] += 1
-            if want_disc:
-                residues[_disc_residue(f)] += 1
-    return SquareFreeStats(
-        n=n,
-        p=p,
-        total_monic=p**n,
-        type_counts=tuple(sorted(types.items())),
-        disc_residue=residues[True] if want_disc else None,
-        disc_nonresidue=residues[False] if want_disc else None,
-    )
-
-
 def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFreeStats:
     """Exact statistics over all p^n monic degree-n polynomials over F_p, by
     the sieve.
@@ -771,6 +456,8 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
     allocated.  Discriminant classes (odd p only) are still most of the
     time (about 90% at 7^6, 65% at 3137^2) and can be switched off.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"degree must be an int, not {n!r}")
     if n < 1:
         raise ValueError("degree must be at least 1")
     PrimeField(p)

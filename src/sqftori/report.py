@@ -69,9 +69,10 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        # a float or bool size would fail deep inside the run, or run wrongly
-        sizes = [(name, getattr(self, name)) for name in ("n_max", "series_order", "enumeration_budget")]
-        for name, value in sizes + [("prime", p) for p in self.primes]:
+        # a float or bool size would fail deep inside the run, or run wrongly;
+        # PrimeField checks the primes the same way
+        for name in ("n_max", "series_order", "enumeration_budget"):
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n_max < 1:
@@ -81,7 +82,7 @@ class RunConfig:
                 f"series order {self.series_order} is smaller than n_max {self.n_max}"
             )
         for p in self.primes:
-            PrimeField(p)  # raises ValueError unless 2 <= p < 2^31 is prime
+            PrimeField(p)  # raises ValueError unless p is an int, 2 <= p < 2^31 and prime
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"repeated prime in {list(self.primes)}")
         if self.enumeration_budget > MAX_BUDGET:

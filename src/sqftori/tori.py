@@ -44,7 +44,7 @@ from .series import TruncatedSeries
 
 # tori builds no reports; `make_report` is bound here only because
 # perfbench/test_perfbench.py checks that the tracer patches `tori.make_report`.
-# Drop it together with that entry of the benchmark test (ROADMAP item 6).
+# Drop it together with that entry of the benchmark test (ROADMAP item 5).
 from .report import make_report  # noqa: F401,E402
 
 

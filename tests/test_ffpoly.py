@@ -1,4 +1,4 @@
-"""The exhaustive oracle: scalar polynomial ops and bulk enumeration."""
+"""The exhaustive oracle, held to the scalar reference in fp_reference."""
 
 import math
 import tracemalloc
@@ -8,36 +8,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fp_reference
+from fp_reference import (
+    FieldPoly,
+    count_linear_factors,
+    disc_residue,
+    factor_degrees,
+    is_squarefree,
+    monic_polys,
+    poly_gcd,
+    resultant,
+    stats_direct,
+)
 from sqftori import ffpoly, sqfree
 from sqftori.ffpoly import (
     EnumerationBudgetError,
-    FieldPoly,
     PrimeField,
-    _disc_residue,
     _disc_residues,
-    _monic_polys,
-    _stats_direct,
-    count_irreducible_factors,
-    count_irreducible_quadratic_factors,
-    count_linear_factors,
-    discriminant_class,
     enumerate_stats,
-    factor_degrees,
-    irreducible_polynomials,
-    is_irreducible,
     is_prime,
-    is_squarefree,
-    poly_gcd,
-    resultant,
 )
 
-F2 = PrimeField(2)
-F3 = PrimeField(3)
-F5 = PrimeField(5)
+
+def fp(p, *coeffs):
+    return FieldPoly(p, coeffs)
 
 
-def fp(field, *coeffs):
-    return FieldPoly(field, coeffs)
+def _irreducible(f):
+    return is_squarefree(f) and factor_degrees(f) == (f.degree,)
+
+
+def _sieved(p, d):
+    """The sieve's monic irreducibles of degree d, in index order."""
+    return [FieldPoly(p, row) for row in ffpoly._irreducibles(p, d).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -46,22 +49,17 @@ def fp(field, *coeffs):
 
 
 def test_prime_field_rejects_composites():
-    with pytest.raises(ValueError):
-        PrimeField(6)
-    with pytest.raises(ValueError):
-        PrimeField(1)
-
-
-def test_field_mismatch_is_an_error():
-    with pytest.raises(ValueError):
-        poly_gcd(fp(F2, 1, 1), fp(F3, 1, 1))
+    for bad in (6, 1, 3.0, True):
+        with pytest.raises(ValueError):
+            PrimeField(bad)
 
 
 def test_poly_division():
-    f = fp(F3, 1, 0, 1) * fp(F3, 2, 1) + fp(F3, 1)
-    q, r = f.divmod(fp(F3, 1, 0, 1))
-    assert q == fp(F3, 2, 1)
-    assert r == fp(F3, 1)
+    assert fp(3, 1, 0, 1) * fp(3, 2, 1) == fp(3, 2, 1, 2, 1)
+    f = fp(3, 0, 1, 2, 1)  # (x^2 + 1)(x + 2) + 1
+    q, r = divmod(f, fp(3, 1, 0, 1))
+    assert q == fp(3, 2, 1)
+    assert r == fp(3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -70,28 +68,18 @@ def test_poly_division():
 
 
 def test_gcd_examples():
-    assert poly_gcd(fp(F2, 0, 1, 1), fp(F2, 1, 1)) == fp(F2, 1, 1)  # x^2+x vs x+1
-    f = fp(F2, 0, 1, 1)
-    assert poly_gcd(f, FieldPoly(F2, [])) == f
+    assert poly_gcd(fp(2, 0, 1, 1), fp(2, 1, 1)) == fp(2, 1, 1)  # x^2+x vs x+1
+    f = fp(2, 0, 1, 1)
+    assert poly_gcd(f, FieldPoly(2, [])) == f
     # x^2 + 1 = (x+1)^2 over F_2
-    assert poly_gcd(fp(F2, 1, 0, 1), fp(F2, 1, 1)) == fp(F2, 1, 1)
-
-
-def test_gcd_of_two_zeros_is_undefined():
-    with pytest.raises(ValueError):
-        poly_gcd(FieldPoly(F2, []), FieldPoly(F2, []))
+    assert poly_gcd(fp(2, 1, 0, 1), fp(2, 1, 1)) == fp(2, 1, 1)
 
 
 def test_is_squarefree():
-    assert is_squarefree(fp(F2, 0, 1, 1))  # x(x+1)
-    assert not is_squarefree(fp(F2, 0, 0, 1))  # x^2
-    assert is_squarefree(fp(F3, 0, 1, 0, 1))  # derivative is the unit 1
-    assert not is_squarefree(fp(F2, 1, 0, 1))  # (x+1)^2
-
-
-def test_is_squarefree_requires_monic():
-    with pytest.raises(ValueError):
-        is_squarefree(fp(F3, 1, 2))
+    assert is_squarefree(fp(2, 0, 1, 1))  # x(x+1)
+    assert not is_squarefree(fp(2, 0, 0, 1))  # x^2
+    assert is_squarefree(fp(3, 0, 1, 0, 1))  # derivative is the unit 1
+    assert not is_squarefree(fp(2, 1, 0, 1))  # (x+1)^2
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +88,32 @@ def test_is_squarefree_requires_monic():
 
 
 def test_count_linear_factors():
-    assert count_linear_factors(fp(F2, 0, 1, 1)) == 2
-    assert count_linear_factors(fp(F2, 1, 1, 1)) == 0
-    assert count_linear_factors(fp(F3, 0, 2, 0, 1)) == 3  # x^3 - x
-
-
-def test_count_linear_factors_rejects_non_squarefree():
-    with pytest.raises(ValueError):
-        count_linear_factors(fp(F2, 0, 0, 1))
+    assert count_linear_factors(fp(2, 0, 1, 1)) == 2
+    assert count_linear_factors(fp(2, 1, 1, 1)) == 0
+    assert count_linear_factors(fp(3, 0, 2, 0, 1)) == 3  # x^3 - x
 
 
 def test_count_irreducible_quadratic_factors():
-    assert count_irreducible_quadratic_factors(fp(F2, 1, 1, 1)) == 1
-    assert count_irreducible_quadratic_factors(fp(F2, 0, 1, 1)) == 0
-    assert count_irreducible_quadratic_factors(fp(F3, 0, 1, 0, 1)) == 1  # x(x^2+1)
+    assert factor_degrees(fp(2, 1, 1, 1)).count(2) == 1
+    assert factor_degrees(fp(2, 0, 1, 1)).count(2) == 0
+    assert factor_degrees(fp(3, 0, 1, 0, 1)).count(2) == 1  # x(x^2+1)
 
 
 def test_count_irreducible_factors():
-    assert count_irreducible_factors(fp(F2, 0, 1, 1)) == 2  # x(x+1)
-    assert count_irreducible_factors(fp(F2, 1, 1, 1)) == 1
-    assert count_irreducible_factors(fp(F3, 0, 1, 0, 1)) == 2
+    assert factor_degrees(fp(2, 0, 1, 1)) == (1, 1)  # x(x+1)
+    assert factor_degrees(fp(2, 1, 1, 1)) == (2,)
+    assert factor_degrees(fp(3, 0, 1, 0, 1)) == (2, 1)
     # x(x+1)(x^2+x+1) over F_2
-    f = fp(F2, 0, 1, 1) * fp(F2, 1, 1, 1)
-    assert count_irreducible_factors(f) == 3
-    assert factor_degrees(f) == (2, 1, 1)
-    assert factor_degrees(fp(F3, 0, 1, 0, 1) * fp(F3, 1, 2, 0, 1)) == (3, 2, 1)  # x(x^2+1)(x^3+2x+1)
+    assert factor_degrees(fp(2, 0, 1, 1) * fp(2, 1, 1, 1)) == (2, 1, 1)
+    assert factor_degrees(fp(3, 0, 1, 0, 1) * fp(3, 1, 2, 0, 1)) == (3, 2, 1)  # x(x^2+1)(x^3+2x+1)
 
 
 def test_degree_accounting():
-    field = F3
-    for f in _monic_polys(field, 4):
+    for f in monic_polys(3, 4):
         if not is_squarefree(f):
             continue
         n1 = count_linear_factors(f)
-        n2 = count_irreducible_quadratic_factors(f)
+        n2 = factor_degrees(f).count(2)
         assert n1 + 2 * n2 <= 4
 
 
@@ -143,28 +123,22 @@ def test_degree_accounting():
 
 
 def test_resultant_linear_case():
-    F7 = PrimeField(7)
     for a in range(7):
         for b in range(7):
-            r = resultant(fp(F7, -a, 1), fp(F7, -b, 1))
+            r = resultant(fp(7, -a, 1), fp(7, -b, 1))
             assert r == (a - b) % 7
 
 
 def test_resultant_shared_root_criterion():
-    f = fp(F3, 0, 1, 1)  # x(x+1)
-    g = fp(F3, 0, 1)  # x
+    f = fp(3, 0, 1, 1)  # x(x+1)
+    g = fp(3, 0, 1)  # x
     assert resultant(f, g) == 0
-    assert resultant(fp(F3, 1, 0, 1), fp(F3, 0, 1)) == 1
-
-
-def test_resultant_zero_input_rejected():
-    with pytest.raises(ValueError):
-        resultant(FieldPoly(F3, []), fp(F3, 1))
+    assert resultant(fp(3, 1, 0, 1), fp(3, 0, 1)) == 1
 
 
 _f5_polys = st.lists(
     st.integers(min_value=0, max_value=4), min_size=1, max_size=5
-).map(lambda cs: FieldPoly(F5, cs)).filter(lambda f: not f.is_zero())
+).map(lambda cs: FieldPoly(5, cs)).filter(lambda f: not f.is_zero())
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,15 +148,8 @@ def test_resultant_multiplicative(a, b, c):
 
 
 def test_discriminant_class_examples():
-    assert discriminant_class(fp(F3, 1, 0, 1)) == "nonresidue"  # disc(x^2+1) = -4 = 2
-    assert discriminant_class(fp(F3, 2, 0, 1)) == "residue"  # disc(x^2-1) = 4 = 1
-
-
-def test_discriminant_class_rejections():
-    with pytest.raises(ValueError):
-        discriminant_class(fp(F2, 1, 1, 1))  # p = 2
-    with pytest.raises(ValueError):
-        discriminant_class(fp(F3, 0, 0, 1))  # not square-free
+    assert not disc_residue(fp(3, 1, 0, 1))  # disc(x^2+1) = -4 = 2
+    assert disc_residue(fp(3, 2, 0, 1))  # disc(x^2-1) = 4 = 1
 
 
 def test_discriminant_equidistribution_f3_quadratics():
@@ -194,7 +161,7 @@ def test_discriminant_equidistribution_f3_quadratics():
 
 def _squarefree_polys(p, n):
     """(index, f) for every monic square-free f of degree n, in index order."""
-    return [(i, f) for i, f in enumerate(_monic_polys(PrimeField(p), n)) if is_squarefree(f)]
+    return [(i, f) for i, f in enumerate(monic_polys(p, n)) if is_squarefree(f)]
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
@@ -206,7 +173,7 @@ def test_batched_discriminant_matches_scalar_per_row(monkeypatch, chunk):
     for p, n in [(3, 1), (3, 3), (3, 6), (5, 5), (7, 4)]:
         polys = _squarefree_polys(p, n)
         got = _disc_residues(np.array([i for i, _ in polys]), n, p)
-        assert got.tolist() == [_disc_residue(f) for _, f in polys]
+        assert got.tolist() == [disc_residue(f) for _, f in polys]
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
@@ -231,8 +198,7 @@ def test_batched_discriminant_at_large_p(monkeypatch, chunk, p, n):
     else:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
     sample = sf[::211]
-    field = PrimeField(p)
-    expected = [_disc_residue(FieldPoly(field, row)) for row in ffpoly._monic_rows(sample, p, n).tolist()]
+    expected = [disc_residue(FieldPoly(p, row)) for row in ffpoly._monic_rows(sample, p, n).tolist()]
     assert _disc_residues(sample, n, p).tolist() == expected
 
 
@@ -250,15 +216,6 @@ def test_width_edge_primes():
     assert (_OVERFLOW - 1) ** 2 >= 2**31
 
 
-def test_discriminant_class_reuses_the_field_of_f(monkeypatch):
-    # building PrimeField(p) again re-runs trial division, about 1 ms at this p
-    f = fp(PrimeField(_BUDGET_TOP), 1, 0, 1)
-    calls = []
-    monkeypatch.setattr(ffpoly, "is_prime", lambda p: calls.append(p) or True)
-    assert discriminant_class(f) == "residue"  # disc(x^2+1) = -4, and p = 1 mod 4
-    assert calls == []
-
-
 @pytest.mark.parametrize("chunk", [None, 8])
 @pytest.mark.parametrize(
     "p,n",
@@ -272,8 +229,7 @@ def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
     idx = np.append(np.arange(0, p**n, p**n // 500 + 1), p**n - 1)
     if n == 2:
         idx = idx[(idx // p * (idx // p) - 4 * (idx % p)) % p != 0]
-    field = PrimeField(p)
-    expected = [_disc_residue(FieldPoly(field, row)) for row in ffpoly._monic_rows(idx, p, n).tolist()]
+    expected = [disc_residue(FieldPoly(p, row)) for row in ffpoly._monic_rows(idx, p, n).tolist()]
     assert _disc_residues(idx, n, p).tolist() == expected
 
 
@@ -328,7 +284,7 @@ def test_discriminant_classes_across_many_windows(monkeypatch, p, n):
     # moves the classes off the direct walk's
     monkeypatch.setattr(ffpoly, "_CHUNK", 64)
     assert p**n > 3 * 64
-    assert enumerate_stats(n, p) == _stats_direct(n, p, True)
+    assert enumerate_stats(n, p) == stats_direct(n, p)
 
 
 # every odd p with a point p^n <= 729 of degree 2 or more
@@ -357,16 +313,16 @@ def test_batched_discriminant_follows_stickelberger(point):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_quadratic_irreducible_count_matches_formula(p):
-    found = irreducible_polynomials(p, 2)
+    found = _sieved(p, 2)
     assert len(found) == sqfree.count_irreducibles(2).eval(p) == (p * p - p) // 2
     for g in found:
-        assert is_irreducible(g)
+        assert _irreducible(g)
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (2, 4), (3, 3), (5, 3)])
 def test_sieve_irreducibles_agree_with_trial_division(p, d):
-    sieved = set(irreducible_polynomials(p, d))
-    direct = {f for f in _monic_polys(PrimeField(p), d) if is_irreducible(f)}
+    sieved = set(_sieved(p, d))
+    direct = {f for f in monic_polys(p, d) if _irreducible(f)}
     assert sieved == direct
     assert len(sieved) == sqfree.count_irreducibles(d).eval(p)
 
@@ -375,17 +331,17 @@ def test_sieve_irreducibles_agree_with_trial_division(p, d):
 def test_sieve_irreducible_counts_beyond_trial_division(p):
     # the zero codes of the marking pass at each degree, up to 5^6 polynomials
     for d in range(1, 7):
-        assert len(irreducible_polynomials(p, d)) == sqfree.count_irreducibles(d).eval(p)
+        assert len(ffpoly._irreducibles(p, d)) == sqfree.count_irreducibles(d).eval(p)
 
 
 def test_sieve_keeps_every_linear_polynomial_at_large_p():
     p = 3137
-    assert [f.coeffs for f in irreducible_polynomials(p, 1)] == [(c, 1) for c in range(p)]
+    assert ffpoly._irreducibles(p, 1).tolist() == [[c, 1] for c in range(p)]
 
 
 def _index(f):
     """Base-p index of a monic polynomial: its non-leading coefficients."""
-    return sum(c * f.field.p**i for i, c in enumerate(f.coeffs[:-1]))
+    return sum(c * f.p**i for i, c in enumerate(f.coeffs[:-1]))
 
 
 @pytest.mark.parametrize("chunk", [None, 4])
@@ -397,8 +353,7 @@ def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
         ffpoly._irreducibles.cache_clear()
     for p, e, m in [(2, 1, 5), (3, 2, 3), (5, 1, 3), (7, 2, 1), (13, 1, 2), (9973, 1, 1)]:
-        field = PrimeField(p)
-        irr = [g for g in _monic_polys(field, e) if is_irreducible(g)]
+        irr = [g for g in monic_polys(p, e) if _irreducible(g)]
         if p == 9973:
             # the three g of largest index: the products' indices reach
             # p^2 - 1, near 10^8, the scale of MAX_BUDGET
@@ -406,11 +361,11 @@ def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
         G = np.array([list(g.coeffs) for g in irr], dtype=np.int64)
         batches = list(_product_indices(G, p, m))
         assert max(len(b) for b in batches) <= ffpoly._CHUNK
-        expected = sorted(_index(g * h) for g in irr for h in _monic_polys(field, m))
+        expected = sorted(_index(g * h) for g in irr for h in monic_polys(p, m))
         assert sorted(np.concatenate(batches).tolist()) == expected
     for p, d in [(2, 5), (3, 4)]:
-        direct = [f for f in _monic_polys(PrimeField(p), d) if is_irreducible(f)]
-        assert irreducible_polynomials(p, d) == direct
+        direct = [f for f in monic_polys(p, d) if _irreducible(f)]
+        assert _sieved(p, d) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +404,7 @@ def test_enumerate_stats_counts_match_formula():
     ],
 )
 def test_sieve_and_direct_methods_agree(p, n):
-    assert enumerate_stats(n, p) == _stats_direct(n, p, True)
+    assert enumerate_stats(n, p) == stats_direct(n, p)
 
 
 _small_grid = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 10) if p**n <= 729]
@@ -459,7 +414,7 @@ _small_grid = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 10) if p**n <= 729
 @given(st.sampled_from(_small_grid))
 def test_sieve_equals_direct_property(point):
     p, n = point
-    assert enumerate_stats(n, p) == _stats_direct(n, p, True)
+    assert enumerate_stats(n, p) == stats_direct(n, p)
 
 
 @pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
@@ -496,16 +451,13 @@ def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
     for p, n in [(2, 8), (3, 5), (5, 4), (7, 3)]:
         radices = ffpoly._type_code(n, p)[0]
         codes = ffpoly._factor_codes(n, p).tolist()
-        for code, f in zip(codes, _monic_polys(PrimeField(p), n), strict=True):
+        for code, f in zip(codes, monic_polys(p, n), strict=True):
             parts = ffpoly._code_type(code, n, radices)
             if not is_squarefree(f):
                 assert parts is None, f
             else:
                 assert parts == factor_degrees(f), f
-                assert (parts.count(1), parts.count(2)) == (
-                    count_linear_factors(f),
-                    count_irreducible_quadratic_factors(f),
-                ), f
+                assert parts.count(1) == count_linear_factors(f), f
 
 
 def test_square_walk_at_large_p_stays_chunk_sized():
@@ -522,6 +474,21 @@ def test_square_walk_at_large_p_stays_chunk_sized():
         tracemalloc.stop()
     # a few arrays of at most about _CHUNK*(e+1) int64 entries at a time
     assert peak - codes.nbytes < 8 * 2**20
+
+
+def test_product_walk_at_p_2_frees_each_level_before_it_descends():
+    # at p = 2 the walk nests up to n - 1 levels, all alive at once; with
+    # each level's digit arrays kept through its descent the peak was
+    # 7.1 MiB above the codes
+    p, n = 2, 22
+    _sieve_irreducibles(p, n // 2)
+    tracemalloc.start()
+    try:
+        codes = ffpoly._factor_codes(n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - codes.nbytes <= 6 * 2**20
 
 
 def test_stats_histogram_makes_no_copy_of_the_packed_codes():
@@ -584,30 +551,6 @@ def test_factor_counts_rejects_an_unmarked_small_factor():
         ffpoly._code_type(radices[0], 4, radices)  # m_1 = 0, m_2 = 1
 
 
-def test_irreducible_polynomials_checks_the_budget_first(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("sieve ran")
-
-    monkeypatch.setattr(ffpoly, "_irreducibles", refuse)
-    with pytest.raises(EnumerationBudgetError) as exc:
-        irreducible_polynomials(2, 27)
-    assert str(ffpoly.MAX_BUDGET) in str(exc.value)
-
-
-def test_irreducible_polynomials_rejects_degree_below_one(monkeypatch):
-    # with degree 2 sieved, a negative degree must not read a cached
-    # degree, nor degree 0 come back empty
-    irreducible_polynomials(3, 2)
-
-    def refuse(*args):
-        raise AssertionError("sieve ran")
-
-    monkeypatch.setattr(ffpoly, "_irreducibles", refuse)
-    for degree in (0, -1):
-        with pytest.raises(ValueError):
-            irreducible_polynomials(3, degree)
-
-
 def test_enumerate_rejects_budget_above_the_maximum(monkeypatch):
     # refused before anything is allocated: the sieve does not run
     def refuse(*args):
@@ -636,9 +579,15 @@ def test_enumerate_refuses_a_huge_degree_without_forming_p_to_the_n():
     assert peak < 2**16
 
 
-def test_enumerate_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        enumerate_stats(0, 3)
+def test_enumerate_rejects_degree_zero(monkeypatch):
+    # and a degree or field size that is not an int, before anything is allocated
+    def refuse(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(ffpoly, "_stats_sieve", refuse)
+    for n, p in [(0, 3), (2.0, 3), (True, 3), (2, 3.0), (2, True)]:
+        with pytest.raises(ValueError):
+            enumerate_stats(n, p)
 
 
 def test_direct_method_decides_squarefreeness_once_per_polynomial(monkeypatch):
@@ -648,8 +597,8 @@ def test_direct_method_decides_squarefreeness_once_per_polynomial(monkeypatch):
         calls.append(f)
         return is_squarefree(f)
 
-    monkeypatch.setattr(ffpoly, "is_squarefree", counted)
-    _stats_direct(4, 3, True)
+    monkeypatch.setattr(fp_reference, "is_squarefree", counted)
+    stats_direct(4, 3)
     assert len(calls) == 3**4
 
 

@@ -5,6 +5,7 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from fp_reference import count_linear_factors, factor_degrees, is_squarefree, monic_polys, stats_direct
 
 from sqftori import ffpoly, sqfree, suites, tori
 from sqftori.exact import ONE, Q, RationalFunction
@@ -28,11 +29,7 @@ _ORDERS_OF_WEIGHT_AT_MOST_4 = [l.multiplicities() for s in range(5) for l in tor
 
 
 def _count_irreducibles_brute(d: int, p: int) -> int:
-    return sum(
-        1
-        for f in ffpoly._monic_polys(ffpoly.PrimeField(p), d)
-        if ffpoly.is_irreducible(f)
-    )
+    return dict(stats_direct(d, p).type_counts).get((d,), 0)
 
 
 def test_count_irreducibles_small_degrees():
@@ -166,9 +163,9 @@ def test_expected_linear_factors_is_the_first_moment():
 def _factor_counts(p: int, n: int) -> tuple[tuple[int, int], ...]:
     """(X_1, X_2) of every square-free monic f of degree n over F_p, by trial division."""
     return tuple(
-        (ffpoly.count_linear_factors(f), ffpoly.count_irreducible_quadratic_factors(f))
-        for f in ffpoly._monic_polys(ffpoly.PrimeField(p), n)
-        if ffpoly.is_squarefree(f)
+        (count_linear_factors(f), factor_degrees(f).count(2))
+        for f in monic_polys(p, n)
+        if is_squarefree(f)
     )
 
 
