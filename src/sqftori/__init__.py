@@ -15,7 +15,7 @@ from .exact import (
     render_poly,
     render_rational_function,
 )
-from .ffpoly import PrimeField, SquareFreeStats, enumerate_stats
+from .ffpoly import SquareFreeStats, check_prime, enumerate_stats
 from .report import RunConfig, VerificationReport
 from .series import TruncatedSeries
 from .sqfree import (

@@ -27,7 +27,8 @@ code is decoded.  The types are read off one histogram of the codes,
 sorted in place, each distinct code decoded once.  Discriminant classes
 come from one batched Euclidean resultant Res(f', f) over the
 square-free polynomials, passed on one window of codes at a time, in
-digit-major int32 numpy blocks (int64 above p = 2^15), with Euler's
+digit-major numpy blocks of int16 up to p = 127, int32 up to p = 32749
+and int64 above, each step on the rows still live, with Euler's
 criterion once per polynomial at the end.
 
 The tests hold the sieve to a scalar reference, ``tests/fp_reference.py``,
@@ -81,32 +82,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeField:
-    """F_p for a prime p, checked by trial division at construction."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        # a float or bool p passes the range and trial division checks
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise ValueError(f"prime must be an int, not {p!r}")
-        if not 2 <= p < 2**31:
-            raise ValueError(f"field size {p} out of range")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("PrimeField is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is an int, 2 <= p < 2^31 and prime, by
+    trial division."""
+    # a float or bool p passes the range and trial division checks
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"prime must be an int, not {p!r}")
+    if not 2 <= p < 2**31:
+        raise ValueError(f"field size {p} out of range")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +101,9 @@ class PrimeField:
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in [0, p), also for negative x, in the dtype of x, by floor
-    division: on a 7 x 9362 block about 18x faster than % in int32, 6x in
-    int64.  Built in place on the quotient, it allocates one array, as %."""
+    division: on the 6 x 9362 rows the pass reduces at (n, p) = (6, 7),
+    about 20x faster than % in int16, 15x in int32, 7x in int64.  Built in
+    place on the quotient, it allocates one array, as %."""
     r = x // p
     r *= -p
     r += x
@@ -140,32 +126,43 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
         (-1)^deg b * lc(b).
     Only the quadratic character matters and chi(x/y) = chi(xy), so the
     accumulator takes lc(b) where deg b is even; the signs (-1)^deg b
-    telescope to (-1)^(n(n-1)) = 1.  After 2n-1 steps every row has
+    telescope to (-1)^(n(n-1)) = 1, and the other signs are kept as a
+    parity.  Row i of a holds the coefficient of x^(deg a - i), with
+    deg a = s - deg b, so its rows past deg a are zero, as are those of b
+    past deg b: a step touches only the top max(s - min deg b, max deg b) + 1
+    rows of the block.  After 2n-1 steps a square-free row has
     deg a = deg b = 0 (a constant b keeps taking its factors of
-    Res(a, b) = b^deg a), and Euler's criterion runs once per row.
-    Intermediates stay below 2p^2: int32 where that fits, else int64.
+    Res(a, b) = b^deg a), and Euler's criterion runs once per row; a row
+    left with deg b > 0 has Res(f', f) = 0 and is refused.
+    Intermediates stay below 2p^2, so the blocks are int16 while
+    2p^2 < 2^15 (p <= 127), int32 while 2p^2 < 2^31 (p <= 32749), else int64.
     """
     out = np.empty(len(idx), dtype=bool)
     block = max(1, _CHUNK // (n + 1))  # rows of n+1 coefficients
-    dtype = np.int32 if 2 * p * p < 2**31 else np.int64
+    dtype = np.int16 if 2 * p * p < 2**15 else np.int32 if 2 * p * p < 2**31 else np.int64
     for lo in range(0, len(idx), block):
         b = _monic_rows(idx[lo : lo + block], p, n).T[::-1]  # digit-major, leading row first
         b = np.ascontiguousarray(b, dtype=dtype)
         a = np.zeros_like(b)
-        a[:n] = _mod(b[:n] * (np.arange(n, 0, -1) % p)[:, None], p)  # f' at formal degree n-1
+        a[:n] = _mod(b[:n] * (np.arange(n, 0, -1) % p).astype(dtype)[:, None], p)  # f' at formal degree n-1
         acc = np.ones(b.shape[1], dtype=dtype)
         db = np.full_like(acc, n)
-        sign = np.full_like(acc, n * (n - 1) // 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f')
+        sign = np.full_like(acc, n * (n - 1) // 2 % 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f'), as bit 0
         for s in range(2 * n - 1, 0, -1):
-            swap = (a[0] != 0) & (2 * db > s)
-            sign += swap * (s - db) * db
-            d = (b - a) * swap  # swap in place
-            a += d
-            b -= d
+            live = min(n + 1, max(s - int(db.min()), int(db.max())) + 1)
+            la, lb = a[:live], b[:live]
+            swap = (a[0] != 0) & (db > s // 2)
+            if s % 2 == 0:  # (s - db) * db is odd only where s is even and db odd
+                sign ^= swap & db
+            d = (lb - la) * swap  # swap in place
+            la += d
+            lb -= d
             db += swap * (s - 2 * db)
             acc = np.where(db & 1, acc, _mod(acc * b[0], p))
-            a[:-1] = _mod(b[0] * a[1:] - a[0] * b[1:], p)
-            a[-1] = 0
+            la[:-1] = _mod(b[0] * la[1:] - a[0] * lb[1:], p)
+            la[-1] = 0
+        if db.any():
+            raise ArithmeticError(f"Res(f', f) = 0 on {np.count_nonzero(db)} of {db.size} rows: not square-free")
         acc = np.where(sign & 1, p - acc, acc)
         chi = np.ones_like(acc)
         e = (p - 1) // 2
@@ -454,12 +451,12 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (about 90% at 7^6, 65% at 3137^2) and can be switched off.
+    time (about 80% at 7^6, 60% at 3137^2) and can be switched off.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"degree must be an int, not {n!r}")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    PrimeField(p)
+    check_prime(p)
     _check_budget(n, p)
     return _stats_sieve(n, p, discriminants)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .ffpoly import MAX_BUDGET, PrimeField
+from .ffpoly import MAX_BUDGET, check_prime
 from .sqfree import DEFAULT_ORDER
 
 
@@ -70,7 +70,7 @@ class RunConfig:
 
     def __post_init__(self):
         # a float or bool size would fail deep inside the run, or run wrongly;
-        # PrimeField checks the primes the same way
+        # check_prime checks the primes the same way
         for name in ("n_max", "series_order", "enumeration_budget"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -82,7 +82,7 @@ class RunConfig:
                 f"series order {self.series_order} is smaller than n_max {self.n_max}"
             )
         for p in self.primes:
-            PrimeField(p)  # raises ValueError unless p is an int, 2 <= p < 2^31 and prime
+            check_prime(p)
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"repeated prime in {list(self.primes)}")
         if self.enumeration_budget > MAX_BUDGET:

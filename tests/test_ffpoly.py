@@ -23,8 +23,8 @@ from fp_reference import (
 from sqftori import ffpoly, sqfree
 from sqftori.ffpoly import (
     EnumerationBudgetError,
-    PrimeField,
     _disc_residues,
+    check_prime,
     enumerate_stats,
     is_prime,
 )
@@ -51,7 +51,7 @@ def _sieved(p, d):
 def test_prime_field_rejects_composites():
     for bad in (6, 1, 3.0, True):
         with pytest.raises(ValueError):
-            PrimeField(bad)
+            check_prime(bad)
 
 
 def test_poly_division():
@@ -202,35 +202,69 @@ def test_batched_discriminant_at_large_p(monkeypatch, chunk, p, n):
     assert _disc_residues(sample, n, p).tolist() == expected
 
 
-#: the pass runs on int32 while 2p^2 < 2^31: the largest prime that keeps
-#: that width, the smallest above it, and the largest prime within
-#: MAX_BUDGET; at n = 2 over F_65537 the products of residues overflow int32
+#: the pass runs on int16 while 2p^2 < 2^15 and on int32 while 2p^2 < 2^31:
+#: the largest prime that keeps each width, the smallest above it, and the
+#: largest prime within MAX_BUDGET; at n = 2 over F_191 the products of
+#: residues overflow int16, over F_65537 int32
+_INT16_TOP, _INT16_ABOVE, _INT16_OVERFLOW = 127, 131, 191
 _NARROW_TOP, _WIDE_BOTTOM, _BUDGET_TOP, _OVERFLOW = 32749, 32771, 99999989, 65537
 
 
 def test_width_edge_primes():
+    assert 2 * _INT16_TOP**2 < 2**15 < 2 * _INT16_ABOVE**2
+    assert not any(is_prime(q) for q in range(_INT16_TOP + 1, _INT16_ABOVE))
     assert 2 * _NARROW_TOP**2 < 2**31 < 2 * _WIDE_BOTTOM**2
     assert not any(is_prime(q) for q in range(_NARROW_TOP + 1, _WIDE_BOTTOM))
     assert not any(is_prime(q) for q in range(_BUDGET_TOP + 1, ffpoly.MAX_BUDGET + 1))
-    assert all(is_prime(q) for q in (_NARROW_TOP, _WIDE_BOTTOM, _BUDGET_TOP, _OVERFLOW))
+    primes = (_INT16_TOP, _INT16_ABOVE, _INT16_OVERFLOW, _NARROW_TOP, _WIDE_BOTTOM, _BUDGET_TOP, _OVERFLOW)
+    assert all(is_prime(q) for q in primes)
+    assert (_INT16_OVERFLOW - 1) ** 2 >= 2**15
     assert (_OVERFLOW - 1) ** 2 >= 2**31
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
 @pytest.mark.parametrize(
     "p,n",
-    [(_NARROW_TOP, 1), (_NARROW_TOP, 2), (_WIDE_BOTTOM, 1), (_WIDE_BOTTOM, 2), (_BUDGET_TOP, 1), (_OVERFLOW, 2)],
+    [
+        (_INT16_TOP, 1),
+        (_INT16_TOP, 2),
+        (_INT16_TOP, 3),
+        (_INT16_ABOVE, 2),
+        (_INT16_OVERFLOW, 2),
+        (_NARROW_TOP, 1),
+        (_NARROW_TOP, 2),
+        (_WIDE_BOTTOM, 1),
+        (_WIDE_BOTTOM, 2),
+        (_BUDGET_TOP, 1),
+        (_OVERFLOW, 2),
+    ],
 )
 def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
     # a strided sample of the square-free rows, both ends included: every
-    # x + c, and x^2 + b*x + c with b^2 - 4c != 0
+    # x + c, and the square-free x^2 + b*x + c and x^3 + a*x^2 + b*x + c
     if chunk is not None:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
     idx = np.append(np.arange(0, p**n, p**n // 500 + 1), p**n - 1)
-    if n == 2:
-        idx = idx[(idx // p * (idx // p) - 4 * (idx % p)) % p != 0]
-    expected = [disc_residue(FieldPoly(p, row)) for row in ffpoly._monic_rows(idx, p, n).tolist()]
-    assert _disc_residues(idx, n, p).tolist() == expected
+    polys = [FieldPoly(p, row) for row in ffpoly._monic_rows(idx, p, n).tolist()]
+    keep = [is_squarefree(f) for f in polys]
+    expected = [disc_residue(f) for f, k in zip(polys, keep) if k]
+    assert _disc_residues(idx[keep], n, p).tolist() == expected
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 3), (5, 5), (7, 4)])
+def test_batched_discriminant_refuses_rows_that_are_not_squarefree(p, n):
+    # Res(f', f) = 0 leaves deg b > 0 after the last step, also where f' = 0
+    # (x^3 + c over F_3, x^5 + c over F_5): each such row is refused alone,
+    # and one among all the square-free rows is counted as one
+    flags = [is_squarefree(f) for f in monic_polys(p, n)]
+    for i, ok in enumerate(flags):
+        if not ok:
+            with pytest.raises(ArithmeticError):
+                _disc_residues(np.array([i]), n, p)
+    rows = np.flatnonzero(flags)
+    mixed = np.insert(rows, len(rows) // 2, flags.index(False))
+    with pytest.raises(ArithmeticError, match=f"on 1 of {len(mixed)} rows"):
+        _disc_residues(mixed, n, p)
 
 
 #: a few arrays of about _CHUNK entries each, as the product walk and the
