@@ -37,6 +37,10 @@ LARGE_PRIME = 2**61 - 1
 #: sha256 of the timing-free `verify_all(SMALL)` JSON
 SMALL_DIGEST = "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf"
 
+#: sha256 of the timing-free `tori types --n 5 --prime 2 --prime 3` JSON, the
+#: only command that emits the `tori-type-count-at-q` rows
+TORI_TYPES_DIGEST = "28189952f2ab6642022cdfec3282ba702a2d76c68a00210ff01dfd9638062c8a"
+
 
 # ---------------------------------------------------------------------------
 # report type and config
@@ -200,6 +204,12 @@ def test_verify_all_json_is_byte_identical_to_recorded_digest():
     # guards every refactor of the report path: names, parameters and renderings
     reports = suites.verify_all(SMALL)
     assert timing_free_digest(reports_to_json(SMALL, reports)) == (SMALL_DIGEST, 90)
+
+
+def test_tori_types_json_is_byte_identical_to_recorded_digest(capsys):
+    argv = ["tori", "types", "--n", "5", "--prime", "2", "--prime", "3", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert timing_free_digest(capsys.readouterr().out) == (TORI_TYPES_DIGEST, 23)
 
 
 def _clear_symbolic_caches():
