@@ -29,8 +29,6 @@ from .sqfree import (
     squarefree_count,
 )
 from .tori import (
-    Partition,
-    TorusTypeRecord,
     centralizer_order,
     expected_eigenvectors,
     irreducible_tori_count,
@@ -39,7 +37,7 @@ from .tori import (
     tori_quad_excess,
     torus_type_count,
     total_tori,
-    type_distribution,
+    type_counts,
 )
 
 __version__ = "0.1.0"

@@ -116,9 +116,10 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
 
     Runs the Euclidean resultant Res(f', f) = Res(f, f') on all rows of a
     block of at most _CHUNK coefficients at once; b = f stays monic even
-    when p | n.  Blocks are digit-major and top-aligned (row 0 holds the
-    coefficients of x^deg), so every operation runs on vectors as long as
-    the block.  In each step, with s = deg a + deg b the same in every row:
+    when p | n.  Blocks are digit-major and top-aligned, as `_monic_rows`
+    decodes them (row 0 holds the coefficients of x^deg), so every
+    operation runs on vectors as long as the block.  In each step, with
+    s = deg a + deg b the same in every row:
       - where lc(a) != 0 and deg a < deg b, swap a and b, at a sign
         (-1)^(deg a * deg b);
       - set a to lc(b)*a - lc(a)*x^(deg a - deg b)*b, at a factor
@@ -141,8 +142,7 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     block = max(1, _CHUNK // (n + 1))  # rows of n+1 coefficients
     dtype = np.int16 if 2 * p * p < 2**15 else np.int32 if 2 * p * p < 2**31 else np.int64
     for lo in range(0, len(idx), block):
-        b = _monic_rows(idx[lo : lo + block], p, n).T[::-1]  # digit-major, leading row first
-        b = np.ascontiguousarray(b, dtype=dtype)
+        b = _monic_rows(idx[lo : lo + block], p, n, dtype)
         a = np.zeros_like(b)
         a[:n] = _mod(b[:n] * (np.arange(n, 0, -1) % p).astype(dtype)[:, None], p)  # f' at formal degree n-1
         acc = np.ones(b.shape[1], dtype=dtype)
@@ -179,17 +179,19 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
 # irreducible polynomials by sieve
 # ---------------------------------------------------------------------------
 
-def _monic_rows(idx: np.ndarray, p: int, degree: int) -> np.ndarray:
-    """Coefficient rows (with leading 1) of monic polynomials by index.
+def _monic_rows(idx: np.ndarray, p: int, degree: int, dtype: type[np.signedinteger]) -> np.ndarray:
+    """The coefficients of monic polynomials by index, digit-major with the
+    leading 1 first: row r holds the coefficients of x^(degree - r), one
+    column per index, in the given dtype.
 
     Digit i of an index in base p is coefficient i."""
-    rows = np.empty((len(idx), degree + 1), dtype=np.int64)
+    rows = np.empty((degree + 1, len(idx)), dtype=dtype)
+    rows[0] = 1
     work = idx.astype(np.int64)
     for i in range(degree):
         q = work // p
-        rows[:, i] = work - q * p
+        rows[degree - i] = work - q * p
         work = q
-    rows[:, degree] = 1
     return rows
 
 
@@ -261,13 +263,15 @@ def _add_cofactor_digits(
 
 @lru_cache(maxsize=None)
 def _irreducibles(p: int, d: int) -> np.ndarray:
-    """Coefficient rows of the monic irreducibles of degree d >= 1.
+    """Coefficient rows of the monic irreducibles of degree d >= 1, one
+    row per polynomial with the constant term first (a view of the
+    digit-major `_monic_rows`).
 
     They are the zero codes of _factor_codes(d, p): no factor of degree
     <= d/2 and no square mark.  At d = 1 nothing is marked, so all p
     linear polynomials are kept.
     """
-    return _monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d)
+    return _monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d, np.int64)[::-1].T
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable
 
 from . import ffpoly, sqfree, tori
@@ -88,7 +89,7 @@ def _oracle(config: RunConfig, n_cap: int | None = None, min_p: int = 2):
 
 def _euler_point(which: int):
     def grid(config: RunConfig):
-        order = max(12, config.n_max)
+        order = tori._series_order(config.n_max)  # the order of the shared cached build
         return [({"order": order, "which": which}, (which, order))]
 
     return grid
@@ -114,18 +115,23 @@ def _gl_order_value(n: int, p: int) -> int:
     return out
 
 
-def _type_count_value(rec: tori.TorusTypeRecord, p: int) -> Fraction:
+def _type_count_value(parts: tuple[int, ...], p: int) -> Fraction:
     """The type count at q = p, from its defining quotient in integers."""
-    den = rec.centralizer
-    for i, m in rec.partition.multiplicities().items():
-        den *= (p**i - 1) ** m
-    return Fraction(_gl_order_value(rec.partition.n, p), den)
+    den = tori.centralizer_order(parts) * prod(p**i - 1 for i in parts)
+    return Fraction(_gl_order_value(sum(parts), p), den)
+
+
+def _type_name(parts: tuple[int, ...]) -> str:
+    """The `type` parameter of a report: (2,1,1), and (1) for one part."""
+    return "(" + ",".join(map(str, parts)) + ")"
 
 
 def _probability_sum(n: int) -> RationalFunction:
+    """The type probabilities count/q^(n^2-n), added one type at a time."""
+    total = tori.total_tori_formula(n)
     acc = RationalFunction(0)
-    for rec in tori.type_distribution(n):
-        acc = acc + rec.probability
+    for parts, count in tori.type_counts(n):
+        acc = acc + count / total
     return acc
 
 
@@ -234,35 +240,35 @@ def _tori_type_rows(n: int, with_evaluations: bool) -> dict:
             (
                 {
                     "n": n,
-                    "type": str(rec.partition),
-                    "nonnegative_coefficients": not any(c < 0 for c in rec.count.num.z),
+                    "type": _type_name(parts),
+                    "nonnegative_coefficients": not any(c < 0 for c in count.num.z),
                 },
-                (rec,),
+                (parts, count),
             )
-            for rec in tori.type_distribution(n)
+            for parts, count in tori.type_counts(n)
         ]
 
     def types_at_q(config: RunConfig):
         return [
-            ({"n": n, "q": p, "type": str(rec.partition)}, (rec, p))
-            for rec in tori.type_distribution(n)
+            ({"n": n, "q": p, "type": _type_name(parts)}, (parts, count, p))
+            for parts, count in tori.type_counts(n)
             for p in (config.primes if with_evaluations else ())
         ]
 
     return {
         "tori-type-polynomial": (
             types,
-            lambda rec: rec.count,
-            lambda rec: render_poly(rec.count.num),
+            lambda parts, count: count,
+            lambda parts, count: render_poly(count.num),
         ),
         "tori-type-count-at-q": (
             types_at_q,
-            lambda rec, p: rec.count.eval(p),
-            lambda rec, p: _type_count_value(rec, p),
+            lambda parts, count, p: count.eval(p),
+            lambda parts, count, p: _type_count_value(parts, p),
         ),
         "irreducible-type-match": (
             _point({"n": n}, n),
-            lambda n: tori.torus_type_count(tori.Partition((n,))),
+            lambda n: tori.torus_type_count((n,)),
             lambda n: tori.irreducible_tori_count(n),
         ),
         "tori-type-total": (

@@ -1,7 +1,10 @@
 """F-stable maximal tori of GL_n over the algebraic closure of F_q.
 
 Tori are classified up to the relevant equivalence by partitions of n
-(their "type"); the number of tori of type lambda is
+(their "type"), written as in the F_p oracle `ffpoly`: a tuple of parts,
+largest first.  `type_counts(n)` pairs each type with its number of
+tori, as `SquareFreeStats.type_counts` pairs each factorization type
+with its number of polynomials.  The number of tori of type lambda is
 
     |GL(n,q)| / ( prod_i i^(n_i) n_i!  *  prod_i (q^i - 1)^(n_i) )
 
@@ -33,7 +36,6 @@ F(u) = F(u/q)/(1-u/q) and G(u) = (1+u/q) G(u/q).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -48,33 +50,6 @@ from .series import TruncatedSeries
 from .report import make_report  # noqa: F401,E402
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition of n as a weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be weakly decreasing")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        return dict(Counter(self.parts))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.parts)) + ")"
-
-
 def _partition_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
@@ -85,32 +60,32 @@ def _partition_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order ((n) first)."""
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n, parts largest first, in reverse-lexicographic
+    order ((n) first)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(Partition(parts) for parts in _partition_parts(n, n))
+    return tuple(_partition_parts(n, n))
 
 
-def centralizer_order(l: Partition) -> int:
+def centralizer_order(parts: tuple[int, ...]) -> int:
     """z_lambda = prod_i i^(n_i) * n_i!, the S_n centralizer size of the type."""
-    out = 1
-    for i, m in l.multiplicities().items():
-        out *= i**m * factorial(m)
-    return out
+    return prod(i**m * factorial(m) for i, m in Counter(parts).items())
 
 
-def torus_type_count(l: Partition) -> RationalFunction:
-    """Number of tori of the given type; always a polynomial in q."""
-    n = l.n
+def torus_type_count(parts: tuple[int, ...]) -> RationalFunction:
+    """Number of tori of the type with these parts; always a polynomial in q."""
+    if any(i < 1 for i in parts):
+        raise ValueError(f"parts must be positive: {parts}")
+    n = sum(parts)
     if n < 1:
         raise ValueError("the type count needs a partition of n >= 1")
-    den = QPoly.constant(centralizer_order(l))
-    for i, m in l.multiplicities().items():
-        den = den * (QPoly.q_power(i) - QPoly.constant(1)) ** m
+    den = QPoly.constant(centralizer_order(parts))
+    for i in parts:
+        den = den * (QPoly.q_power(i) - QPoly.constant(1))
     quot, rem = gl_order(n).divmod(den)
     if not rem.is_zero():
-        raise ArithmeticError(f"type count for {l} is not a polynomial")
+        raise ArithmeticError(f"type count for {parts} is not a polynomial")
     return RationalFunction(quot)
 
 
@@ -133,35 +108,13 @@ def total_tori_formula(n: int) -> RationalFunction:
     return RationalFunction.q_power(n * n - n)
 
 
-@dataclass(frozen=True)
-class TorusTypeRecord:
-    partition: Partition
-    centralizer: int
-    count: RationalFunction
-    probability: RationalFunction
-
-
 @lru_cache(maxsize=None)
-def type_distribution(n: int) -> tuple[TorusTypeRecord, ...]:
-    """Counts and exact probabilities for every type of partition of n.
-
-    The probabilities sum to 1 in Q(q) (the Cayley identity).
-    """
+def type_counts(n: int) -> tuple[tuple[tuple[int, ...], RationalFunction], ...]:
+    """One (type, number of tori of that type) pair per partition of n, in
+    the order of `partitions`; they sum to q^(n^2-n) (the Cayley identity)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = total_tori_formula(n)
-    records = []
-    for l in partitions(n):
-        count = torus_type_count(l)
-        records.append(
-            TorusTypeRecord(
-                partition=l,
-                centralizer=centralizer_order(l),
-                count=count,
-                probability=count / total,
-            )
-        )
-    return tuple(records)
+    return tuple((parts, torus_type_count(parts)) for parts in partitions(n))
 
 
 def _type_sum(n: int, weight) -> RationalFunction:
@@ -171,16 +124,16 @@ def _type_sum(n: int, weight) -> RationalFunction:
     the total q^(n^2-n) once at the end.
     """
     acc = QPoly()
-    for rec in type_distribution(n):
-        w = weight(rec.partition)
+    for parts, count in type_counts(n):
+        w = weight(parts)
         if w:
-            acc = acc + rec.count.as_polynomial().scale(w)
+            acc = acc + count.as_polynomial().scale(w)
     return RationalFunction(acc)
 
 
 def total_tori(n: int) -> RationalFunction:
     """Total number of tori, as the sum of the type counts."""
-    return _type_sum(n, lambda l: 1)
+    return _type_sum(n, lambda parts: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +240,8 @@ def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:
     """The same moment as a sum over the types: sum of P(lambda) prod_i C(n_i(lambda), k_i)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-
-    def weight(l: Partition) -> int:
-        mult = l.multiplicities()
-        return prod(comb(mult.get(i, 0), ki) for i, ki in k.items())
-
-    return _type_sum(n, weight) / total_tori_formula(n)
+    moment = _type_sum(n, lambda parts: prod(comb(parts.count(i), ki) for i, ki in k.items()))
+    return moment / total_tori_formula(n)
 
 
 def expected_eigenvectors(n: int) -> RationalFunction:
@@ -349,7 +298,7 @@ def mod2_bias_partition(n: int) -> RationalFunction:
     """sum over types of (-1)^(n - number of parts) * count."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _type_sum(n, lambda l: (-1) ** (n - l.num_parts))
+    return _type_sum(n, lambda parts: (-1) ** (n - len(parts)))
 
 
 def mod2_bias_series(n: int) -> RationalFunction:

@@ -118,8 +118,8 @@ def test_criterion_08_total_tori():
 
 def test_criterion_09_probabilities_sum_to_one():
     for n in range(1, TORI_N_MAX + 1):
-        total = sum((rec.probability for rec in tori.type_distribution(n)), RF(0))
-        assert total == ONE
+        counts = tori.type_counts(n)
+        assert sum((count / tori.total_tori_formula(n) for _, count in counts), RF(0)) == ONE
     _ok(9, "type probabilities sum to 1 exactly for n<=12")
 
 

@@ -38,6 +38,11 @@ def _irreducible(f):
     return is_squarefree(f) and factor_degrees(f) == (f.degree,)
 
 
+def _polys(idx, p, n):
+    """The monic degree-n polynomials with these indices."""
+    return [FieldPoly(p, row) for row in ffpoly._monic_rows(idx, p, n, np.int64)[::-1].T.tolist()]
+
+
 def _sieved(p, d):
     """The sieve's monic irreducibles of degree d, in index order."""
     return [FieldPoly(p, row) for row in ffpoly._irreducibles(p, d).tolist()]
@@ -164,6 +169,16 @@ def _squarefree_polys(p, n):
     return [(i, f) for i, f in enumerate(monic_polys(p, n)) if is_squarefree(f)]
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_monic_rows_are_digit_major_with_the_leading_one_first(dtype):
+    # the one base-p decoder, in the layout and width the discriminant pass uses
+    p, n = 3, 4
+    rows = ffpoly._monic_rows(np.arange(p**n), p, n, dtype)
+    assert rows.dtype == dtype and rows.shape == (n + 1, p**n)
+    assert rows.flags.c_contiguous
+    assert rows[::-1].T.tolist() == [list(f.coeffs) for f in monic_polys(p, n)]
+
+
 @pytest.mark.parametrize("chunk", [None, 8])
 def test_batched_discriminant_matches_scalar_per_row(monkeypatch, chunk):
     # p | n at (3, 3), (3, 6) and (5, 5): f' loses its leading terms; n = 1 at (3, 1)
@@ -198,7 +213,7 @@ def test_batched_discriminant_at_large_p(monkeypatch, chunk, p, n):
     else:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
     sample = sf[::211]
-    expected = [disc_residue(FieldPoly(p, row)) for row in ffpoly._monic_rows(sample, p, n).tolist()]
+    expected = [disc_residue(f) for f in _polys(sample, p, n)]
     assert _disc_residues(sample, n, p).tolist() == expected
 
 
@@ -245,7 +260,7 @@ def test_batched_discriminant_at_the_width_edges(monkeypatch, chunk, p, n):
     if chunk is not None:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
     idx = np.append(np.arange(0, p**n, p**n // 500 + 1), p**n - 1)
-    polys = [FieldPoly(p, row) for row in ffpoly._monic_rows(idx, p, n).tolist()]
+    polys = _polys(idx, p, n)
     keep = [is_squarefree(f) for f in polys]
     expected = [disc_residue(f) for f, k in zip(polys, keep) if k]
     assert _disc_residues(idx[keep], n, p).tolist() == expected

@@ -1,5 +1,6 @@
 """Square-free polynomial identities on the symbolic (generating function) side."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -20,7 +21,7 @@ B_PREFIX = (2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 9, 10, 10, 10)
 
 
 #: every k with sum_d d*k_d <= 4 (12 of them), as the multiplicities of a partition
-_ORDERS_OF_WEIGHT_AT_MOST_4 = [l.multiplicities() for s in range(5) for l in tori.partitions(s)]
+_ORDERS_OF_WEIGHT_AT_MOST_4 = [dict(Counter(parts)) for s in range(5) for parts in tori.partitions(s)]
 
 
 # ---------------------------------------------------------------------------
