@@ -263,9 +263,8 @@ def _add_cofactor_digits(
 
 @lru_cache(maxsize=None)
 def _irreducibles(p: int, d: int) -> np.ndarray:
-    """Coefficient rows of the monic irreducibles of degree d >= 1, one
-    row per polynomial with the constant term first (a view of the
-    digit-major `_monic_rows`).
+    """Coefficient rows, constant term first, of the monic irreducibles of
+    degree d >= 1: a transposed view of their `_monic_rows`.
 
     They are the zero codes of _factor_codes(d, p): no factor of degree
     <= d/2 and no square mark.  At d = 1 nothing is marked, so all p

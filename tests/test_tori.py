@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sqftori import suites, tori
-from sqftori.ffpoly import enumerate_stats
 from sqftori.exact import ONE, Q, RationalFunction, gl_order
+from sqftori.ffpoly import enumerate_stats
 from sqftori.report import RunConfig
 
 RF = RationalFunction
