@@ -14,22 +14,31 @@ deg(g) <= n/2, and every g^2*h with a square mark.  A type code is
 mixed-radix: digit d is m_d, the number of distinct degree-d
 irreducible factors, with radix min(n//d, N(d, p)) + 1, and the number
 of repeated factors sits on top; the codes are uint16 where they fit,
-else uint32.  The products are built in the index domain, vectorized
-with numpy: starting from the index of g*x^deg(h), each coefficient a
-of h adds a*g to a window of deg(g)+1 base-p digits, digit by digit
-mod p, so no coefficient rows are formed.  A repeated factor has degree
-at most n/2, so the square-free polynomials are exactly those without a
-square mark, and the irreducibles those with code 0: the same pass at
-each degree d <= n/2 yields the g.  Each is hit once per irreducible
-factor of degree <= n/2; when those degrees sum to S < n, the rest is
-one irreducible factor of degree n - S > n/2, which is added when the
-code is decoded.  The types are read off one histogram of the codes,
-sorted in place, each distinct code decoded once.  Discriminant classes
-come from one batched Euclidean resultant Res(f', f) over the
-square-free polynomials, passed on one window of codes at a time, in
-digit-major numpy blocks of int16 up to p = 127, int32 up to p = 32749
-and int64 above, each step on the rows still live, with Euler's
-criterion once per polynomial at the end.
+else uint32.  The code array is never held whole: it is marked, read
+and overwritten one slab at a time, in one buffer of at most _SLAB
+codes.  A slab is the indices whose top s digits take one of a run of
+values, s the fewest digits with p^(n-s) <= _SLAB (s = 0: one slab).
+The products are monic, so for each g the top s digits of g*h fix the
+top s coefficients of h; the walk starts from the index of g times
+those top terms and adds only the other coefficients of h, so no
+product outside the slab is made.  The few products whose cofactor has
+fewer than s digits (g^2 with deg g near n/2) are made once and shared
+out by slab.  The products are built in the index domain, vectorized
+with numpy: each coefficient a of h adds a*g to a window of deg(g)+1
+base-p digits, digit by digit mod p, so no coefficient rows are formed.
+A repeated factor has degree at most n/2, so the square-free
+polynomials are exactly those without a square mark, and the
+irreducibles those with code 0: the same pass at each degree d <= n/2
+yields the g.  Each is hit once per irreducible factor of degree <=
+n/2; when those degrees sum to S < n, the rest is one irreducible
+factor of degree n - S > n/2, which is added when the code is decoded.
+The types are read off a histogram of each slab's codes, sorted in
+place, with each distinct code decoded once at the end.  Discriminant
+classes come from one batched Euclidean resultant Res(f', f) over each
+slab's square-free polynomials, passed on one window of codes at a
+time, in digit-major numpy blocks of int16 up to p = 127, int32 up to
+p = 32749 and int64 above, each step on the rows still live, with
+Euler's criterion once per polynomial at the end.
 
 The tests hold the sieve to a scalar reference, ``tests/fp_reference.py``,
 which walks one polynomial at a time with the definitional operations
@@ -52,19 +61,20 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 #: the most polynomials one enumeration may visit, checked before
-#: anything is allocated: above the 29 MiB of the interpreter with
-#: numpy, the sieve peaks at about 2.4 bytes per polynomial with uint16
-#: type codes (22 MiB at 5^10 = 9.8M polynomials, 24 MiB at 3137^2), and
-#: the same with discriminant classes, whose pass holds arrays of about
-#: _CHUNK entries (24 MiB at 3137^2, 8 MiB at 5^9); uint32 codes, needed
-#: only at p = 2 with n >= 16 and p = 3 with n >= 14, take about 5 to 6
-#: bytes (22 MiB at 3^14 = 4.8M with or without discriminant classes, 22
-#: MiB at 2^22 = 4.2M), so 10^8 polynomials stay near 0.2 GiB, and the
-#: largest uint32 point, 2^26, near 0.3 GiB; it also keeps every
-#: product-walk index below 2^31
+#: anything is allocated.  It bounds time, not memory: the sieve holds one
+#: slab of at most _SLAB type codes (2 MiB in uint16, 4 MiB in uint32,
+#: needed only at p = 2 with n >= 16 and p = 3 with n >= 14) and arrays of
+#: about _CHUNK entries beside it, so above the interpreter with numpy it
+#: peaks near 3 MiB at 5^10, 5 MiB at 9973^2 with or without discriminant
+#: classes, and 8 MiB at 2^26, the largest uint32 point, whose walk nests
+#: deepest.  It also keeps every product-walk index below 2^31
 MAX_BUDGET = 100_000_000
 
 _CHUNK = 1 << 16
+
+#: the most type codes the sieve holds at once: it marks, counts and
+#: reads the code array one slab of at most this many indices at a time
+_SLAB = 1 << 20
 
 
 class EnumerationBudgetError(ValueError):
@@ -195,36 +205,74 @@ def _monic_rows(idx: np.ndarray, p: int, degree: int, dtype: type[np.signedinteg
     return rows
 
 
-def _product_indices(G: np.ndarray, p: int, m: int) -> Iterator[np.ndarray]:
-    """Indices of g*h over all rows g of G and all monic h of degree m.
+def _product_indices(
+    G: np.ndarray, p: int, m: int, s: int = 0, top: int = 0, count: int = 1
+) -> Iterator[np.ndarray]:
+    """Indices of g*h over all rows g of G and all monic h of degree m >= s
+    whose product's top s digits, read as one base-p number, lie in
+    top..top+count-1: one slab of the code array, less its first index.
+    With s = 0 that is every product, at its own index.
 
     G holds coefficient rows (leading 1 included) of fixed degree e; the
     products are monic of degree n=e+m and are encoded by their n
     non-leading coefficients.  No rows of h or g*h are formed: the walk
-    starts from the index of g*x^m and adds the terms a_j*x^j*g of
-    h = x^m + sum a_j*x^j one j at a time, each of which changes only
-    digits j..j+e, to (old + a_j*g_i) mod p.  No yielded array is longer
-    than _CHUNK.  Indices are int32: every caller has p^n <= MAX_BUDGET,
-    and no intermediate exceeds 2*p^n < 2^31.
+    starts from `_slab_starts`, the index of g times x^m and the top s
+    terms of h that the slab fixes, and adds the other terms a_j*x^j*g of
+    h one j at a time, each of which changes only digits j..j+e, to
+    (old + a_j*g_i) mod p.  No yielded array is longer than _CHUNK, or
+    than count where a single g has more products.  Indices are int32:
+    every caller has p^n <= MAX_BUDGET, and no intermediate exceeds
+    2*p^n < 2^31.
     """
     e = G.shape[1] - 1
+    free = m - s  # the cofactor digits the walk adds; the slab fixes the rest
     pows = p ** np.arange(e + m + 1, dtype=np.int32)
-    start = (G[:, :e] @ pows[m : m + e]).astype(np.int32)  # index of g*x^m
-    if m == 0:
-        # h = 1: the products are the rows of G themselves
-        for lo in range(0, len(start), _CHUNK):
-            yield start[lo : lo + _CHUNK]
-        return
     a = np.arange(p, dtype=np.int64)[:, None]
-    batch = max(1, _CHUNK // p**m)
+    # rows of G at a time: their starts, and their (g, a) tables where the
+    # walk needs them, stay within _CHUNK entries; the walk splits the rows
+    # further where their products would not
+    batch = max(1, _CHUNK // (count if free == 0 else max(count, p * (e + 1))))
     for lo in range(0, len(G), batch):
-        ag = _mod(a * G[lo : lo + batch, None, :], p).astype(np.int32)
+        g = G[lo : lo + batch]
+        start = _slab_starts(g, p, m, s, top, count)
+        if free == 0:
+            # the slab fixes all of h: the starts are the products
+            yield start.ravel()
+            continue
+        ag = _mod(a * g[:, None, :], p).astype(np.int32)
         # per g and a: the index of a*g, and, digit-major so that each
         # digit's slice is contiguous, the thresholds p - a*g_i at which
         # digit i wraps
         step = ag @ pows[: e + 1]
         thr = np.ascontiguousarray(np.moveaxis(p - ag, 2, 0))
-        yield from _add_cofactor_digits(start[lo : lo + batch, None], step, thr, pows, 0, m)
+        yield from _add_cofactor_digits(start, step, thr, pows, 0, free)
+
+
+def _slab_starts(G: np.ndarray, p: int, m: int, s: int, top: int, count: int) -> np.ndarray:
+    """For each row g of G and each T in top..top+count-1, the index, less
+    top*p^(n-s), of g*(x^m + h_(m-1)*x^(m-1) + ... + h_(m-s)*x^(m-s)), the
+    top terms of every cofactor h of g whose product's top s digits read T.
+
+    g*h is monic, so its coefficient f_(n-k) is h_(m-k) plus the sum of
+    g_(e-i)*h_(m-k+i) over i = 1..k: solved from k = 1 up, the top s
+    digits of f fix those of h, as the top of (T's terms) div g.  The
+    other terms of h times g have degree below n - s, so digit n - s up
+    of every product from this start reads T.  Shape (len(G), count).
+    """
+    e = G.shape[1] - 1
+    n = e + m
+    T = np.arange(top, top + count, dtype=np.int64)
+    h = [1]  # h[k] is h_(m-k), per g and T
+    for k in range(1, s + 1):
+        f = T // p ** (s - k) % p
+        h.append(_mod(f - sum(G[:, e - i, None] * h[k - i] for i in range(1, min(k, e) + 1)), p))
+    # coefficients 0..e-1 of g*(x^s + h_(m-1)*x^(s-1) + ... + h_(m-s)): digits m-s..n-s-1
+    low = np.zeros((len(G), count, e), dtype=np.int64)
+    low[:, :, s:] = G[:, None, : max(0, e - s)]
+    for k in range(max(1, s - e + 1), s + 1):
+        low[:, :, s - k :] += h[k][:, :, None] * G[:, None, : e - s + k]
+    low = _mod(low, p) @ p ** np.arange(m - s, n - s, dtype=np.int64)
+    return (low + (T - top) * p ** (n - s)).astype(np.int32)
 
 
 def _add_cofactor_digits(
@@ -233,7 +281,8 @@ def _add_cofactor_digits(
     """Extend the partial products V[b, k] of g_b by cofactor digits j..m-1.
 
     All a in F_p are taken at once along a numpy axis while the result
-    fits in _CHUNK, and in blocks of a beyond that.  Adding a*g to digits
+    fits in _CHUNK; beyond that the rows g are taken in blocks, and a
+    single row's a in blocks.  Adding a*g to digits
     j..j+e adds step[b, a] * p^j to the index, less p^(j+i+1) for each
     digit i that wraps, that is where old_i >= p - a*g_i.
     """
@@ -242,6 +291,11 @@ def _add_cofactor_digits(
         return
     B, K = V.shape
     e1, p = thr.shape[0], thr.shape[2]
+    if B > 1 and V.size * p > _CHUNK:
+        rows = max(1, _CHUNK // (K * p))
+        for b in range(0, B, rows):
+            yield from _add_cofactor_digits(V[b : b + rows], step[b : b + rows], thr[:, b : b + rows], pows, j, m)
+        return
     wrap = pows[j + 1 : j + e1 + 1]
     rest = V // pows[j]
     old = []
@@ -266,11 +320,12 @@ def _irreducibles(p: int, d: int) -> np.ndarray:
     """Coefficient rows, constant term first, of the monic irreducibles of
     degree d >= 1: a transposed view of their `_monic_rows`.
 
-    They are the zero codes of _factor_codes(d, p): no factor of degree
-    <= d/2 and no square mark.  At d = 1 nothing is marked, so all p
-    linear polynomials are kept.
+    They are the zero codes of _factor_codes(d, p), slab by slab: no
+    factor of degree <= d/2 and no square mark.  At d = 1 nothing is
+    marked, so all p linear polynomials are kept.
     """
-    return _monic_rows(np.flatnonzero(_factor_codes(d, p) == 0), p, d, np.int64)[::-1].T
+    zeros = [np.flatnonzero(codes == 0) + base for base, codes in _factor_codes(d, p)]
+    return _monic_rows(np.concatenate(zeros), p, d, np.int64)[::-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -350,30 +405,64 @@ def _type_code(n: int, p: int) -> tuple[list[int], type[np.unsignedinteger]]:
     raise ValueError(f"the type codes of degree {n} over F_{p} do not fit in 32 bits")
 
 
-def _factor_codes(n: int, p: int) -> np.ndarray:
-    """The type code of every monic degree-n polynomial, by index.
+def _slab_shape(n: int, p: int) -> tuple[int, int]:
+    """(s, k): each slab of the degree-n code array holds the indices whose
+    top s digits take one of k consecutive values, s the fewest digits
+    with p^(n-s) <= _SLAB and k as many values as fit in _SLAB, so that a
+    large p at a small n makes a few slabs, not p tiny ones.  One slab
+    (s = 0) holds every index where p^n <= _SLAB."""
+    s = 0
+    while p ** (n - s) > _SLAB:
+        s += 1
+    return s, min(p**s, _SLAB // p ** (n - s))
+
+
+def _factor_codes(n: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The type code of every monic degree-n polynomial, one slab of
+    consecutive indices at a time, in index order: pairs (base, codes),
+    codes[i] the code of index base + i.  Every slab is a view of one
+    buffer, which the next slab overwrites.
 
     Each product g*h with g irreducible of degree d <= n/2 adds the weight
     of digit d, and each g^2*h the weight of the top digit.  A repeated
     factor g has 2*deg(g) <= n, so exactly the polynomials that are not
     square-free get a square mark: their codes are the ones at or above
-    the product of the lower radices.
+    the product of the lower radices.  A cofactor h with at least s
+    digits is walked into each slab from the top terms the slab fixes;
+    the few products whose cofactor is shorter (g^2 with deg g near n/2)
+    are made once, sorted, and each slab marks its range of them.
     """
     radices, dtype = _type_code(n, p)
-    # sieved before the code array is made, so their passes add nothing to its peak
+    # sieved before the code buffer is made, so their passes add nothing to its peak
     irr = [_irreducibles(p, d) for d in range(1, n // 2 + 1)]
-    codes = np.zeros(p**n, dtype=dtype)
-    square = dtype(math.prod(radices[:-1]))
+    s, k = _slab_shape(n, p)
+    unit = p ** (n - s)
+    marks = []  # (rows of g or g^2, degree of the cofactors, weight)
     for d, g in enumerate(irr, 1):
-        weight = dtype(math.prod(radices[: d - 1]))
-        for idx in _product_indices(g, p, n - d):
-            np.add.at(codes, idx, weight)
         squares = np.zeros((len(g), 2 * d + 1), dtype=np.int64)
         for i in range(d + 1):
             squares[:, i : i + d + 1] += g[:, i, None] * g
-        for idx in _product_indices(_mod(squares, p), p, n - 2 * d):
-            np.add.at(codes, idx, square)
-    return codes
+        squares %= p
+        marks.append((g, n - d, dtype(math.prod(radices[: d - 1]))))
+        marks.append((squares, n - 2 * d, dtype(math.prod(radices[:-1]))))
+    short = [
+        (np.sort(np.concatenate([np.empty(0, np.int32), *_product_indices(G, p, m)])), weight)
+        for G, m, weight in marks
+        if m < s
+    ]
+    codes = np.empty(k * unit, dtype=dtype)
+    for top in range(0, p**s, k):
+        count = min(k, p**s - top)
+        base, slab = top * unit, codes[: count * unit]
+        slab.fill(0)
+        for G, m, weight in marks:
+            if m >= s:
+                for idx in _product_indices(G, p, m, s, top, count):
+                    np.add.at(slab, idx, weight)
+        for idx, weight in short:
+            lo, hi = idx.searchsorted([base, base + slab.size])
+            np.add.at(slab, idx[lo:hi] - base, weight)
+        yield base, slab
 
 
 def _code_type(code: int, n: int, radices: list[int]) -> tuple[int, ...] | None:
@@ -397,54 +486,58 @@ def _code_type(code: int, n: int, radices: list[int]) -> tuple[int, ...] | None:
     return (big,) * (big > 0) + tuple(parts)
 
 
-def _disc_counts(codes: np.ndarray, square: int, n: int, p: int) -> tuple[int, int]:
-    """(residue, nonresidue): how many square-free codes have disc f a
-    square, and how many a non-square, p odd.
+def _disc_residue_count(codes: np.ndarray, base: int, square: np.unsignedinteger, n: int, p: int) -> int:
+    """How many square-free polynomials of a slab have disc f a nonzero
+    square, p odd.
 
-    The square-free indices are gathered one window of the code array at
-    a time and passed to _disc_residues, which splits them into blocks, so
-    no array of all of them is made.
+    The square-free indices are gathered one window of the slab at a time
+    and passed to _disc_residues, which splits them into blocks, so no
+    array of all of them is made.
     """
-    residue = total = 0
+    residue = 0
     for lo in range(0, codes.size, _CHUNK):
-        idx = np.flatnonzero(codes[lo : lo + _CHUNK] < square) + lo
+        idx = np.flatnonzero(codes[lo : lo + _CHUNK] < square) + (base + lo)
         residue += int(np.count_nonzero(_disc_residues(idx, n, p)))
-        total += len(idx)
-    return residue, total - residue
+    return residue
 
 
-def _type_histogram(codes: np.ndarray, n: int, radices: list[int]) -> dict[tuple[int, ...], int]:
-    """The number of square-free polynomials of each factorization type.
+def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int, int]) -> None:
+    """Add the number of polynomials of a slab with each square-free code
+    to counts.
 
     The codes are sorted in place, which puts the square-free ones first,
     and each run of equal codes is found by binary search, so no other
-    array of their length is made.  Each code is decoded once."""
+    array of their length is made."""
     codes.sort()
-    types = {}
     # a search key of another dtype would make searchsorted cast all codes
-    lo, end = 0, int(codes.searchsorted(codes.dtype.type(math.prod(radices[:-1]))))
+    lo, end = 0, int(codes.searchsorted(square))
     while lo < end:
         code = codes[lo]
         hi = int(codes.searchsorted(code, side="right"))
-        types[_code_type(int(code), n, radices)] = hi - lo
+        counts[int(code)] = counts.get(int(code), 0) + hi - lo
         lo = hi
-    return types
 
 
 def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
-    radices, _ = _type_code(n, p)
-    codes = _factor_codes(n, p)
-    disc_residue = disc_nonresidue = None
-    if discriminants and p % 2 == 1:
-        # before the sort, which loses the indices
-        disc_residue, disc_nonresidue = _disc_counts(codes, math.prod(radices[:-1]), n, p)
+    radices, dtype = _type_code(n, p)
+    square = dtype(math.prod(radices[:-1]))  # the first code that is not square-free
+    discriminants = discriminants and p % 2 == 1
+    residue = 0
+    counts: dict[int, int] = {}
+    for base, codes in _factor_codes(n, p):
+        if discriminants:
+            # before the sort, which loses the indices
+            residue += _disc_residue_count(codes, base, square, n, p)
+        _count_codes(codes, square, counts)
+    squarefree = sum(counts.values())
     return SquareFreeStats(
         n=n,
         p=p,
         total_monic=p**n,
-        type_counts=tuple(sorted(_type_histogram(codes, n, radices).items())),
-        disc_residue=disc_residue,
-        disc_nonresidue=disc_nonresidue,
+        # each distinct code decoded once
+        type_counts=tuple(sorted((_code_type(code, n, radices), c) for code, c in counts.items())),
+        disc_residue=residue if discriminants else None,
+        disc_nonresidue=squarefree - residue if discriminants else None,
     )
 
 
@@ -454,7 +547,8 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (about 80% at 7^6, 60% at 3137^2) and can be switched off.
+    time (about 80% at 7^6 and at 3137^2: 0.02 s against 0.004 s without,
+    and 0.7 s against 0.14 s) and can be switched off.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"degree must be an int, not {n!r}")

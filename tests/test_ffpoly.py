@@ -1,5 +1,6 @@
 """The exhaustive oracle, held to the scalar reference in fp_reference."""
 
+import functools
 import math
 import tracemalloc
 
@@ -41,6 +42,18 @@ def _irreducible(f):
 def _polys(idx, p, n):
     """The monic degree-n polynomials with these indices."""
     return [FieldPoly(p, row) for row in ffpoly._monic_rows(idx, p, n, np.int64)[::-1].T.tolist()]
+
+
+def _codes(n, p):
+    """The sieve's type code of every monic degree-n polynomial, by index:
+    each slab copied out of the one buffer before the next overwrites it."""
+    return np.concatenate([codes.copy() for _, codes in ffpoly._factor_codes(n, p)])
+
+
+def _slab_bytes(n, p):
+    """The size of the sieve's one code buffer at (n, p)."""
+    s, k = ffpoly._slab_shape(n, p)
+    return k * p ** (n - s) * np.dtype(ffpoly._type_code(n, p)[1]).itemsize
 
 
 def _sieved(p, d):
@@ -299,7 +312,7 @@ def test_discriminant_pass_at_large_p_stays_chunk_sized():
     # would be 7.8 MiB above the bool output
     p, n = 1009, 2
     square = math.prod(ffpoly._type_code(n, p)[0][:-1])  # the first code not square-free
-    sf = np.flatnonzero(ffpoly._factor_codes(n, p) < square).astype(np.int32)
+    sf = np.flatnonzero(_codes(n, p) < square).astype(np.int32)
     tracemalloc.start()
     try:
         out = _disc_residues(sf, n, p)
@@ -322,8 +335,7 @@ def test_discriminant_classes_need_no_array_of_all_squarefree_indices():
     finally:
         tracemalloc.stop()
     assert stats.disc_residue + stats.disc_nonresidue == stats.squarefree_count == p**n - p ** (n - 1)
-    codes_bytes = np.dtype(ffpoly._type_code(n, p)[1]).itemsize * p**n
-    assert peak - codes_bytes < _CHUNK_ALLOWANCE
+    assert peak - _slab_bytes(n, p) < _CHUNK_ALLOWANCE
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
@@ -349,7 +361,7 @@ def test_batched_discriminant_follows_stickelberger(point):
     # irreducible factors, disc f is a square exactly when n - r is even
     p, n = point
     radices = ffpoly._type_code(n, p)[0]
-    types = [ffpoly._code_type(code, n, radices) for code in ffpoly._factor_codes(n, p).tolist()]
+    types = [ffpoly._code_type(code, n, radices) for code in _codes(n, p).tolist()]
     idx = [i for i, parts in enumerate(types) if parts is not None]
     got = _disc_residues(np.array(idx), n, p)
     assert got.tolist() == [(n - len(types[i])) % 2 == 0 for i in idx]
@@ -466,6 +478,70 @@ def test_sieve_equals_direct_property(point):
     assert enumerate_stats(n, p) == stats_direct(n, p)
 
 
+@functools.lru_cache(maxsize=None)
+def _direct(n, p):
+    return stats_direct(n, p)
+
+
+def test_slabs_tile_the_index_range(monkeypatch):
+    # consecutive slabs from index 0 to p^n, each k values of the top s
+    # digits wide but the last, and all views of one buffer
+    monkeypatch.setattr(ffpoly, "_SLAB", 30)
+    p, n = 7, 3
+    assert ffpoly._slab_shape(n, p) == (2, 4)  # 7^2 > 30 >= 7, and 4 * 7 <= 30
+    slabs = [(base, codes.size, codes.base) for base, codes in ffpoly._factor_codes(n, p)]
+    assert [base for base, _, _ in slabs] == list(range(0, p**n, 4 * p))
+    assert [size for _, size, _ in slabs] == [4 * p] * 12 + [p]
+    assert len({id(buffer) for _, _, buffer in slabs}) == 1
+    monkeypatch.setattr(ffpoly, "_SLAB", p**n)
+    assert ffpoly._slab_shape(n, p) == (0, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sieve_equals_direct_across_slab_edges(monkeypatch, p):
+    # slab sizes around each power of p: from two slabs up to one per index
+    # (p^n of them), slabs that hold several values of the top digits and a
+    # shorter last one, and cofactors shorter than the s digits a slab fixes,
+    # which are made once and shared out; types and discriminant classes
+    # are compared whole, and the irreducibles are sieved in slabs too
+    seen = set()
+    for n in range(1, 7):
+        if p**n > 729:
+            break
+        sizes = {c * p**t + dd for t in range(n) for c in (1, 2, (p + 1) // 2) for dd in (-1, 0, 1)}
+        for size in sorted(z for z in sizes if 1 <= z < p**n):
+            monkeypatch.setattr(ffpoly, "_SLAB", size)
+            ffpoly._irreducibles.cache_clear()
+            s, k = ffpoly._slab_shape(n, p)
+            slabs = -(-(p**s) // k)
+            seen.add("two" if slabs == 2 else "all" if slabs == p**s else "some")
+            if any(m < s for d in range(1, n // 2 + 1) for m in (n - d, n - 2 * d)):
+                seen.add("short")
+            assert enumerate_stats(n, p) == _direct(n, p), (n, size)
+    ffpoly._irreducibles.cache_clear()
+    assert {"two", "all", "short"} <= seen
+
+
+def test_slabbed_discriminants_at_large_p(monkeypatch):
+    # 5 values of the top digit a slab, 202 slabs, the last with 4: every
+    # class against the closed-form discriminant b^2 - 4c of x^2 + b*x + c,
+    # and the whole statistics against the one slab of the default size
+    p, n = 1009, 2
+    assert ffpoly._slab_shape(n, p) == (0, 1)
+    whole = enumerate_stats(n, p)
+    monkeypatch.setattr(ffpoly, "_SLAB", 5 * p + 7)
+    assert ffpoly._slab_shape(n, p) == (1, 5)
+    slabbed = enumerate_stats(n, p)
+    assert slabbed == whole
+    b, c = np.divmod(np.arange(p**n, dtype=np.int64), p)
+    disc = (b * b - 4 * c) % p
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(1, p) ** 2 % p] = True
+    assert slabbed.disc_residue == np.count_nonzero(squares[disc])
+    assert slabbed.disc_nonresidue == np.count_nonzero(disc) - slabbed.disc_residue
+    assert slabbed.type_counts == (((1, 1), p * (p - 1) // 2), ((2,), p * (p - 1) // 2))
+
+
 @pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
 def test_large_p_closed_forms(p, n):
     s = enumerate_stats(n, p, discriminants=False)
@@ -499,7 +575,7 @@ def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
         ffpoly._irreducibles.cache_clear()
     for p, n in [(2, 8), (3, 5), (5, 4), (7, 3)]:
         radices = ffpoly._type_code(n, p)[0]
-        codes = ffpoly._factor_codes(n, p).tolist()
+        codes = _codes(n, p).tolist()
         for code, f in zip(codes, monic_polys(p, n), strict=True):
             parts = ffpoly._code_type(code, n, radices)
             if not is_squarefree(f):
@@ -517,12 +593,13 @@ def test_square_walk_at_large_p_stays_chunk_sized():
     _sieve_irreducibles(p, 1)
     tracemalloc.start()
     try:
-        codes = ffpoly._factor_codes(2, p)
+        for _ in ffpoly._factor_codes(2, p):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # a few arrays of at most about _CHUNK*(e+1) int64 entries at a time
-    assert peak - codes.nbytes < 8 * 2**20
+    assert peak - _slab_bytes(2, p) < 8 * 2**20
 
 
 def test_product_walk_at_p_2_frees_each_level_before_it_descends():
@@ -533,11 +610,12 @@ def test_product_walk_at_p_2_frees_each_level_before_it_descends():
     _sieve_irreducibles(p, n // 2)
     tracemalloc.start()
     try:
-        codes = ffpoly._factor_codes(n, p)
+        for _ in ffpoly._factor_codes(n, p):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - codes.nbytes <= 6 * 2**20
+    assert peak - _slab_bytes(n, p) <= 6 * 2**20
 
 
 def test_stats_histogram_makes_no_copy_of_the_packed_codes():
@@ -568,9 +646,24 @@ def test_stats_peak_is_two_and_a_half_bytes_per_polynomial():
     assert peak <= 2.5 * p**n + _CHUNK_ALLOWANCE
 
 
+def test_stats_peak_is_one_slab_at_5_to_the_10():
+    # 13 slabs of 2 * 5^8 codes: the peak does not grow with p^n; one uint16
+    # code array of all 5^10 polynomials alone would be 18.6 MiB
+    n, p = 10, 5
+    _sieve_irreducibles(p, n // 2)
+    tracemalloc.start()
+    try:
+        enumerate_stats(n, p, discriminants=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _slab_bytes(n, p) <= 2 * ffpoly._SLAB
+    assert peak < _slab_bytes(n, p) + _CHUNK_ALLOWANCE
+
+
 @pytest.mark.parametrize("p,n,dtype", [(2, 15, np.uint16), (5, 10, np.uint16), (2, 16, np.uint32)])
 def test_type_code_width_by_enumeration(p, n, dtype):
-    assert ffpoly._factor_codes(n, p).dtype == dtype
+    assert next(ffpoly._factor_codes(n, p))[1].dtype == dtype
 
 
 def test_type_code_width_rule():

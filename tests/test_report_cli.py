@@ -306,6 +306,17 @@ def test_runtime_imports_no_sympy():
     assert out.stdout.strip() == "[]"
 
 
+def test_python_m_runs_the_cli():
+    # `python -m sqftori` is the `sqftori` command: its exit code and its JSON report
+    env = {**os.environ, "PYTHONPATH": str(Path(sqftori.__file__).parents[1])}
+    argv = ["verify", "all", "--n-max", "2", "--prime", "2", "--order", "4", "--budget", "8"]
+    out = subprocess.run(
+        [sys.executable, "-m", "sqftori", *argv], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["summary"] == {"failed": 0, "passed": 45}
+
+
 def test_package_exports_resolve():
     # a deleted function that is still exported fails here, not at a user's import *
     assert [name for name in sqfree.__all__ if not hasattr(sqfree, name)] == []
