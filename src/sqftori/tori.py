@@ -8,7 +8,11 @@ with its number of polynomials.  The number of tori of type lambda is
 
     |GL(n,q)| / ( prod_i i^(n_i) n_i!  *  prod_i (q^i - 1)^(n_i) )
 
-with n_i the multiplicity of the part i.  Every headline quantity is
+with n_i the multiplicity of the part i.  It is computed on integer
+numerators (`torus_type_count`): |GL(n,q)| is divided by each q^i - 1
+by synthetic division, then once by z_lambda = prod_i i^(n_i) n_i!.
+Sums over the types (`_type_sum`) add the counts over their common
+denominator n!, which every z_lambda divides.  Every headline quantity is
 computed along two independent routes: an exact sum over partitions,
 and the torus analogue of the cycle index
 
@@ -38,10 +42,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
-from .exact import ONE, QPoly, RationalFunction, gl_order
+from .exact import ONE, RationalFunction, _poly, gl_order
 from .series import TruncatedSeries
 
 # tori builds no reports; `make_report` is bound here only because
@@ -74,19 +79,33 @@ def centralizer_order(parts: tuple[int, ...]) -> int:
 
 
 def torus_type_count(parts: tuple[int, ...]) -> RationalFunction:
-    """Number of tori of the type with these parts; always a polynomial in q."""
+    """Number of tori of the type with these parts; always a polynomial in q.
+
+    |GL(n,q)| = q^C(n,2) * prod_{k<=n} (q^k - 1), and q^C(n,2) is coprime to
+    every q^i - 1, so only the integer numerators of the product are
+    divided, by each q^i - 1 in turn.  That is synthetic division: a
+    downward pass in which the quotient digit at q^k is added to the
+    coefficient i places below, so each digit is a running sum from the
+    top along its residue class mod i, and the remainder is left in the
+    i lowest places.  The one division by z_lambda is left to the
+    canonical form of `QPoly`.
+    """
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in parts):
+        raise ValueError(f"parts must be ints: {parts}")
     if any(i < 1 for i in parts):
         raise ValueError(f"parts must be positive: {parts}")
     n = sum(parts)
     if n < 1:
         raise ValueError("the type count needs a partition of n >= 1")
-    den = QPoly.constant(centralizer_order(parts))
+    shift = n * (n - 1) // 2
+    z = list(gl_order(n).z[shift:])
     for i in parts:
-        den = den * (QPoly.q_power(i) - QPoly.constant(1))
-    quot, rem = gl_order(n).divmod(den)
-    if not rem.is_zero():
-        raise ArithmeticError(f"type count for {parts} is not a polynomial")
-    return RationalFunction(quot)
+        for r in range(i):
+            z[r::i] = list(accumulate(z[r::i][::-1]))[::-1]
+        if any(z[:i]):
+            raise ArithmeticError(f"type count for {parts} is not a polynomial")
+        del z[:i]
+    return RationalFunction(_poly([0] * shift + z, centralizer_order(parts)))
 
 
 def irreducible_tori_count(n: int) -> RationalFunction:
@@ -118,17 +137,24 @@ def type_counts(n: int) -> tuple[tuple[tuple[int, ...], RationalFunction], ...]:
 
 
 def _type_sum(n: int, weight) -> RationalFunction:
-    """sum over the types lambda of n of weight(lambda) * count(lambda).
+    """sum over the types lambda of n of weight(lambda) * count(lambda),
+    for an integer weight.
 
-    Accumulated as a plain polynomial sum; an expectation divides it by
-    the total q^(n^2-n) once at the end.
+    Every count is an integer polynomial of degree n^2 - n over a
+    denominator d_lambda that divides z_lambda, hence n!; so the sum is
+    accumulated as one list of integer numerators over n! and put in
+    canonical form once at the end.  An expectation divides it by the
+    total q^(n^2-n).
     """
-    acc = QPoly()
+    acc = [0] * (n * n - n + 1)
+    common = factorial(n)
     for parts, count in type_counts(n):
         w = weight(parts)
         if w:
-            acc = acc + count.as_polynomial().scale(w)
-    return RationalFunction(acc)
+            poly = count.as_polynomial()
+            w *= common // poly.d
+            acc = [a + w * c for a, c in zip(acc, poly.z, strict=True)]
+    return RationalFunction(_poly(acc, common))
 
 
 def total_tori(n: int) -> RationalFunction:
@@ -216,6 +242,11 @@ def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _check_orders(k: Mapping[int, int]) -> None:
+    if any(i < 1 or ki < 0 for i, ki in k.items()):
+        raise ValueError(f"moment orders need positive parts and non-negative orders: {dict(k)}")
+
+
 def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """E[prod_i C(n_i, k_i)] for a uniform torus of GL_n, n_i the parts equal
     to i, by the closed form of the module docstring; it is 0 when
@@ -224,8 +255,7 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if any(i < 1 or ki < 0 for i, ki in k.items()):
-        raise ValueError(f"moment orders need positive parts and non-negative orders: {dict(k)}")
+    _check_orders(k)
     m = n - sum(i * ki for i, ki in k.items())
     if m < 0:
         return RationalFunction(0)
@@ -240,6 +270,7 @@ def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:
     """The same moment as a sum over the types: sum of P(lambda) prod_i C(n_i(lambda), k_i)."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_orders(k)
     moment = _type_sum(n, lambda parts: prod(comb(parts.count(i), ki) for i, ki in k.items()))
     return moment / total_tori_formula(n)
 

@@ -2,11 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
-from sqftori import suites, tori
-from sqftori.exact import ONE, Q, RationalFunction, gl_order
+from sqftori import exact, sqfree, suites, tori
+from sqftori.exact import ONE, Q, QPoly, RationalFunction, gl_order
 from sqftori.ffpoly import enumerate_stats
 from sqftori.report import RunConfig
 
@@ -51,6 +52,13 @@ def test_torus_type_count_rejects_parts_below_one():
             tori.torus_type_count(parts)
 
 
+@pytest.mark.parametrize("parts", [(True, 1), (False, 2), (1.0,), (2, 1.5), ("1",)], ids=repr)
+def test_torus_type_count_rejects_parts_that_are_not_ints(parts):
+    # True would count as the part 1, and a float would fail deep inside
+    with pytest.raises(ValueError):
+        tori.torus_type_count(parts)
+
+
 def test_centralizer_order():
     assert tori.centralizer_order((1, 1)) == 2
     assert tori.centralizer_order((2,)) == 2
@@ -81,6 +89,68 @@ def test_type_counts_n2():
     assert inert == Q * (Q - ONE) / RF.from_fraction(2)
     assert split.eval(2) == 3
     assert inert.eval(2) == 1
+
+
+def _q_minus_one(i: int) -> QPoly:
+    return QPoly.q_power(i) - QPoly.constant(1)
+
+
+def test_type_count_times_its_denominator_is_gl_order():
+    # the definition, by QPoly multiplication alone
+    for n in range(1, 13):
+        for parts in tori.partitions(n):
+            product = tori.torus_type_count(parts).as_polynomial()
+            product = product * QPoly.constant(tori.centralizer_order(parts))
+            for i in parts:
+                product = product * _q_minus_one(i)
+            assert product == gl_order(n), parts
+
+
+def test_type_count_raises_on_a_remainder(monkeypatch):
+    # q + 1 leaves the remainder 2 on division by q - 1; q^6 (q^2 - 1)(q^8 + 1)
+    # divides by the first q^2 - 1 of (2, 2) but not by the second
+    fake = {1: QPoly.q_power(1) + QPoly.constant(1),
+            4: QPoly.q_power(6) * _q_minus_one(2) * (QPoly.q_power(8) + QPoly.constant(1))}
+    monkeypatch.setattr(tori, "gl_order", fake.__getitem__)
+    for parts in ((1,), (2, 2)):
+        with pytest.raises(ArithmeticError):
+            tori.torus_type_count(parts)
+
+
+_WEIGHTS = {
+    "one": lambda n, parts: 1,
+    "sign": lambda n, parts: (-1) ** (n - len(parts)),
+    "two-to-parts": lambda n, parts: 2 ** len(parts),
+    "comb": lambda n, parts: prod(comb(parts.count(i), ki) for i, ki in {1: 2, 2: 1}.items()),
+    "parts-minus-two": lambda n, parts: len(parts) - 2,
+}
+
+
+@pytest.mark.parametrize("name", _WEIGHTS)
+def test_type_sum_equals_the_sum_one_type_at_a_time(name):
+    weight = _WEIGHTS[name]
+    for n in range(1, 11):
+        expected = RF(0)
+        for parts, count in tori.type_counts(n):
+            expected = expected + count * weight(n, parts)
+        assert tori._type_sum(n, lambda parts: weight(n, parts)) == expected
+
+
+def test_type_table_needs_no_polynomial_division_or_scaling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the type table divided or scaled a QPoly")
+
+    gl_order(12)  # its build subtracts; the table itself must not add
+    monkeypatch.setattr(exact, "_pseudo_divmod", refuse)
+    monkeypatch.setattr(QPoly, "scale", refuse)
+    monkeypatch.setattr(QPoly, "__add__", refuse)
+    tori.type_counts.cache_clear()
+    try:
+        tori.type_counts(12)
+        total = tori.total_tori(12)
+    finally:
+        tori.type_counts.cache_clear()
+    assert total == tori.total_tori_formula(12)
 
 
 def test_total_four_tori_for_gl2_over_f2():
@@ -272,6 +342,16 @@ def test_binomial_moment_rejects_negative_orders():
     for k in ({1: -1}, {0: 1}):
         with pytest.raises(ValueError):
             tori.binomial_moment(3, k)
+
+
+@pytest.mark.parametrize("k", [{0: 2}, {-1: 1}, {1: -1}], ids=str)
+@pytest.mark.parametrize(
+    "moment", [tori.binomial_moment, tori.binomial_moment_partition, sqfree.binomial_moment],
+    ids=lambda f: f"{f.__module__}.{f.__name__}",
+)
+def test_every_binomial_moment_rejects_bad_orders(moment, k):
+    with pytest.raises(ValueError):
+        moment(3, k)
 
 
 def test_subtori_excess_limit_expansion():
