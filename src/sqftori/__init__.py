@@ -32,7 +32,6 @@ from .tori import (
     centralizer_order,
     expected_eigenvectors,
     irreducible_tori_count,
-    mod2_bias,
     partitions,
     tori_quad_excess,
     torus_type_count,

@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=RunConfig.series_order,
-        help="series truncation order (default %(default)s)",
+        help="largest degree of the symbolic square-free checks and the order "
+        "of the factorization identity (default %(default)s)",
     )
     common.add_argument(
         "--budget",

@@ -140,17 +140,13 @@ class QPoly:
         return _poly(out, d)
 
     def __neg__(self) -> "QPoly":
-        return _raw(tuple(-c for c in self.z), self.d)
+        return _raw(tuple([-c for c in self.z]), self.d)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         return _poly(_mul(self.z, other.z), self.d * other.d)
-
-    def scale(self, c: Scalar) -> "QPoly":
-        c = Fraction(c)
-        return _poly([x * c.numerator for x in self.z], self.d * c.denominator)
 
     def __pow__(self, k: int) -> "QPoly":
         if k < 0:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .ffpoly import MAX_BUDGET, check_prime
-from .sqfree import DEFAULT_ORDER
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class RunConfig:
 
     n_max: int = 10
     primes: tuple[int, ...] = (2, 3, 5)
-    series_order: int = DEFAULT_ORDER
+    series_order: int = 24
     enumeration_budget: int = 10_000_000
     output_format: str = "table"
     output_path: str | None = None

@@ -8,12 +8,16 @@ A series tracks coefficients for u^0 .. u^N inclusive, where the
 truncation order N is fixed at construction.  Binary operations take
 the minimum of the operand orders, and `coefficient` refuses to read
 past the order rather than silently returning zero.
+
+A generating function that is only read coefficient by coefficient has no
+order: `ExpCoefficients` computes the coefficients of an exp on demand,
+each once, and `TruncatedSeries.exp` reads it up to the series' order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exact import ONE, ZERO, RationalFunction
 
@@ -76,9 +80,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return TruncatedSeries(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-c for c in self.coeffs)
-
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         return TruncatedSeries(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
@@ -130,25 +131,11 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def exp(self) -> "TruncatedSeries":
-        """Formal exp; requires constant term 0.
-
-        Uses the recurrence g' = f' g, i.e.
-        n*g_n = sum_{k=1..n} k * f_k * g_{n-k}.
-        """
+        """Formal exp; requires constant term 0.  Read off `ExpCoefficients`."""
         if self.coeffs[0] != ZERO:
             raise ValueError("series exp requires constant term 0")
-        n = self.order
-        weighted = [RationalFunction.from_fraction(k) * self.coeffs[k] for k in range(n + 1)]
-        out = [ZERO] * (n + 1)
-        out[0] = ONE
-        for m in range(1, n + 1):
-            acc = ZERO
-            for k in range(1, m + 1):
-                w = weighted[k]
-                if w != ZERO and out[m - k] != ZERO:
-                    acc = acc + w * out[m - k]
-            out[m] = acc * RationalFunction.from_fraction(Fraction(1, m))
-        return TruncatedSeries(out)
+        g = ExpCoefficients(lambda k: RationalFunction.from_fraction(k) * self.coeffs[k])
+        return TruncatedSeries(g[m] for m in range(self.order + 1))
 
     def pow(self, e: int) -> "TruncatedSeries":
         """f**e for an integer e, by repeated squaring (f must be a unit if e < 0)."""
@@ -194,24 +181,51 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order})"
 
     def __str__(self) -> str:
-        return render_series(self)
+        """Canonical text form ``c0 + c1*u + c2*u^2 + ...``.
+
+        Every tracked coefficient is printed, including zeros, so two series
+        render identically exactly when they are equal at the same order.
+        """
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            body = str(c)
+            if any(ch in body for ch in " +-/*"):
+                body = f"({body})"
+            if k == 0:
+                parts.append(body)
+            elif k == 1:
+                parts.append(f"{body}*u")
+            else:
+                parts.append(f"{body}*u^{k}")
+        return " + ".join(parts)
 
 
-def render_series(f: TruncatedSeries) -> str:
-    """Canonical text form ``c0 + c1*u + c2*u^2 + ...``.
+class ExpCoefficients:
+    """The coefficients g_n of g = exp(f), f_0 = 0, each computed once, the
+    first time it is read, so a generating function has no truncation order.
 
-    Every tracked coefficient is printed, including zeros, so two series
-    render identically exactly when they are equal at the same order.
+    `weighted(k)` gives k*f_k; it is called once per k, in increasing k, when
+    g_k is first needed.  The recurrence is g' = f' g, i.e.
+    n*g_n = sum_{k=1..n} k * f_k * g_{n-k}.
     """
-    parts = []
-    for k, c in enumerate(f.coeffs):
-        body = str(c)
-        if any(ch in body for ch in " +-/*"):
-            body = f"({body})"
-        if k == 0:
-            parts.append(body)
-        elif k == 1:
-            parts.append(f"{body}*u")
-        else:
-            parts.append(f"{body}*u^{k}")
-    return " + ".join(parts)
+
+    __slots__ = ("_weighted_coefficient", "_weighted", "_g")
+
+    def __init__(self, weighted: Callable[[int], RationalFunction]):
+        self._weighted_coefficient = weighted
+        self._weighted = [ZERO]
+        self._g = [ONE]
+
+    def __getitem__(self, n: int) -> RationalFunction:
+        if n < 0:
+            raise IndexError(f"negative exponent {n}")
+        weighted, g = self._weighted, self._g
+        for m in range(len(g), n + 1):
+            weighted.append(self._weighted_coefficient(m))
+            acc = ZERO
+            for k in range(1, m + 1):
+                w = weighted[k]
+                if w != ZERO and g[m - k] != ZERO:
+                    acc = acc + w * g[m - k]
+            g.append(acc * RationalFunction.from_fraction(Fraction(1, m)))
+        return g[n]

@@ -6,10 +6,11 @@ factorization generating function
     prod_{d>=1} (1 - u^d)^(-N(d,q)) = 1/(1 - qu),
 
 where N(d,q) is the number of monic irreducible polynomials of degree d.
-Truncating at order N only needs the factors with d <= N, since higher
-degrees cannot touch the coefficients of u^0..u^N.
+The coefficient of u^n only needs the factors with d <= n, since higher
+degrees cannot touch it.
 
-Each degree product is one exp of its logarithm (`_degree_product`):
+Each degree product is one exp of its logarithm (`_degree_product`), its
+coefficients computed on demand, each once (`series.ExpCoefficients`):
 
     prod_d (1 + sign*u^d)^(e_d) = exp(-sum_d e_d sum_k (-sign)^k u^(dk)/k).
 
@@ -25,12 +26,14 @@ all of them in one closed form (`binomial_moment`): with s = sum_d d*k_d,
     E[prod_d C(X_d, k_d)] = prod_d C(N(d,q), k_d)
         * [u^(n-s)] (1-qu^2)/(1-qu) prod_d (1+u^d)^(-k_d) / S_n,
 
-S_n = q^n - q^(n-1) (n >= 2) the number of square-free f of degree n.
+S_n = q^n - q^(n-1) (n >= 2) the number of square-free f of degree n;
+the coefficient is the convolution of the S_j with the coefficients of
+prod_d (1+u^d)^(-k_d).
 
 It is checked against routes that share no intermediate value with it:
 the alternating partial sum for E[X_1], and for E[X_2 - C(X_1,2)] a
 finite-n formula driven by two integer sequences defined by their
-generating functions.
+generating functions and generated by the recurrence of their denominator.
 """
 
 from __future__ import annotations
@@ -41,11 +44,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .exact import ONE, Q, ZERO, RationalFunction
-from .series import TruncatedSeries
-
-#: default truncation order for verification runs; covers every displayed
-#: coefficient with headroom and still builds in well under a second.
-DEFAULT_ORDER = 24
+from .series import ExpCoefficients, TruncatedSeries
 
 
 def _mobius(n: int) -> int:
@@ -83,47 +82,32 @@ def count_irreducibles(d: int) -> RationalFunction:
     return acc
 
 
-def _degree_product(order: int, sign: int, exponents) -> TruncatedSeries:
-    """prod over (d, e) of (1 + sign*u^d)^e, as the one exp of the module docstring."""
-    log = [ZERO] * (order + 1)
-    for d, e in exponents:
-        for k in range(1, order // d + 1):
-            log[d * k] = log[d * k] + e * RationalFunction.from_fraction(Fraction(-((-sign) ** k), k))
-    return TruncatedSeries(log).exp()
+def _weighted_log(m: int, sign: int, exponent) -> RationalFunction:
+    """m times the u^m coefficient of the logarithm of the module docstring,
+    at e_d = exponent(d)."""
+    acc = ZERO
+    for d in range(1, m + 1):
+        if m % d == 0:
+            acc = acc - exponent(d) * (d * (-sign) ** (m // d))
+    return acc
 
 
 @lru_cache(maxsize=None)
-def squarefree_product_series(order: int) -> TruncatedSeries:
-    """prod_{d<=order} (1 + u^d)^N(d,q): square-free monic polynomials by degree."""
-    return _degree_product(order, +1, ((d, count_irreducibles(d)) for d in range(1, order + 1)))
+def _degree_product(sign: int, power: int) -> ExpCoefficients:
+    """prod_d (1 + sign*u^d)^(power*N(d,q)), as the one exp of the module docstring."""
+    return ExpCoefficients(lambda m: _weighted_log(m, sign, lambda d: power * count_irreducibles(d)))
 
 
-@lru_cache(maxsize=None)
-def signed_product_series(order: int) -> TruncatedSeries:
-    """prod_{d<=order} (1 - u^d)^N(d,q): sign-weighted square-free count."""
-    return _degree_product(order, -1, ((d, count_irreducibles(d)) for d in range(1, order + 1)))
-
-
-@lru_cache(maxsize=None)
 def inverse_factorization_series(order: int) -> TruncatedSeries:
-    """prod_{d<=order} (1 - u^d)^(-N(d,q)): all monic polynomials by degree."""
-    return _degree_product(order, -1, ((d, -count_irreducibles(d)) for d in range(1, order + 1)))
+    """prod_d (1 - u^d)^(-N(d,q)) through u^order: all monic polynomials by degree."""
+    product = _degree_product(-1, -1)
+    return TruncatedSeries(product[k] for k in range(order + 1))
 
 
 def geometric_q_series(order: int) -> TruncatedSeries:
     """1/(1 - qu), the generating function of all monic polynomials."""
     one = TruncatedSeries.one(order)
     return one / TruncatedSeries.from_terms(order, {0: ONE, 1: -Q})
-
-
-@lru_cache(maxsize=None)
-def _closed_squarefree_series(order: int) -> TruncatedSeries:
-    """(1 - qu^2)/(1 - qu), the closed form of the square-free product."""
-    return TruncatedSeries.from_terms(order, {0: ONE, 2: -Q}) * geometric_q_series(order)
-
-
-def _working_order(n: int) -> int:
-    return n if n > DEFAULT_ORDER else DEFAULT_ORDER
 
 
 def squarefree_count_formula(n: int) -> RationalFunction:
@@ -141,7 +125,7 @@ def squarefree_count(n: int) -> RationalFunction:
     """Number of square-free monic degree-n polynomials, by the product route."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return squarefree_product_series(_working_order(n)).coefficient(n)
+    return _degree_product(+1, 1)[n]
 
 
 def moebius_signed_sum(n: int) -> RationalFunction:
@@ -154,7 +138,7 @@ def moebius_signed_sum(n: int) -> RationalFunction:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return signed_product_series(_working_order(n)).coefficient(n)
+    return _degree_product(-1, 1)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +147,9 @@ def moebius_signed_sum(n: int) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
-def _moment_series(order: int, k: tuple[tuple[int, int], ...]) -> TruncatedSeries:
-    """(1-qu^2)/(1-qu) * prod_d (1+u^d)^(-k_d), for k as sorted (d, k_d) pairs."""
-    return _closed_squarefree_series(order) * _degree_product(order, +1, ((d, -kd) for d, kd in k))
+def _moment_factor(k: tuple[tuple[int, int], ...]) -> ExpCoefficients:
+    """prod_d (1+u^d)^(-k_d), for k as sorted (d, k_d) pairs."""
+    return ExpCoefficients(lambda m: _weighted_log(m, +1, lambda d: -dict(k).get(d, 0)))
 
 
 def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
@@ -180,7 +164,8 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     s = sum(d * kd for d, kd in key)
     if s > n:
         return RationalFunction(0)
-    out = _moment_series(_working_order(n), key).coefficient(n - s)
+    factor = _moment_factor(key)  # times (1-qu^2)/(1-qu), whose u^j coefficient is S_j
+    out = sum((squarefree_count_formula(j) * factor[n - s - j] for j in range(n - s + 1)), ZERO)
     for d, kd in key:  # times C(N(d,q), k_d) = N(N-1)...(N-k_d+1)/k_d!
         for i in range(kd):
             out = out * (count_irreducibles(d) - i) / (i + 1)
@@ -236,23 +221,17 @@ class SequenceTable:
 
     @staticmethod
     def generate(kind: str, count: int) -> "SequenceTable":
+        """The first `count` terms, by the integer recurrence of the common
+        denominator (1-u)^2 (1+u^2) = 1 - 2u + 2u^2 - 2u^3 + u^4."""
         if kind not in ("a", "b"):
             raise ValueError("sequence kind must be 'a' or 'b'")
-        one = TruncatedSeries.one(count)
-        u = TruncatedSeries.from_terms(count, {1: ONE})
-        den = (one - u) * (one - u) * (one + u * u)
-        f = (u + u * u) / den if kind == "a" else one / den - one
-        values = []
+        c = [0, 1, 1] if kind == "a" else [1]  # the numerator; b drops its u^0 term
+        c += [0] * (count + 1 - len(c))
         for i in range(1, count + 1):
-            c = f.coefficient(i)
-            value = c.num[0]
-            if c != value or value.denominator != 1 or value <= 0:
-                raise ArithmeticError(f"sequence {kind} produced a non-positive term {c} at {i}")
-            values.append(int(value))
-        return SequenceTable(kind, tuple(values))
+            c[i] += sum(w * c[i - j] for j, w in ((1, 2), (2, -2), (3, 2), (4, -1)) if j <= i)
+        return SequenceTable(kind, tuple(c[1 : count + 1]))
 
 
-@lru_cache(maxsize=None)
 def _default_tables(count: int) -> tuple[SequenceTable, SequenceTable]:
     return SequenceTable.generate("a", count), SequenceTable.generate("b", count)
 
@@ -270,7 +249,7 @@ def quad_excess_formula(n: int) -> RationalFunction:
         return RationalFunction(0)
     if n == 3:
         return RationalFunction.q_power(-1)
-    a, b = _default_tables(_working_order(n))
+    a, b = _default_tables(n - 3)
     acc = RationalFunction(0)
     for i in range(1, n - 2):
         term = RationalFunction.from_fraction(Fraction(a[i])) * RationalFunction.q_power(-i)
@@ -297,7 +276,6 @@ def quad_excess_limit() -> RationalFunction:
 
 
 __all__ = [
-    "DEFAULT_ORDER",
     "SequenceTable",
     "binomial_moment",
     "count_irreducibles",
@@ -308,8 +286,6 @@ __all__ = [
     "quad_excess_exact",
     "quad_excess_formula",
     "quad_excess_limit",
-    "signed_product_series",
     "squarefree_count",
     "squarefree_count_formula",
-    "squarefree_product_series",
 ]

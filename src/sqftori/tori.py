@@ -19,8 +19,10 @@ and the torus analogue of the cycle index
     1 + sum_n u^n/|GL(n,q)| sum_T prod_i x_i^(n_i(T))
         = prod_i exp[ x_i u^i / ((q^i - 1) i) ].
 
-The series route sets every mark x_i to one rational weight w
-(`cycle_index_coefficient`): w = 1 counts the tori, w = -1 gives the mod-2 bias.
+The series route sets every mark x_i to a rational weight w
+(`cycle_index_coefficient`): w = 1 counts the tori, w = -1 gives the mod-2
+bias.  Its coefficients are computed on demand, each once
+(`series.ExpCoefficients`); at w = 1 it is Euler's F below.
 
 Each expectation is a combination of binomial moments E[prod_i C(n_i, k_i)];
 with x_i = 1 + t_i the cycle index gives all of them in one closed form,
@@ -47,11 +49,11 @@ from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
 from .exact import ONE, RationalFunction, _poly, gl_order
-from .series import TruncatedSeries
+from .series import ExpCoefficients, TruncatedSeries
 
 # tori builds no reports; `make_report` is bound here only because
 # perfbench/test_perfbench.py checks that the tracer patches `tori.make_report`.
-# Drop it together with that entry of the benchmark test (ROADMAP item 5).
+# Drop it together with that entry of the benchmark test (ROADMAP item 7).
 from .report import make_report  # noqa: F401,E402
 
 
@@ -166,31 +168,22 @@ def total_tori(n: int) -> RationalFunction:
 # the cycle-index generating function
 # ---------------------------------------------------------------------------
 
-#: series built once at this order serve every smaller coefficient request
-_SERIES_CACHE_ORDER = 12
-
-
-def _series_order(n: int) -> int:
-    return max(n, _SERIES_CACHE_ORDER)
-
-
 @lru_cache(maxsize=None)
-def cycle_index_series(weight: Fraction | int, order: int) -> TruncatedSeries:
-    """exp( sum_{i<=order} w u^i / ((q^i - 1) i) ) over Q(q): the cycle
-    index with every mark x_i set to the one rational weight w."""
-    w = RationalFunction.from_fraction(Fraction(weight))
-    arg = {i: w / ((RationalFunction.q_power(i) - ONE) * i) for i in range(1, order + 1)}
-    return TruncatedSeries.from_terms(order, arg).exp()
+def _cycle_index(weight: Fraction | int) -> ExpCoefficients:
+    """exp( sum_i w u^i / ((q^i - 1) i) ) over Q(q): the cycle index with
+    every mark x_i set to the rational weight w.  At w = 1 it is Euler's
+    F(u) = prod_{r>=1} 1/(1 - u/q^r), whose logarithm has the same terms."""
+    return ExpCoefficients(
+        lambda i: RationalFunction.from_fraction(Fraction(weight)) / (RationalFunction.q_power(i) - ONE)
+    )
 
 
 def cycle_index_coefficient(n: int, weight: Fraction | int) -> RationalFunction:
     """|GL(n,q)| times the u^n coefficient of the cycle index at weight w:
-    the sum over the tori of w^(number of parts), their number at w = 1.
-    Read off one shared build at order max(n, 12)."""
+    the sum over the tori of w^(number of parts), their number at w = 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    coeff = cycle_index_series(weight, _series_order(n)).coefficient(n)
-    return RationalFunction(gl_order(n)) * coeff
+    return RationalFunction(gl_order(n)) * _cycle_index(weight)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +277,13 @@ def expected_eigenvectors_series(n: int) -> RationalFunction:
     """E[n_1] as |GL(n,q)|/q^(n^2-n) times [u^n] of u/(q-1) * F(u).
 
     The front factor has the single term u, so the coefficient needed is
-    just F's coefficient of u^(n-1) scaled by 1/(q-1).
+    just F's coefficient of u^(n-1) scaled by 1/(q-1); F is read off the
+    cycle index at weight 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    f = euler_sum_series(1, _series_order(n))
-    coeff = f.coefficient(n - 1) / (RationalFunction.q_power(1) - ONE)
+    coeff = _cycle_index(1)[n - 1] / (RationalFunction.q_power(1) - ONE)
     return coeff * RationalFunction(gl_order(n)) / total_tori_formula(n)
-
-
-def _one_minus_qpow(k: int) -> RationalFunction:
-    return ONE - RationalFunction.q_power(-k)
 
 
 def tori_quad_excess(n: int) -> RationalFunction:
@@ -310,7 +299,8 @@ def tori_quad_excess_limit() -> RationalFunction:
 
     Its expansion in powers of 1/q is 1/q + 1/q^2 + 2/q^3 + 2/q^4 + ...
     """
-    return RationalFunction.q_power(-1) / (_one_minus_qpow(1) * _one_minus_qpow(2))
+    inv_q = RationalFunction.q_power(-1)
+    return inv_q / ((ONE - inv_q) * (ONE - RationalFunction.q_power(-2)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +327,3 @@ def mod2_bias_series(n: int) -> RationalFunction:
     if n < 1:
         raise ValueError("n must be at least 1")
     return cycle_index_coefficient(n, -1) * (-1) ** n
-
-
-def mod2_bias(n: int) -> RationalFunction:
-    """Tori with factor count = n mod 2, minus the others, by the formula."""
-    return mod2_bias_formula(n)

@@ -37,6 +37,12 @@ LARGE_PRIME = 2**61 - 1
 #: sha256 of the timing-free `verify_all(SMALL)` JSON
 SMALL_DIGEST = "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf"
 
+#: sha256 of the timing-free `verify all --budget 3 --n-max 13 --order 26` JSON:
+#: ranks past 12 and degrees past 24, where the series routes once stopped
+#: reading one shared build and built a series per degree
+LARGE_ARGS = ["verify", "all", "--budget", "3", "--n-max", "13", "--order", "26"]
+LARGE_DIGEST = "4b6a506958ac2225650bf19ce3e63731fc98daca80da5e07a5e653f2dd7612f2"
+
 #: sha256 of the timing-free `tori types --n 5 --prime 2 --prime 3` JSON, the
 #: only command that emits the `tori-type-count-at-q` rows
 TORI_TYPES_DIGEST = "28189952f2ab6642022cdfec3282ba702a2d76c68a00210ff01dfd9638062c8a"
@@ -204,6 +210,11 @@ def test_verify_all_json_is_byte_identical_to_recorded_digest():
     # guards every refactor of the report path: names, parameters and renderings
     reports = suites.verify_all(SMALL)
     assert timing_free_digest(reports_to_json(SMALL, reports)) == (SMALL_DIGEST, 90)
+
+
+def test_verify_all_past_the_old_working_orders_is_byte_identical(capsys):
+    assert cli.main(LARGE_ARGS) == 0
+    assert timing_free_digest(capsys.readouterr().out) == (LARGE_DIGEST, 630)
 
 
 def test_tori_types_json_is_byte_identical_to_recorded_digest(capsys):

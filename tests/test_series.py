@@ -1,13 +1,16 @@
-"""Truncated power series: arithmetic, exp/log, powers, substitution."""
+"""Truncated power series: arithmetic, exp/log, powers, substitution, and the
+on-demand exp coefficients."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqftori import exact, sqfree, tori
 from sqftori.exact import ONE, Q, RationalFunction
-from sqftori.series import TruncatedSeries
+from sqftori.series import ExpCoefficients, TruncatedSeries
 
 RF = RationalFunction.from_fraction
 
@@ -209,3 +212,49 @@ def test_mul_then_div_recovers(f, g):
     if g.coeffs[0] == 0:
         return
     assert (f * g) / g == f
+
+
+# ---------------------------------------------------------------------------
+# on-demand exp coefficients
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_rf_coeffs, min_size=7, max_size=7),
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12),
+)
+def test_exp_coefficients_read_in_any_order_equal_the_series_exp(coeffs, reads):
+    g = TruncatedSeries((RF(0),) + tuple(coeffs[1:]))
+    expected = g.exp()
+    asked = []
+
+    def weighted(k):
+        asked.append(k)
+        return RF(k) * g.coeffs[k]
+
+    memo = ExpCoefficients(weighted)
+    for n in reads + sorted(reads, reverse=True) + sorted(reads):
+        assert memo[n] == expected.coefficient(n)
+    # each k*f_k is computed once, in increasing k, up to the highest read
+    assert asked == list(range(1, max(reads) + 1))
+
+
+def test_exp_coefficients_refuse_a_negative_exponent():
+    with pytest.raises(IndexError):
+        ExpCoefficients(lambda k: ONE)[-1]
+
+
+def test_clearing_the_symbolic_caches_leaves_no_memo():
+    sqfree.squarefree_count(6)
+    sqfree.moebius_signed_sum(6)
+    sqfree.inverse_factorization_series(6)
+    sqfree.binomial_moment(6, {1: 2})
+    tori.cycle_index_coefficient(5, -1)
+    tori.expected_eigenvectors_series(5)
+    for module in (exact, sqfree, tori):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, ExpCoefficients)]

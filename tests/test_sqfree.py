@@ -10,7 +10,7 @@ from fp_reference import count_linear_factors, factor_degrees, is_squarefree, mo
 
 from sqftori import ffpoly, sqfree, suites, tori
 from sqftori.exact import ONE, Q, RationalFunction
-from sqftori.report import RunConfig
+from sqftori.report import RunConfig, failing_names
 from sqftori.series import TruncatedSeries
 
 RF = RationalFunction
@@ -76,22 +76,39 @@ def _binomial_product(order, sign, exponents):
     return acc
 
 
+def _prefix(coefficients, order):
+    """The coefficients of u^0..u^order of an on-demand series, as a truncated one."""
+    return TruncatedSeries(coefficients[k] for k in range(order + 1))
+
+
+def _closed_squarefree_series(order):
+    """(1 - qu^2)/(1 - qu), the closed form of the square-free product."""
+    return TruncatedSeries.from_terms(order, {0: ONE, 2: -Q}) * sqfree.geometric_q_series(order)
+
+
 def test_degree_products_equal_their_per_degree_binomial_products():
-    # each product is built as one exp of its logarithm; this is the per-degree
-    # product of binomial series it replaced, written out
+    # each product is one exp of its logarithm, read coefficient by coefficient;
+    # this is the per-degree product of binomial series it replaced, written out
     for order in range(14):
         n_d = [(d, sqfree.count_irreducibles(d)) for d in range(1, order + 1)]
-        assert sqfree.squarefree_product_series(order) == _binomial_product(order, +1, n_d)
-        assert sqfree.signed_product_series(order) == _binomial_product(order, -1, n_d)
+        assert _prefix(sqfree._degree_product(+1, 1), order) == _binomial_product(order, +1, n_d)
+        assert _prefix(sqfree._degree_product(-1, 1), order) == _binomial_product(order, -1, n_d)
         inverse = _binomial_product(order, -1, [(d, -e) for d, e in n_d])
         assert sqfree.inverse_factorization_series(order) == inverse
     for k in _ORDERS_OF_WEIGHT_AT_MOST_4:
         key = tuple(sorted(k.items()))
         for order in range(14):
-            expected = sqfree._closed_squarefree_series(order) * _binomial_product(
-                order, +1, [(d, RF.from_fraction(-kd)) for d, kd in key]
-            )
-            assert sqfree._moment_series(order, key) == expected
+            factor = _binomial_product(order, +1, [(d, RF.from_fraction(-kd)) for d, kd in key])
+            assert _prefix(sqfree._moment_factor(key), order) == factor
+        # the moment reads [u^(n-s)] of the closed form times that product
+        moment_series = _closed_squarefree_series(13) * factor
+        s = sum(d * kd for d, kd in key)
+        for n in range(s, 14):
+            expected = moment_series.coefficient(n - s) / sqfree.squarefree_count_formula(n)
+            for d, kd in key:  # times C(N(d,q), k_d)
+                for i in range(kd):
+                    expected = expected * (sqfree.count_irreducibles(d) - i) / (i + 1)
+            assert sqfree.binomial_moment(n, k) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +124,9 @@ def test_squarefree_count_closed_forms():
 
 
 def test_squarefree_count_symbolic_range():
-    closed = sqfree._closed_squarefree_series(sqfree.DEFAULT_ORDER)
-    for n in range(2, sqfree.DEFAULT_ORDER + 1):
+    order = RunConfig().series_order
+    closed = _closed_squarefree_series(order)
+    for n in range(2, order + 1):
         assert sqfree.squarefree_count(n) == sqfree.squarefree_count_formula(n)
         # the closed form (1-qu^2)/(1-qu) of the product; no report compares it
         assert closed.coefficient(n) == sqfree.squarefree_count_formula(n)
@@ -245,7 +263,7 @@ def test_sequences_match_displayed_values():
 
 
 def test_sequences_match_verbal_patterns():
-    # 40 terms, past the working order DEFAULT_ORDER = 24 of every run
+    # 40 terms, past the default series order 24
     count = 40
     # a: the odd numbers with each positive even number doubled in between
     a = sqfree.SequenceTable.generate("a", count)
@@ -263,11 +281,23 @@ def test_sequences_match_verbal_patterns():
     assert list(b.values) == expected_b[:count]
 
 
-def test_sequence_tables_are_built_once_per_run():
-    # every degree of the run reads the tables of the one working order
-    sqfree._default_tables.cache_clear()
-    suites.quad_excess_reports(RunConfig())
-    assert sqfree._default_tables.cache_info().misses == 1
+def test_sequence_tables_are_generated_without_series_arithmetic(monkeypatch):
+    # the tables come from the integer recurrence of their denominator
+    def refuse(*args):
+        raise AssertionError("the sequence tables used TruncatedSeries arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "exp", "log", "pow"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    kinds = []
+    generate = sqfree.SequenceTable.generate
+
+    def counted(kind, count):
+        kinds.append(kind)
+        return generate(kind, count)
+
+    monkeypatch.setattr(sqfree.SequenceTable, "generate", staticmethod(counted))
+    assert failing_names(suites.quad_excess_reports(RunConfig())) == []
+    assert set(kinds) == {"a", "b"}
 
 
 def test_quad_excess_oracle():

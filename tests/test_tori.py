@@ -10,6 +10,7 @@ from sqftori import exact, sqfree, suites, tori
 from sqftori.exact import ONE, Q, QPoly, RationalFunction, gl_order
 from sqftori.ffpoly import enumerate_stats
 from sqftori.report import RunConfig
+from sqftori.series import TruncatedSeries
 
 RF = RationalFunction
 
@@ -138,11 +139,10 @@ def test_type_sum_equals_the_sum_one_type_at_a_time(name):
 
 def test_type_table_needs_no_polynomial_division_or_scaling(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the type table divided or scaled a QPoly")
+        raise AssertionError("the type table divided or added QPolys")
 
     gl_order(12)  # its build subtracts; the table itself must not add
     monkeypatch.setattr(exact, "_pseudo_divmod", refuse)
-    monkeypatch.setattr(QPoly, "scale", refuse)
     monkeypatch.setattr(QPoly, "__add__", refuse)
     tori.type_counts.cache_clear()
     try:
@@ -220,9 +220,8 @@ def test_cycle_index_weight_marks_each_part():
 
 def test_cycle_index_minus_one_reproduces_bias():
     for n in range(1, 9):
-        series = tori.cycle_index_series(-1, n).substitute(
-            tori.RationalFunction.from_fraction(-1)
-        )
+        log = {i: RF.from_fraction(-1) / ((RF.q_power(i) - ONE) * i) for i in range(1, n + 1)}
+        series = TruncatedSeries.from_terms(n, log).exp().substitute(RF.from_fraction(-1))
         bias = RF(gl_order(n)) * series.coefficient(n)
         assert bias == tori.mod2_bias_formula(n)
         assert tori.cycle_index_coefficient(n, -1) == RF.from_fraction((-1) ** n) * bias
@@ -246,6 +245,12 @@ def test_euler_identities_at_every_order(which):
     # the registry grid starts at order 12; the lower orders are checked here
     for order in range(1, 12):
         assert tori.euler_sum_series(which, order) == tori.euler_shifted_series(which, order)
+
+
+def test_cycle_index_at_weight_one_is_euler_f():
+    # the eigenvector series reads Euler's F off the cycle index at weight 1
+    f = tori.euler_sum_series(1, 16)
+    assert [tori._cycle_index(1)[k] for k in range(17)] == list(f.coeffs)
 
 
 def test_euler_first_coefficient():
@@ -372,8 +377,8 @@ def test_subtori_excess_finite_n_expansion_prefix():
 
 
 def test_mod2_bias_values():
-    assert tori.mod2_bias(1) == ONE
-    assert tori.mod2_bias(4) == RF.q_power(6)
+    assert tori.mod2_bias_formula(1) == ONE
+    assert tori.mod2_bias_formula(4) == RF.q_power(6)
     assert tori.mod2_bias_partition(2).eval(2) == 2  # 3 - 1
 
 
