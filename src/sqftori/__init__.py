@@ -11,7 +11,6 @@ from .exact import (
     QPoly,
     RationalFunction,
     gl_order,
-    parse_rational_function,
     render_poly,
     render_rational_function,
 )

@@ -28,7 +28,6 @@ representation equality.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -72,12 +71,11 @@ class QPoly:
         return _raw((c.numerator,) if c else (), c.denominator)
 
     @staticmethod
-    def q_power(k: int, c: Scalar = 1) -> "QPoly":
-        """c * q^k."""
+    def q_power(k: int) -> "QPoly":
+        """q^k."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
-        c = Fraction(c)
-        return _raw((0,) * k + (c.numerator,) if c else (), c.denominator)
+        return _raw((0,) * k + (1,), 1)
 
     # -- basic queries -------------------------------------------------
 
@@ -170,9 +168,6 @@ class QPoly:
             raise ZeroDivisionError("polynomial division by zero")
         quot, rem, m = _pseudo_divmod(self.z, other.z)
         return _poly([c * other.d for c in quot], self.d * m), _poly(rem, self.d * m)
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[0]
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
@@ -629,7 +624,7 @@ def gl_order(n: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# canonical text rendering and parsing
+# canonical text rendering
 # ---------------------------------------------------------------------------
 
 
@@ -665,54 +660,3 @@ def render_rational_function(f: RationalFunction) -> str:
         return render_poly(f.num)
     return f"({render_poly(f.num)})/({render_poly(f.den)})"
 
-
-# a `*` only ever joins a coefficient to q, and a coefficient's denominator is nonzero
-_TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\s*(?:\*\s*(?=q))?)?(?:q(?:\^(?P<exp>\d+))?)?$"
-)
-
-
-def _parse_poly(text: str) -> QPoly:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    # split into signed terms at top level (no parentheses inside a poly)
-    chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
-    acc = QPoly()
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coef") is None and "q" not in chunk):
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if "q" in chunk:
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
-        acc = acc + QPoly.q_power(exp, sign * coef)
-    return acc
-
-
-def parse_rational_function(text: str) -> RationalFunction:
-    """Parse the canonical text form produced by rendering.
-
-    Accepts either a bare polynomial (``q^2 - q``) or the quotient form
-    ``(num)/(den)``.
-    """
-    text = text.strip()
-    if text.startswith("("):
-        m = re.fullmatch(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)", text)
-        if not m:
-            raise ValueError(f"cannot parse rational function {text!r}")
-        den = _parse_poly(m.group("den"))
-        if den.is_zero():
-            raise ValueError(f"zero denominator in {text!r}")
-        return RationalFunction(_parse_poly(m.group("num")), den)
-    return RationalFunction(_parse_poly(text))

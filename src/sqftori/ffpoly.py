@@ -228,17 +228,13 @@ def _product_indices(
     free = m - s  # the cofactor digits the walk adds; the slab fixes the rest
     pows = p ** np.arange(e + m + 1, dtype=np.int32)
     a = np.arange(p, dtype=np.int64)[:, None]
-    # rows of G at a time: their starts, and their (g, a) tables where the
-    # walk needs them, stay within _CHUNK entries; the walk splits the rows
-    # further where their products would not
-    batch = max(1, _CHUNK // (count if free == 0 else max(count, p * (e + 1))))
+    # rows of G at a time: their starts and their (g, a) tables stay within
+    # _CHUNK entries; the walk splits the rows further where their products
+    # would not
+    batch = max(1, _CHUNK // max(count, p * (e + 1)))
     for lo in range(0, len(G), batch):
         g = G[lo : lo + batch]
         start = _slab_starts(g, p, m, s, top, count)
-        if free == 0:
-            # the slab fixes all of h: the starts are the products
-            yield start.ravel()
-            continue
         ag = _mod(a * g[:, None, :], p).astype(np.int32)
         # per g and a: the index of a*g, and, digit-major so that each
         # digit's slice is contiguous, the thresholds p - a*g_i at which
@@ -261,18 +257,17 @@ def _slab_starts(G: np.ndarray, p: int, m: int, s: int, top: int, count: int) ->
     """
     e = G.shape[1] - 1
     n = e + m
-    T = np.arange(top, top + count, dtype=np.int64)
+    digits = _monic_rows(np.arange(top, top + count), p, s, np.int64)  # row k: digit s - k of each T
     h = [1]  # h[k] is h_(m-k), per g and T
     for k in range(1, s + 1):
-        f = T // p ** (s - k) % p
-        h.append(_mod(f - sum(G[:, e - i, None] * h[k - i] for i in range(1, min(k, e) + 1)), p))
+        h.append(_mod(digits[k] - sum(G[:, e - i, None] * h[k - i] for i in range(1, min(k, e) + 1)), p))
     # coefficients 0..e-1 of g*(x^s + h_(m-1)*x^(s-1) + ... + h_(m-s)): digits m-s..n-s-1
     low = np.zeros((len(G), count, e), dtype=np.int64)
     low[:, :, s:] = G[:, None, : max(0, e - s)]
     for k in range(max(1, s - e + 1), s + 1):
         low[:, :, s - k :] += h[k][:, :, None] * G[:, None, : e - s + k]
     low = _mod(low, p) @ p ** np.arange(m - s, n - s, dtype=np.int64)
-    return (low + (T - top) * p ** (n - s)).astype(np.int32)
+    return (low + np.arange(count) * p ** (n - s)).astype(np.int32)
 
 
 def _add_cofactor_digits(
@@ -390,15 +385,13 @@ def _type_code(n: int, p: int) -> tuple[list[int], type[np.unsignedinteger]]:
 
     Digit d, for 1 <= d <= n/2, is m_d, the number of distinct irreducible
     factors of degree d: at most n//d, and at most N(d, p), the number of
-    monic irreducibles of degree d, so its radix is min(n//d, N(d, p)) + 1.
-    The top digit is the number of repeated factors, at most n//2.  The
-    codes are uint16 where every code fits, else uint32; within
-    MAX_BUDGET the largest code, 117573119, is at (p, n) = (2, 26).
+    monic irreducibles of degree d that the sieve found, so its radix is
+    min(n//d, N(d, p)) + 1.  The top digit is the number of repeated
+    factors, at most n//2.  The codes are uint16 where every code fits,
+    else uint32; within MAX_BUDGET the largest code, 117573119, is at
+    (p, n) = (2, 26).
     """
-    count = [0]  # N(d, p) by Gauss: p^d is the sum of e*N(e, p) over e | d
-    for d in range(1, n // 2 + 1):
-        count.append((p**d - sum(e * count[e] for e in range(1, d) if d % e == 0)) // d)
-    radices = [min(n // d, count[d]) + 1 for d in range(1, n // 2 + 1)] + [n // 2 + 1]
+    radices = [min(n // d, len(_irreducibles(p, d))) + 1 for d in range(1, n // 2 + 1)] + [n // 2 + 1]
     for dtype in (np.uint16, np.uint32):
         if math.prod(radices) <= np.iinfo(dtype).max + 1:
             return radices, dtype

@@ -6,8 +6,7 @@ products, the torus cycle index and the Euler series.  Coefficients are
 
 A series tracks coefficients for u^0 .. u^N inclusive, where the
 truncation order N is fixed at construction.  Binary operations take
-the minimum of the operand orders, and `coefficient` refuses to read
-past the order rather than silently returning zero.
+the minimum of the operand orders.
 
 A generating function that is only read coefficient by coefficient has no
 order: `ExpCoefficients` computes the coefficients of an exp on demand,
@@ -59,30 +58,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int):
-        """The coefficient of u^n; it is an error to read past the order."""
-        if n < 0:
-            raise IndexError(f"negative exponent {n}")
-        if n > self.order:
-            raise IndexError(
-                f"coefficient {n} requested from a series of order {self.order}"
-            )
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- ring operations -----------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -173,9 +154,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order})"

@@ -252,8 +252,10 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     m = n - sum(i * ki for i, ki in k.items())
     if m < 0:
         return RationalFunction(0)
-    out = RationalFunction(gl_order(n) // gl_order(m))
-    out = out * RationalFunction.q_power(m * m - m - n * n + n)
+    # |GL_n| / |GL_m| * q^(m^2 - m - n^2 + n)
+    out = RationalFunction.q_power(m * (m - 1) // 2 - n * (n - 1) // 2)
+    for i in range(m + 1, n + 1):
+        out = out * (RationalFunction.q_power(i) - ONE)
     for i, ki in k.items():
         out = out / ((RationalFunction.q_power(i) - ONE) ** ki * (i**ki * factorial(ki)))
     return out

@@ -667,7 +667,7 @@ def test_type_code_width_by_enumeration(p, n, dtype):
 
 
 def test_type_code_width_rule():
-    # from (n, p) alone: nothing is sieved or enumerated
+    # from the irreducibles of degree <= n/2 alone: no degree-n code is made
     assert ffpoly._type_code(14, 3)[1] is np.uint32
     radices, dtype = ffpoly._type_code(26, 2)
     assert dtype is np.uint32 and math.prod(radices) - 1 == 117_573_119
@@ -680,6 +680,7 @@ def test_type_code_width_rule():
             while p**n <= ffpoly.MAX_BUDGET:
                 assert math.prod(ffpoly._type_code(n, p)[0]) <= 2**32, (p, n)
                 n += 1
+            ffpoly._irreducibles.cache_clear()  # else the sieved rows of every prime pile up
     # beyond the budget the rule refuses, before anything is allocated
     with pytest.raises(ValueError):
         ffpoly._type_code(40, 2)
