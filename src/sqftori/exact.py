@@ -158,6 +158,12 @@ class QPoly:
             k >>= 1
         return out
 
+    def __truediv__(self, c: int) -> "QPoly":
+        """The polynomial divided by a nonzero integer c."""
+        if not c:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _poly(list(self.z), self.d * c)
+
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Exact polynomial division with remainder over Q.
 

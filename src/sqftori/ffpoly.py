@@ -104,6 +104,16 @@ def check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def check_moment_orders(k: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """The orders k = {d: k_d} of a binomial moment as sorted (d, k_d) pairs
+    with k_d > 0; ValueError unless every d is an int >= 1 and every k_d an
+    int >= 0 (a bool or float is refused, as by `check_prime`)."""
+    for d, kd in k.items():
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (d, kd)) or d < 1 or kd < 0:
+            raise ValueError(f"moment orders need int degrees >= 1 and int orders >= 0: {dict(k)}")
+    return tuple(sorted((d, kd) for d, kd in k.items() if kd))
+
+
 # ---------------------------------------------------------------------------
 # discriminant classes
 # ---------------------------------------------------------------------------
@@ -310,10 +320,14 @@ def _add_cofactor_digits(
         yield from _add_cofactor_digits(W.reshape(B, -1), step, thr, pows, j + 1, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _irreducibles(p: int, d: int) -> np.ndarray:
     """Coefficient rows, constant term first, of the monic irreducibles of
     degree d >= 1: a transposed view of their `_monic_rows`.
+
+    The cache holds 64 (p, d) pairs, the least recently used dropped first:
+    `verify all` at its defaults reads 15, and a process that asks for
+    many primes does not keep the rows of every one.
 
     They are the zero codes of _factor_codes(d, p), slab by slab: no
     factor of degree <= d/2 and no square mark.  At d = 1 nothing is
@@ -357,11 +371,8 @@ class SquareFreeStats:
     def binomial_moment(self, k: Mapping[int, int]) -> Fraction:
         """E[prod_d C(X_d, k_d)] over the square-free polynomials, X_d the
         number of degree-d irreducible factors (k = {1: 1}: the mean root count)."""
-        if any(d < 1 or kd < 0 for d, kd in k.items()):
-            raise ValueError(f"moment orders need positive degrees and non-negative orders: {dict(k)}")
-        total = self._type_sum(
-            lambda parts: math.prod(math.comb(parts.count(d), kd) for d, kd in k.items())
-        )
+        key = check_moment_orders(k)
+        total = self._type_sum(lambda parts: math.prod(math.comb(parts.count(d), kd) for d, kd in key))
         return Fraction(total, self.squarefree_count)
 
     @property

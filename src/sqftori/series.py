@@ -1,22 +1,21 @@
-"""Truncated formal power series in u over Q(q).
+"""Truncated formal power series in u over Q(q), and the exp recurrence.
 
-Every generating function of the paper lives in Q(q): the degree
-products, the torus cycle index and the Euler series.  Coefficients are
-`RationalFunction` elements, and all arithmetic on them is exact.
-
-A series tracks coefficients for u^0 .. u^N inclusive, where the
-truncation order N is fixed at construction.  Binary operations take
-the minimum of the operand orders.
+A `TruncatedSeries` holds `RationalFunction` coefficients for u^0 .. u^N
+inclusive, where the truncation order N is fixed at construction, and all
+arithmetic on them is exact.  Binary operations take the minimum of the
+operand orders.  A series is built only where a report prints one.
 
 A generating function that is only read coefficient by coefficient has no
 order: `ExpCoefficients` computes the coefficients of an exp on demand,
-each once, and `TruncatedSeries.exp` reads it up to the series' order.
+each once.  It runs in whatever ring its weights live in: the degree
+products and the torus cycle index run it on `QPoly` numerators, and
+`TruncatedSeries.exp` reads it over Q(q) up to the series' order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .exact import ONE, ZERO, RationalFunction
 
@@ -115,7 +114,7 @@ class TruncatedSeries:
         """Formal exp; requires constant term 0.  Read off `ExpCoefficients`."""
         if self.coeffs[0] != ZERO:
             raise ValueError("series exp requires constant term 0")
-        g = ExpCoefficients(lambda k: RationalFunction.from_fraction(k) * self.coeffs[k])
+        g = ExpCoefficients.from_log(lambda k: RationalFunction.from_fraction(k) * self.coeffs[k], ONE)
         return TruncatedSeries(g[m] for m in range(self.order + 1))
 
     def pow(self, e: int) -> "TruncatedSeries":
@@ -182,28 +181,45 @@ class ExpCoefficients:
     """The coefficients g_n of g = exp(f), f_0 = 0, each computed once, the
     first time it is read, so a generating function has no truncation order.
 
-    `weighted(k)` gives k*f_k; it is called once per k, in increasing k, when
-    g_k is first needed.  The recurrence is g' = f' g, i.e.
-    n*g_n = sum_{k=1..n} k * f_k * g_{n-k}.
+    The recurrence is g' = f' g, i.e. n*g_n = sum_{k=1..n} k * f_k * g_{n-k}.
+    `weight(n, k)` gives the factor of g_{n-k} in n*g_n: k*f_k for a plain
+    exp (`from_log`), or k*f_k * c_n/c_{n-k} when the memo holds the
+    rescaled coefficients c_n*g_n, which depends on n.  It is called at most
+    once per (n, k), in increasing n, and not where g_{n-k} is zero.  The
+    coefficients live in the ring of `one` and of the weights: anything with
+    +, -, *, `is_zero()` and exact division by a positive int.
     """
 
-    __slots__ = ("_weighted_coefficient", "_weighted", "_g")
+    __slots__ = ("_weight", "_zero", "_g")
 
-    def __init__(self, weighted: Callable[[int], RationalFunction]):
-        self._weighted_coefficient = weighted
-        self._weighted = [ZERO]
-        self._g = [ONE]
+    def __init__(self, weight: Callable[[int, int], Any], one):
+        self._weight = weight
+        self._zero = one - one
+        self._g = [one]
 
-    def __getitem__(self, n: int) -> RationalFunction:
+    @classmethod
+    def from_log(cls, weighted: Callable[[int], Any], one) -> "ExpCoefficients":
+        """exp(f) from `weighted(k)` = k*f_k, which is called once per k, in
+        increasing k, when g_k is first needed."""
+        known = [None]
+
+        def weight(n: int, k: int):
+            while len(known) <= k:
+                known.append(weighted(len(known)))
+            return known[k]
+
+        return cls(weight, one)
+
+    def __getitem__(self, n: int):
         if n < 0:
             raise IndexError(f"negative exponent {n}")
-        weighted, g = self._weighted, self._g
+        weight, g = self._weight, self._g
         for m in range(len(g), n + 1):
-            weighted.append(self._weighted_coefficient(m))
-            acc = ZERO
+            acc = self._zero
             for k in range(1, m + 1):
-                w = weighted[k]
-                if w != ZERO and g[m - k] != ZERO:
-                    acc = acc + w * g[m - k]
-            g.append(acc * RationalFunction.from_fraction(Fraction(1, m)))
+                if not g[m - k].is_zero():
+                    w = weight(m, k)
+                    if not w.is_zero():
+                        acc = acc + w * g[m - k]
+            g.append(acc / m)
         return g[n]

@@ -1,22 +1,27 @@
 """Counts and expectations for square-free monic polynomials over F_q.
 
-Everything is an exact element of Q(q).  The central tool is the
-factorization generating function
+Every value a report reads is an exact element of Q(q), but it is built
+on integer numerators (`QPoly`) and enters Q(q) once, at the end.  The
+central tool is the factorization generating function
 
     prod_{d>=1} (1 - u^d)^(-N(d,q)) = 1/(1 - qu),
 
-where N(d,q) is the number of monic irreducible polynomials of degree d.
+where N(d,q) is the number of monic irreducible polynomials of degree d,
+d*N(d,q) = sum_{e|d} mu(e) q^(d/e) an integer polynomial (Gauss).
 The coefficient of u^n only needs the factors with d <= n, since higher
 degrees cannot touch it.
 
 Each degree product is one exp of its logarithm (`_degree_product`), its
-coefficients computed on demand, each once (`series.ExpCoefficients`):
+coefficients computed on demand, each once (`series.ExpCoefficients`),
+as `QPoly`s:
 
     prod_d (1 + sign*u^d)^(e_d) = exp(-sum_d e_d sum_k (-sign)^k u^(dk)/k).
 
-At sign +1 and e_d = N(d,q) it is the powerset of the irreducibles (the
-square-free f), at sign -1 and e_d = -N(d,q) their multiset (all monic f):
-the Polya exponentials of Flajolet and Sedgewick, Analytic Combinatorics, I.2.
+The weight m*[u^m] of the logarithm is a sum of the integer polynomials
+d*e_d.  At sign +1 and e_d = N(d,q) the product is the powerset of the
+irreducibles (the square-free f), at sign -1 and e_d = -N(d,q) their
+multiset (all monic f): the Polya exponentials of Flajolet and Sedgewick,
+Analytic Combinatorics, I.2.
 
 Every expectation is a combination of binomial moments E[prod_d C(X_d, k_d)],
 X_d the number of degree-d irreducible factors.  Marking the square-free
@@ -27,23 +32,27 @@ all of them in one closed form (`binomial_moment`): with s = sum_d d*k_d,
         * [u^(n-s)] (1-qu^2)/(1-qu) prod_d (1+u^d)^(-k_d) / S_n,
 
 S_n = q^n - q^(n-1) (n >= 2) the number of square-free f of degree n;
-the coefficient is the convolution of the S_j with the coefficients of
-prod_d (1+u^d)^(-k_d).
+the coefficient is the convolution of the S_j with the integer
+coefficients of prod_d (1+u^d)^(-k_d), and C(N(d,q), k_d) a falling
+factorial on the numerator d*N(d,q), so the moment is one integer
+numerator over an integer times S_n.
 
 It is checked against routes that share no intermediate value with it:
 the alternating partial sum for E[X_1], and for E[X_2 - C(X_1,2)] a
 finite-n formula driven by two integer sequences defined by their
 generating functions and generated by the recurrence of their denominator.
+Both are built as one numerator over q^(n-2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from math import factorial
+from typing import Callable, Mapping, Sequence
 
-from .exact import ONE, Q, ZERO, RationalFunction
+from .exact import _ONE, ONE, Q, ZERO, QPoly, RationalFunction, _mul, _poly
+from .ffpoly import check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
 
@@ -65,43 +74,54 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def count_irreducibles(d: int) -> RationalFunction:
-    """N(d,q): monic irreducible degree-d polynomials over F_q.
-
-    Gauss' formula N(d,q) = (1/d) * sum_{e|d} mu(e) q^(d/e); always a
-    polynomial in q with rational coefficients.
-    """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    acc = RationalFunction(0)
+def _gauss_numerator(d: int) -> tuple[int, ...]:
+    """d*N(d,q) = sum_{e|d} mu(e) q^(d/e), Gauss' formula times d: the
+    integer coefficients, lowest degree first."""
+    z = [0] * (d + 1)
     for e in range(1, d + 1):
         if d % e == 0:
-            m = _mobius(e)
-            if m:
-                acc = acc + RationalFunction.from_fraction(Fraction(m, d)) * RationalFunction.q_power(d // e)
-    return acc
+            z[d // e] += _mobius(e)
+    return tuple(z)
 
 
-def _weighted_log(m: int, sign: int, exponent) -> RationalFunction:
+@lru_cache(maxsize=None)
+def count_irreducibles(d: int) -> RationalFunction:
+    """N(d,q): monic irreducible degree-d polynomials over F_q, by Gauss'
+    formula N(d,q) = (1/d) * sum_{e|d} mu(e) q^(d/e); always a polynomial
+    in q with rational coefficients."""
+    if d < 1:
+        raise ValueError("degree must be positive")
+    return RationalFunction(_poly(list(_gauss_numerator(d)), d))
+
+
+def _weighted_log(m: int, sign: int, scaled_exponent: Callable[[int], Sequence[int]]) -> QPoly:
     """m times the u^m coefficient of the logarithm of the module docstring,
-    at e_d = exponent(d)."""
-    acc = ZERO
+    from the integer numerators scaled_exponent(d) of d*e_d."""
+    acc: list[int] = []
     for d in range(1, m + 1):
         if m % d == 0:
-            acc = acc - exponent(d) * (d * (-sign) ** (m // d))
-    return acc
+            c = -((-sign) ** (m // d))
+            z = scaled_exponent(d)
+            acc += [0] * (len(z) - len(acc))
+            for i, x in enumerate(z):
+                acc[i] += c * x
+    return _poly(acc, 1)
 
 
 @lru_cache(maxsize=None)
 def _degree_product(sign: int, power: int) -> ExpCoefficients:
-    """prod_d (1 + sign*u^d)^(power*N(d,q)), as the one exp of the module docstring."""
-    return ExpCoefficients(lambda m: _weighted_log(m, sign, lambda d: power * count_irreducibles(d)))
+    """prod_d (1 + sign*u^d)^(power*N(d,q)), as the one exp of the module
+    docstring, on `QPoly` numerators: its weights d*e_d are power times
+    Gauss' integer numerators."""
+    return ExpCoefficients.from_log(
+        lambda m: _weighted_log(m, sign, lambda d: [power * c for c in _gauss_numerator(d)]), _ONE
+    )
 
 
 def inverse_factorization_series(order: int) -> TruncatedSeries:
     """prod_d (1 - u^d)^(-N(d,q)) through u^order: all monic polynomials by degree."""
     product = _degree_product(-1, -1)
-    return TruncatedSeries(product[k] for k in range(order + 1))
+    return TruncatedSeries(RationalFunction(product[k]) for k in range(order + 1))
 
 
 def geometric_q_series(order: int) -> TruncatedSeries:
@@ -125,7 +145,7 @@ def squarefree_count(n: int) -> RationalFunction:
     """Number of square-free monic degree-n polynomials, by the product route."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return _degree_product(+1, 1)[n]
+    return RationalFunction(_degree_product(+1, 1)[n])
 
 
 def moebius_signed_sum(n: int) -> RationalFunction:
@@ -138,7 +158,7 @@ def moebius_signed_sum(n: int) -> RationalFunction:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return _degree_product(-1, 1)[n]
+    return RationalFunction(_degree_product(-1, 1)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +168,54 @@ def moebius_signed_sum(n: int) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def _moment_factor(k: tuple[tuple[int, int], ...]) -> ExpCoefficients:
-    """prod_d (1+u^d)^(-k_d), for k as sorted (d, k_d) pairs."""
-    return ExpCoefficients(lambda m: _weighted_log(m, +1, lambda d: -dict(k).get(d, 0)))
+    """prod_d (1+u^d)^(-k_d), for k as sorted (d, k_d) pairs; its
+    coefficients are integers, held as constant `QPoly`s."""
+    orders = dict(k)
+    return ExpCoefficients.from_log(lambda m: _weighted_log(m, +1, lambda d: (-d * orders.get(d, 0),)), _ONE)
 
 
 def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """E[prod_d C(X_d, k_d)] for a uniform square-free monic f of degree n,
     X_d the number of degree-d irreducible factors of f, by the closed form
-    of the module docstring; it is 0 when sum_d d*k_d > n."""
+    of the module docstring; it is 0 when sum_d d*k_d > n.
+
+    The value is built as one integer numerator over an integer: the S_j
+    convolved with the integer coefficients of `_moment_factor`, times
+    prod_d C(N(d,q), k_d) = prod_d prod_{i<k_d} (d*N(d,q) - i*d) / (d^k_d k_d!)
+    on Gauss' numerators.  It enters Q(q) once, over S_n.
+    """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if any(d < 1 or kd < 0 for d, kd in k.items()):
-        raise ValueError(f"moment orders need positive degrees and non-negative orders: {dict(k)}")
-    key = tuple(sorted((d, kd) for d, kd in k.items() if kd))
-    s = sum(d * kd for d, kd in key)
-    if s > n:
-        return RationalFunction(0)
-    factor = _moment_factor(key)  # times (1-qu^2)/(1-qu), whose u^j coefficient is S_j
-    out = sum((squarefree_count_formula(j) * factor[n - s - j] for j in range(n - s + 1)), ZERO)
-    for d, kd in key:  # times C(N(d,q), k_d) = N(N-1)...(N-k_d+1)/k_d!
+    key = check_moment_orders(k)
+    t = n - sum(d * kd for d, kd in key)
+    if t < 0:
+        return ZERO
+    factor = _moment_factor(key)
+    # [u^t] of (1-qu^2)/(1-qu) times the factor: S_0 = 1, S_1 = q, S_j = q^j - q^(j-1)
+    num = [0] * (t + 1)
+    for j in range(t + 1):
+        c = int(factor[t - j].eval(0))
+        num[j] += c
+        if j >= 2:
+            num[j - 1] -= c
+    den = 1
+    for d, kd in key:
+        gauss = _gauss_numerator(d)
         for i in range(kd):
-            out = out * (count_irreducibles(d) - i) / (i + 1)
-    return out / squarefree_count_formula(n)
+            num = _mul(num, [gauss[0] - i * d, *gauss[1:]])
+        den *= d**kd * factorial(kd)
+    return RationalFunction(_poly(num, den), squarefree_count_formula(n).num)
 
 
 def expected_linear_factors(n: int) -> RationalFunction:
     """Expected number of distinct roots of a random square-free monic
     degree-n polynomial, E[X_1], as the alternating partial sum
-    1 - 1/q + ... +- 1/q^(n-2)."""
+    1 - 1/q + ... +- 1/q^(n-2), built as one numerator over q^(n-2)."""
     if n < 2:
         raise ValueError("the linear-factor expectation needs n >= 2")
-    acc = RationalFunction(0)
-    for i in range(n - 1):
-        term = RationalFunction.q_power(-i)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    # (-1)^i / q^i is (-1)^i q^(n-2-i) / q^(n-2)
+    num = [(-1) ** (n - 2 - j) for j in range(n - 1)]
+    return RationalFunction(_poly(num, 1), QPoly.q_power(n - 2))
 
 
 def quad_excess_exact(n: int) -> RationalFunction:
@@ -250,12 +283,12 @@ def quad_excess_formula(n: int) -> RationalFunction:
     if n == 3:
         return RationalFunction.q_power(-1)
     a, b = _default_tables(n - 3)
-    acc = RationalFunction(0)
+    # over q^(n-2), the term at 1/q^i is the coefficient of q^(n-2-i)
+    num = [0] * (n - 2)
     for i in range(1, n - 2):
-        term = RationalFunction.from_fraction(Fraction(a[i])) * RationalFunction.q_power(-i)
-        acc = acc + (term if i % 2 == 1 else -term)
-    tail = RationalFunction.from_fraction(Fraction(b[n - 3])) * RationalFunction.q_power(-(n - 2))
-    return acc - (tail if n % 2 == 0 else -tail)
+        num[n - 2 - i] = a[i] if i % 2 == 1 else -a[i]
+    num[0] = -b[n - 3] if n % 2 == 0 else b[n - 3]
+    return RationalFunction(_poly(num, 1), QPoly.q_power(n - 2))
 
 
 def quad_excess_limit() -> RationalFunction:

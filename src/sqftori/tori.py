@@ -19,10 +19,13 @@ and the torus analogue of the cycle index
     1 + sum_n u^n/|GL(n,q)| sum_T prod_i x_i^(n_i(T))
         = prod_i exp[ x_i u^i / ((q^i - 1) i) ].
 
-The series route sets every mark x_i to a rational weight w
+The series route sets every mark x_i to an integer weight w
 (`cycle_index_coefficient`): w = 1 counts the tori, w = -1 gives the mod-2
 bias.  Its coefficients are computed on demand, each once
-(`series.ExpCoefficients`); at w = 1 it is Euler's F below.
+(`series.ExpCoefficients`), on integer numerators: scaled by
+prod_{i<=n} (q^i - 1), the weight of each earlier coefficient in the
+recurrence is an integer polynomial (`_gl_ratio`), so no gcd is taken.
+At w = 1 it is Euler's F below.
 
 Each expectation is a combination of binomial moments E[prod_i C(n_i, k_i)];
 with x_i = 1 + t_i the cycle index gives all of them in one closed form,
@@ -48,7 +51,8 @@ from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
-from .exact import ONE, RationalFunction, _poly, gl_order
+from .exact import _ONE, ONE, QPoly, RationalFunction, _poly, _raw, gl_order
+from .ffpoly import check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
 # tori builds no reports; `make_report` is bound here only because
@@ -169,21 +173,47 @@ def total_tori(n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cycle_index(weight: Fraction | int) -> ExpCoefficients:
-    """exp( sum_i w u^i / ((q^i - 1) i) ) over Q(q): the cycle index with
-    every mark x_i set to the rational weight w.  At w = 1 it is Euler's
-    F(u) = prod_{r>=1} 1/(1 - u/q^r), whose logarithm has the same terms."""
-    return ExpCoefficients(
-        lambda i: RationalFunction.from_fraction(Fraction(weight)) / (RationalFunction.q_power(i) - ONE)
-    )
+def _gl_ratio(n: int, k: int) -> QPoly:
+    """prod_{n-k<i<=n} (q^i - 1) / (q^k - 1) for 1 <= k <= n, an integer polynomial.
+
+    Exactly one i = j in the range is a multiple of k, and its factor
+    divided by q^k - 1 is 1 + q^k + ... + q^(j-k); the other factors are
+    multiplied in as they are, each by one shifted subtraction.
+    """
+    j = n - n % k
+    z = [0] * (j - k + 1)
+    z[::k] = [1] * (j // k)
+    for i in range(n - k + 1, n + 1):
+        if i != j:
+            z = [a - b for a, b in zip([0] * i + z, z + [0] * i)]
+    return _raw(tuple(z), 1)
 
 
-def cycle_index_coefficient(n: int, weight: Fraction | int) -> RationalFunction:
-    """|GL(n,q)| times the u^n coefficient of the cycle index at weight w:
-    the sum over the tori of w^(number of parts), their number at w = 1."""
+@lru_cache(maxsize=None)
+def _cycle_index(weight: int) -> ExpCoefficients:
+    """H_n = prod_{i<=n} (q^i - 1) * [u^n] exp( sum_k w u^k / ((q^k - 1) k) ):
+    the cycle index with every mark x_i set to the integer weight w, scaled
+    so that |GL(n,q)| times its u^n coefficient is q^C(n,2) H_n.
+
+    The weight of H_(n-k) in n*H_n is w * `_gl_ratio(n, k)`, an integer
+    polynomial, so every H_n is integer numerators over a divisor of n!,
+    found with no gcd and no polynomial division.  At w = 1, H_n over
+    prod_{i<=n} (q^i - 1) is the coefficient of Euler's
+    F(u) = prod_{r>=1} 1/(1 - u/q^r), whose logarithm has the same terms.
+    """
+    return ExpCoefficients(lambda n, k: _poly([weight * c for c in _gl_ratio(n, k).z], 1), _ONE)
+
+
+def cycle_index_coefficient(n: int, weight: int) -> RationalFunction:
+    """|GL(n,q)| times the u^n coefficient of the cycle index at the integer
+    weight w: the sum over the tori of w^(number of parts), their number at
+    w = 1."""
+    if isinstance(weight, bool) or not isinstance(weight, int):
+        raise ValueError(f"the cycle index weight must be an int, not {weight!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return RationalFunction(gl_order(n)) * _cycle_index(weight)[n]
+    h = _cycle_index(weight)[n]
+    return RationalFunction(_poly([0] * (n * (n - 1) // 2) + list(h.z), h.d))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +265,6 @@ def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _check_orders(k: Mapping[int, int]) -> None:
-    if any(i < 1 or ki < 0 for i, ki in k.items()):
-        raise ValueError(f"moment orders need positive parts and non-negative orders: {dict(k)}")
-
-
 def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """E[prod_i C(n_i, k_i)] for a uniform torus of GL_n, n_i the parts equal
     to i, by the closed form of the module docstring; it is 0 when
@@ -248,15 +273,15 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_orders(k)
-    m = n - sum(i * ki for i, ki in k.items())
+    key = check_moment_orders(k)
+    m = n - sum(i * ki for i, ki in key)
     if m < 0:
         return RationalFunction(0)
     # |GL_n| / |GL_m| * q^(m^2 - m - n^2 + n)
     out = RationalFunction.q_power(m * (m - 1) // 2 - n * (n - 1) // 2)
     for i in range(m + 1, n + 1):
         out = out * (RationalFunction.q_power(i) - ONE)
-    for i, ki in k.items():
+    for i, ki in key:
         out = out / ((RationalFunction.q_power(i) - ONE) ** ki * (i**ki * factorial(ki)))
     return out
 
@@ -265,8 +290,8 @@ def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:
     """The same moment as a sum over the types: sum of P(lambda) prod_i C(n_i(lambda), k_i)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_orders(k)
-    moment = _type_sum(n, lambda parts: prod(comb(parts.count(i), ki) for i, ki in k.items()))
+    key = check_moment_orders(k)
+    moment = _type_sum(n, lambda parts: prod(comb(parts.count(i), ki) for i, ki in key))
     return moment / total_tori_formula(n)
 
 
@@ -280,12 +305,13 @@ def expected_eigenvectors_series(n: int) -> RationalFunction:
 
     The front factor has the single term u, so the coefficient needed is
     just F's coefficient of u^(n-1) scaled by 1/(q-1); F is read off the
-    cycle index at weight 1.
+    cycle index at weight 1, as H_(n-1) over prod_{i<n} (q^i - 1).  With
+    |GL(n,q)| = q^C(n,2) prod_{i<=n} (q^i - 1) that leaves
+    `_gl_ratio(n, 1)` * H_(n-1) over q^C(n,2).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    coeff = _cycle_index(1)[n - 1] / (RationalFunction.q_power(1) - ONE)
-    return coeff * RationalFunction(gl_order(n)) / total_tori_formula(n)
+    return RationalFunction(_gl_ratio(n, 1) * _cycle_index(1)[n - 1], QPoly.q_power(n * (n - 1) // 2))
 
 
 def tori_quad_excess(n: int) -> RationalFunction:

@@ -680,10 +680,22 @@ def test_type_code_width_rule():
             while p**n <= ffpoly.MAX_BUDGET:
                 assert math.prod(ffpoly._type_code(n, p)[0]) <= 2**32, (p, n)
                 n += 1
-            ffpoly._irreducibles.cache_clear()  # else the sieved rows of every prime pile up
     # beyond the budget the rule refuses, before anything is allocated
     with pytest.raises(ValueError):
         ffpoly._type_code(40, 2)
+
+
+def test_irreducible_rows_of_many_primes_do_not_pile_up():
+    # the cache is bounded: 50 primes at degrees 1 and 2 ask for 100 pairs
+    ffpoly._irreducibles.cache_clear()
+    primes = [p for p in range(2, 300) if is_prime(p)][:50]
+    assert len(primes) == 50
+    for p in primes:
+        ffpoly._type_code(4, p)
+        assert ffpoly._irreducibles.cache_info().currsize <= ffpoly._irreducibles.cache_info().maxsize
+    assert ffpoly._irreducibles.cache_info().maxsize == 64
+    assert ffpoly._irreducibles.cache_info().currsize == 64
+    ffpoly._irreducibles.cache_clear()
 
 
 def test_factor_counts_rejects_an_unmarked_small_factor():

@@ -219,16 +219,58 @@ def test_exp_coefficients_read_in_any_order_equal_the_series_exp(coeffs, reads):
         asked.append(k)
         return RF(k) * g.coeffs[k]
 
-    memo = ExpCoefficients(weighted)
+    memo = ExpCoefficients.from_log(weighted, ONE)
     for n in reads + sorted(reads, reverse=True) + sorted(reads):
         assert memo[n] == expected.coeffs[n]
     # each k*f_k is computed once, in increasing k, up to the highest read
     assert asked == list(range(1, max(reads) + 1))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(_rf_coeffs, min_size=7, max_size=7),
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12),
+)
+def test_exp_coefficients_with_weights_that_depend_on_n_hold_the_rescaled_exp(coeffs, reads):
+    # c_n g_n for c_n = prod_{i<=n} (q^i - 1): the weight of c_(n-k) g_(n-k)
+    # in n c_n g_n is k*f_k c_n/c_(n-k), as for the torus cycle index
+    g = TruncatedSeries((RF(0),) + tuple(coeffs[1:]))
+    expected = g.exp()
+    scale = [ONE]
+    for i in range(1, 7):
+        scale.append(scale[-1] * (Q**i - ONE))
+    asked = []
+
+    def weight(n, k):
+        asked.append((n, k))
+        return RF(k) * g.coeffs[k] * scale[n] / scale[n - k]
+
+    memo = ExpCoefficients(weight, ONE)
+    for n in reads + sorted(reads, reverse=True):
+        assert memo[n] == scale[n] * expected.coeffs[n]
+    # at most once per (n, k), in increasing n
+    assert len(set(asked)) == len(asked)
+    assert [n for n, _ in asked] == sorted(n for n, _ in asked)
+
+
+def test_exp_coefficients_run_in_the_ring_of_their_weights():
+    # over QPoly numerators and over Q(q), the same exp(sum_k q^k u^k / k) = 1/(1 - qu)
+    on_numerators = ExpCoefficients.from_log(exact.QPoly.q_power, exact.QPoly.constant(1))
+    in_qq = ExpCoefficients.from_log(RationalFunction.q_power, ONE)
+    for n in range(10):
+        coefficient = on_numerators[n]
+        assert isinstance(coefficient, exact.QPoly)
+        assert RationalFunction(coefficient) == in_qq[n]
+        assert coefficient == exact.QPoly.q_power(n)
+    # weights q^k/k, f = sum_k q^k u^k / k^2: g_2 = (q * q + q^2/2) / 2, by
+    # the exact division of a QPoly by n
+    rational = ExpCoefficients.from_log(lambda k: exact.QPoly.q_power(k) / k, exact.QPoly.constant(1))
+    assert rational[2] == exact.QPoly([0, 0, Fraction(3, 4)])
+
+
 def test_exp_coefficients_refuse_a_negative_exponent():
     with pytest.raises(IndexError):
-        ExpCoefficients(lambda k: ONE)[-1]
+        ExpCoefficients(lambda n, k: ONE, ONE)[-1]
 
 
 def test_clearing_the_symbolic_caches_leaves_no_memo():

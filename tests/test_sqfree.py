@@ -6,9 +6,10 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+import qq_reference
 from fp_reference import count_linear_factors, factor_degrees, is_squarefree, monic_polys, stats_direct
 
-from sqftori import ffpoly, sqfree, suites, tori
+from sqftori import exact, ffpoly, sqfree, suites, tori
 from sqftori.exact import ONE, Q, RationalFunction
 from sqftori.report import RunConfig, failing_names
 from sqftori.series import TruncatedSeries
@@ -77,8 +78,9 @@ def _binomial_product(order, sign, exponents):
 
 
 def _prefix(coefficients, order):
-    """The coefficients of u^0..u^order of an on-demand series, as a truncated one."""
-    return TruncatedSeries(coefficients[k] for k in range(order + 1))
+    """The coefficients of u^0..u^order of an on-demand series on QPoly
+    numerators, as a truncated series over Q(q)."""
+    return TruncatedSeries(RF(coefficients[k]) for k in range(order + 1))
 
 
 def _closed_squarefree_series(order):
@@ -203,6 +205,29 @@ def test_binomial_moment_small_degrees_and_bad_orders():
     for k in ({1: -1}, {0: 1}):
         with pytest.raises(ValueError):
             sqfree.binomial_moment(3, k)
+
+
+@pytest.mark.parametrize("k", _ORDERS_OF_WEIGHT_AT_MOST_4, ids=str)
+def test_binomial_moment_equals_the_qq_reference(k):
+    # the integer numerator against the moment built in Q(q) operation by operation
+    for n in range(15):
+        assert sqfree.binomial_moment(n, k) == qq_reference.binomial_moment(n, k)
+
+
+def test_binomial_moment_takes_at_most_one_gcd(monkeypatch):
+    # one integer numerator, cancelled by S_n once, when it enters Q(q)
+    calls = []
+    gcd = exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    for module in (exact, sqfree, tori):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    for k in _ORDERS_OF_WEIGHT_AT_MOST_4:
+        for n in range(15):
+            calls.clear()
+            sqfree.binomial_moment(n, k)
+            assert len(calls) <= 1, (n, k)
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (2, 7), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3)])

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+import qq_reference
 
 from sqftori import exact, sqfree, suites, tori
 from sqftori.exact import ONE, Q, QPoly, RationalFunction, gl_order
@@ -218,6 +219,40 @@ def test_cycle_index_weight_marks_each_part():
         assert tori.cycle_index_coefficient(n, 2) == tori._type_sum(n, lambda parts: 2 ** len(parts))
 
 
+@pytest.mark.parametrize("weight", [-1, 0, 1, 2])
+def test_cycle_index_equals_the_qq_exp_reference(weight):
+    reference = qq_reference.cycle_index_coefficients(16, weight)
+    for n in range(1, 17):
+        assert tori.cycle_index_coefficient(n, weight) == reference[n]
+
+
+@pytest.mark.parametrize("weight", [0.1, 1.0, True, Fraction(1, 2), Fraction(1)], ids=repr)
+def test_cycle_index_refuses_a_weight_that_is_not_an_int(weight):
+    # a float would be read by its binary expansion, a bool as 0 or 1
+    with pytest.raises(ValueError):
+        tori.cycle_index_coefficient(2, weight)
+
+
+def _clear_symbolic_caches():
+    for module in (exact, sqfree, tori):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_cycle_index_takes_no_gcd(monkeypatch):
+    # G_n is built on integer numerators: no Q(q) canonical form on the way
+    calls = []
+    gcd = exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    _clear_symbolic_caches()
+    for n in range(1, 13):
+        tori.cycle_index_coefficient(n, 1)
+        tori.cycle_index_coefficient(n, -1)
+        tori.expected_eigenvectors_series(n)
+    assert calls == []
+
+
 def test_cycle_index_minus_one_reproduces_bias():
     for n in range(1, 9):
         log = {i: RF.from_fraction(-1) / ((RF.q_power(i) - ONE) * i) for i in range(1, n + 1)}
@@ -248,9 +283,11 @@ def test_euler_identities_at_every_order(which):
 
 
 def test_cycle_index_at_weight_one_is_euler_f():
-    # the eigenvector series reads Euler's F off the cycle index at weight 1
+    # the eigenvector series reads Euler's F off the cycle index at weight 1,
+    # whose memo holds F's coefficients times prod_{i<=k} (q^i - 1)
     f = tori.euler_sum_series(1, 16)
-    assert [tori._cycle_index(1)[k] for k in range(17)] == list(f.coeffs)
+    scale = [RF(gl_order(k)) / RF.q_power(k * (k - 1) // 2) for k in range(17)]
+    assert [RF(tori._cycle_index(1)[k]) / scale[k] for k in range(17)] == list(f.coeffs)
 
 
 def test_euler_first_coefficient():
@@ -349,12 +386,22 @@ def test_binomial_moment_rejects_negative_orders():
             tori.binomial_moment(3, k)
 
 
-@pytest.mark.parametrize("k", [{0: 2}, {-1: 1}, {1: -1}], ids=str)
+def _oracle_moment(n, k):
+    return enumerate_stats(n, 2, discriminants=False).binomial_moment(k)
+
+
 @pytest.mark.parametrize(
-    "moment", [tori.binomial_moment, tori.binomial_moment_partition, sqfree.binomial_moment],
+    "k",
+    [{0: 2}, {-1: 1}, {1: -1}, {1: 1.0}, {1.0: 1}, {1: True}, {True: 1}, {1: Fraction(1)}, {2: 0.5}],
+    ids=str,
+)
+@pytest.mark.parametrize(
+    "moment",
+    [tori.binomial_moment, tori.binomial_moment_partition, sqfree.binomial_moment, _oracle_moment],
     ids=lambda f: f"{f.__module__}.{f.__name__}",
 )
 def test_every_binomial_moment_rejects_bad_orders(moment, k):
+    # one shared check: an int degree >= 1 and an int order >= 0, no bool or float
     with pytest.raises(ValueError):
         moment(3, k)
 
