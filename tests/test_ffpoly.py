@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def test_batched_discriminant_refuses_rows_that_are_not_squarefree(p, n):
         _disc_residues(mixed, n, p)
 
 
-#: a few arrays of about _CHUNK entries each, as the product walk and the
+#: a few arrays of about _CHUNK entries each, as the marking and the
 #: discriminant blocks hold at a time
 _CHUNK_ALLOWANCE = 4 * 2**20
 
@@ -405,28 +406,101 @@ def _index(f):
     return sum(c * f.p**i for i, c in enumerate(f.coeffs[:-1]))
 
 
-@pytest.mark.parametrize("chunk", [None, 4])
-def test_product_walk_matches_fieldpoly_products(monkeypatch, chunk):
-    from sqftori.ffpoly import _product_indices
+def _moduli(p, e, square):
+    """The monic irreducibles of degree e over F_p, or their squares, as
+    FieldPolys and as the coefficient rows `_Moduli` takes."""
+    polys = [g * g if square else g for g in _sieved(p, e)]
+    return polys, np.array([list(M.coeffs) for M in polys], dtype=np.int64)
 
+
+#: (p, n, e, square): the moduli g or g^2 for g irreducible of degree e,
+#: of degree D = e or 2e, up to D = n (whose one multiple is M itself)
+_modulus_cases = [
+    (2, 9, 1, False), (2, 9, 2, True), (2, 8, 4, False), (2, 8, 4, True),
+    (3, 5, 1, False), (3, 5, 2, False), (3, 6, 1, True), (3, 6, 3, True),
+    (5, 4, 1, False), (5, 4, 2, False), (5, 4, 1, True),
+    (7, 3, 1, False), (7, 3, 1, True), (13, 2, 1, False), (13, 2, 1, True),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 4, 64])
+@pytest.mark.parametrize("slab", [None, 5, 30])
+def test_multiples_are_exactly_each_modulus_multiples(monkeypatch, chunk, slab):
+    # each modulus alone: its marks over all slabs, shifted to their slab's
+    # base, are strictly increasing, each in its slab, and are exactly the
+    # indices of M*h over the p^(n-D) monic h; all moduli of a degree
+    # together, as the sieve marks them, make the same multiset in arrays
+    # of at most _CHUNK.  Moduli of degree D > n - s are made once, with
+    # every multiple at its own index
     if chunk is not None:
-        # a tiny chunk forces the walk to branch over blocks of a
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
+    if slab is not None:
+        monkeypatch.setattr(ffpoly, "_SLAB", slab)
+    seen = set()
+    for p, n, e, square in _modulus_cases:
+        polys, rows = _moduli(p, e, square)
+        D = rows.shape[1] - 1
+        s, k = ffpoly._slab_shape(n, p)
+        slabs = [(0, 1, n - D, 0, p**n)] if D > n - s else [
+            (top, min(k, p**s - top), n - D - s, top * p ** (n - s), min(top + k, p**s) * p ** (n - s))
+            for top in range(0, p**s, k)
+        ]
+
+        def marks(M):
+            moduli = ffpoly._Moduli(M, p, n, slabs[0][2])
+            seen.add("shared" if D > n - s else "table" if moduli.table is not None else "direct")
+            out = []
+            for lo, count, _, base, end in slabs:
+                arrays = list(moduli.multiples(lo, count))
+                assert all(len(a) <= ffpoly._CHUNK for a in arrays)
+                got = np.concatenate(arrays) + base
+                assert ((base <= got) & (got < end)).all(), (p, n, D)
+                out.append(got)
+            return np.concatenate(out)
+
+        expected = [sorted(_index(M * h) for h in monic_polys(p, n - D)) for M in polys]
+        for M, row in zip(expected, rows):
+            got = marks(row[None, :])
+            assert len(got) == p ** (n - D)
+            assert (np.diff(got) > 0).all() and got.tolist() == M, (p, n, D)
+        assert sorted(marks(rows).tolist()) == sorted(i for M in expected for i in M)
+    # both ways of marking under test at the default sizes, and the shared
+    # moduli under small slabs
+    if chunk is None:
+        assert {"table", "direct"} <= seen
+    if slab is not None:
+        assert "shared" in seen
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_types(p, n):
+    """The factorization type of each monic degree-n polynomial by trial
+    division, None where it is not square-free, in index order."""
+    return [factor_degrees(f) if is_squarefree(f) else None for f in monic_polys(p, n)]
+
+
+_code_points = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 10) if p**n <= 729]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_code_points), st.data())
+def test_factor_codes_match_trial_division_over_random_slabs(point, data):
+    # every polynomial's decoded type, under a random slab size and batch
+    # size, against trial division of that polynomial alone; the
+    # irreducibles are sieved under the same sizes
+    p, n = point
+    slab = data.draw(st.integers(min_value=1, max_value=p**n), label="_SLAB")
+    chunk = data.draw(st.sampled_from([4, 64, ffpoly._CHUNK]), label="_CHUNK")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffpoly, "_SLAB", slab)
+        patch.setattr(ffpoly, "_CHUNK", chunk)
         ffpoly._irreducibles.cache_clear()
-    for p, e, m in [(2, 1, 5), (3, 2, 3), (5, 1, 3), (7, 2, 1), (13, 1, 2), (9973, 1, 1)]:
-        irr = [g for g in monic_polys(p, e) if _irreducible(g)]
-        if p == 9973:
-            # the three g of largest index: the products' indices reach
-            # p^2 - 1, near 10^8, the scale of MAX_BUDGET
-            irr = irr[-3:]
-        G = np.array([list(g.coeffs) for g in irr], dtype=np.int64)
-        batches = list(_product_indices(G, p, m))
-        assert max(len(b) for b in batches) <= ffpoly._CHUNK
-        expected = sorted(_index(g * h) for g in irr for h in monic_polys(p, m))
-        assert sorted(np.concatenate(batches).tolist()) == expected
-    for p, d in [(2, 5), (3, 4)]:
-        direct = [f for f in monic_polys(p, d) if _irreducible(f)]
-        assert _sieved(p, d) == direct
+        try:
+            radices = ffpoly._type_code(n, p)[0]
+            codes = _codes(n, p).tolist()
+        finally:
+            ffpoly._irreducibles.cache_clear()
+    assert [ffpoly._code_type(code, n, radices) for code in codes] == _trial_types(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +575,8 @@ def test_slabs_tile_the_index_range(monkeypatch):
 def test_sieve_equals_direct_across_slab_edges(monkeypatch, p):
     # slab sizes around each power of p: from two slabs up to one per index
     # (p^n of them), slabs that hold several values of the top digits and a
-    # shorter last one, and cofactors shorter than the s digits a slab fixes,
-    # which are made once and shared out; types and discriminant classes
+    # shorter last one, and quotients shorter than the s digits a slab fixes,
+    # whose multiples are made once and shared out; types and discriminant classes
     # are compared whole, and the irreducibles are sieved in slabs too
     seen = set()
     for n in range(1, 7):
@@ -586,9 +660,9 @@ def test_factor_codes_match_trial_division_per_polynomial(monkeypatch, chunk):
 
 
 def test_square_walk_at_large_p_stays_chunk_sized():
-    # at n = 2 the squares of the p linear g have no cofactor digits; the
-    # walk must not build its per-(g, a) tables for them, which at p = 1009
-    # would be 3*p^2 int64 entries (about 70 MiB over the code array)
+    # at n = 2 the marks of the p linear g and of their squares are made in
+    # arrays of at most _CHUNK; an array of p^2 int64 entries would be
+    # about 8 MiB over the code array at p = 1009
     p = 1009
     _sieve_irreducibles(p, 1)
     tracemalloc.start()
@@ -598,14 +672,38 @@ def test_square_walk_at_large_p_stays_chunk_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a few arrays of at most about _CHUNK*(e+1) int64 entries at a time
+    # a few arrays of at most _CHUNK entries at a time
     assert peak - _slab_bytes(2, p) < 8 * 2**20
 
 
-def test_product_walk_at_p_2_frees_each_level_before_it_descends():
-    # at p = 2 the walk nests up to n - 1 levels, all alive at once; with
-    # each level's digit arrays kept through its descent the peak was
-    # 7.1 MiB above the codes
+def test_marking_at_large_p_batches_by_marks_not_by_p(monkeypatch):
+    # the marks are batched by how many they are, never by p: np.add.at is
+    # called once per _CHUNK marks, but for one short array per slab and
+    # mark group
+    p, n = 3137, 2
+    _sieve_irreducibles(p, 1)
+    sizes = []
+
+    def add_at(codes, idx, weight):
+        sizes.append(len(idx))
+        np.add.at(codes, idx, weight)
+
+    counting = types.ModuleType("numpy")
+    counting.__getattr__ = lambda name: getattr(np, name)
+    counting.add = types.SimpleNamespace(at=add_at)
+    monkeypatch.setattr(ffpoly, "np", counting)
+    for _ in ffpoly._factor_codes(n, p):
+        pass
+    s, k = ffpoly._slab_shape(n, p)
+    slabs, groups = -(-(p**s) // k), 2 * (n // 2)  # the irreducibles and their squares
+    assert sum(sizes) == p * p + p  # g*h for p linear g and p linear h, and the p squares
+    assert len(sizes) <= -(-sum(sizes) // ffpoly._CHUNK) + slabs * groups
+
+
+def test_marking_at_p_2_stays_chunk_sized():
+    # the moduli's residues, steps and tables, and the arrays of one batch
+    # of marks at a time: at p = 2 the quotients have up to 20 digits, and
+    # no array per digit may stay alive
     p, n = 2, 22
     _sieve_irreducibles(p, n // 2)
     tracemalloc.start()
