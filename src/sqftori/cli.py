@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=RunConfig.enumeration_budget,
-        help="enumeration budget in polynomial visits (default %(default)s)",
+        help="largest p^n the oracle may count (default %(default)s)",
     )
     common.add_argument("--format", choices=("table", "csv", "json"), default=None)
     common.add_argument("--out", default=None, help="write the report to this file")

@@ -1,12 +1,15 @@
 """Brute-force ground truth over prime fields F_p.
 
-Enumerates all p^n monic degree-n polynomials and counts the
-square-free ones by factorization type: the degrees of their distinct
-irreducible factors, a partition of n.  The square-free count, the
-binomial moments of the factor counts and the sign (-1)^(number of
-factors) are sums over the types; discriminant residue classes are
-counted beside them.  Everything is integer arithmetic, so the results
-are exact and byte-reproducible.
+Counts the square-free monic degree-n polynomials by factorization
+type: the degrees of their distinct irreducible factors, a partition of
+n.  The square-free count, the binomial moments of the factor counts and
+the sign (-1)^(number of factors) are sums over the types; discriminant
+residue classes are counted beside them.  Everything is integer
+arithmetic, so the results are exact and byte-reproducible.
+
+Every total is invariant under f(x) -> f(x + b) and f(x) -> a^(-n) f(ax),
+so the oracle reads one polynomial per orbit, p^(n-1) or 2p^(n-1) of the
+p^n, and weights it by the orbit's size (`_orbit_weights`).
 
 The oracle is a sieve.  The per-polynomial type codes are accumulated by
 marking every monic multiple of degree n of each modulus M = g or g^2, g
@@ -17,7 +20,9 @@ number of repeated factors sits on top; the codes are uint16 where they
 fit, else uint32.  The code array is never held whole: it is marked,
 read and overwritten one slab at a time, in one buffer of at most _SLAB
 codes.  A slab is the indices whose top s digits take one of a run of
-values, s the fewest digits with p^(n-s) <= _SLAB (s = 0: one slab).
+values, s >= 1 the fewest digits with p^(n-s) <= _SLAB, so the orbit
+representatives, the indices below p^(n-1) or 2p^(n-1), are a run of
+whole slabs, and the marking stops at their end.
 The multiples are marked from the quotient side: a monic f of degree n
 is a multiple of M, of degree D, exactly when f = x^D*F + u with F monic
 of degree n - D and u = -x^D*F mod M, so each F gives one multiple, at
@@ -38,7 +43,8 @@ degree d <= n/2 yields the g.  Each is hit once per irreducible factor
 of degree <= n/2; when those degrees sum to S < n, the rest is one
 irreducible factor of degree n - S > n/2, which is added when the code
 is decoded.  The types are read off a histogram of each slab's codes,
-sorted in place, with each distinct code decoded once at the end.
+sorted in place, each count times its orbit's size, with each distinct
+code decoded once at the end.
 Discriminant classes come from one batched Euclidean resultant
 Res(f', f) over each slab's square-free polynomials, passed on one window
 of codes at a time, in digit-major numpy blocks of int16 up to p = 127,
@@ -66,13 +72,14 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-#: the most polynomials one enumeration may visit, checked before
-#: anything is allocated.  It bounds time, not memory: the sieve holds one
-#: slab of at most _SLAB type codes (2 MiB in uint16, 4 MiB in uint32,
-#: needed only at p = 2 with n >= 16 and p = 3 with n >= 14) and arrays of
-#: about _CHUNK entries beside it, so above the interpreter with numpy it
-#: peaks near 3 MiB at 5^10, 4 MiB at 9973^2 (5 MiB with discriminant
-#: classes) and 8 MiB at 2^26, the largest uint32 point
+#: the largest p^n one enumeration may count, checked before anything is
+#: allocated; the sieve reads p^(n-1) or 2p^(n-1) of them, all 2^26 at the
+#: top.  It bounds time, not memory: the sieve holds one slab of at most
+#: _SLAB type codes (1 MiB in uint16, 2 MiB in uint32, needed only at
+#: p = 2 with n >= 16 and p = 3 with n >= 14) and arrays of about _CHUNK
+#: entries beside it, so above the interpreter with numpy it peaks near
+#: 2 MiB at 5^10 (2.4 MiB with discriminant classes), 1 MiB at 9973^2 and
+#: 6.5 MiB at 2^26, the largest uint32 point
 MAX_BUDGET = 100_000_000
 
 _CHUNK = 1 << 16
@@ -85,11 +92,11 @@ except (AttributeError, OSError, TypeError):  # another C library, or no handle 
 
 #: the most type codes the sieve holds at once: it marks, counts and
 #: reads the code array one slab of at most this many indices at a time
-_SLAB = 1 << 20
+_SLAB = 1 << 19
 
 
 class EnumerationBudgetError(ValueError):
-    """Raised when an enumeration would visit more than MAX_BUDGET polynomials."""
+    """Raised when an enumeration would count more than MAX_BUDGET polynomials."""
 
 
 def is_prime(p: int) -> bool:
@@ -424,7 +431,7 @@ def _check_budget(n: int, p: int) -> None:
     # without forming p^n, which at n = 10^6 has too many digits to print
     if n >= MAX_BUDGET.bit_length() or p**n > MAX_BUDGET:
         raise EnumerationBudgetError(
-            f"enumerating degree {n} over F_{p} visits {p}^{n} polynomials, "
+            f"enumerating degree {n} over F_{p} counts {p}^{n} polynomials, "
             f"above the maximum of {MAX_BUDGET}"
         )
 
@@ -449,21 +456,24 @@ def _type_code(n: int, p: int) -> tuple[list[int], type[np.unsignedinteger]]:
 
 def _slab_shape(n: int, p: int) -> tuple[int, int]:
     """(s, k): each slab of the degree-n code array holds the indices whose
-    top s digits take one of k consecutive values, s the fewest digits
+    top s digits take one of k consecutive values, s >= 1 the fewest digits
     with p^(n-s) <= _SLAB and k as many values as fit in _SLAB, so that a
     large p at a small n makes a few slabs, not p tiny ones.  One slab
-    (s = 0) holds every index where p^n <= _SLAB."""
-    s = 0
+    (s = 1, k = p) holds every index where p^n <= _SLAB; s is never 0, so
+    that the indices below any multiple of p^(n-1) are a run of whole
+    slabs."""
+    s = 1
     while p ** (n - s) > _SLAB:
         s += 1
     return s, min(p**s, _SLAB // p ** (n - s))
 
 
-def _factor_codes(n: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The type code of every monic degree-n polynomial, one slab of
-    consecutive indices at a time, in index order: pairs (base, codes),
-    codes[i] the code of index base + i.  Every slab is a view of one
-    buffer, which the next slab overwrites.
+def _factor_codes(n: int, p: int, leads: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The type code of every monic degree-n polynomial whose coefficient
+    of x^(n-1), the top digit of its index, is below leads (every one when
+    leads is None), one slab of consecutive indices at a time, in index
+    order: pairs (base, codes), codes[i] the code of index base + i.  Every
+    slab is a view of one buffer, which the next slab overwrites.
 
     Each multiple of an irreducible g of degree d <= n/2 adds the weight
     of digit d, and each multiple of g^2 the weight of the top digit.  A
@@ -496,9 +506,10 @@ def _factor_codes(n: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
             else:
                 idx = np.concatenate(list(_Moduli(M, p, n, n - D).multiples(0, 1)))
                 shared.append((np.sort(idx), weight))
-    codes = np.empty(k * unit, dtype=dtype)
-    for top in range(0, p**s, k):
-        count = min(k, p**s - top)
+    stop = (p if leads is None else leads) * p ** (s - 1)  # values of the top s digits
+    codes = np.empty(min(k, stop) * unit, dtype=dtype)
+    for top in range(0, stop, k):
+        count = min(k, stop - top)
         base, slab = top * unit, codes[: count * unit]
         slab.fill(0)
         for moduli, weight in groups:
@@ -547,9 +558,9 @@ def _disc_residue_count(codes: np.ndarray, base: int, square: np.unsignedinteger
     return residue
 
 
-def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int, int]) -> None:
-    """Add the number of polynomials of a slab with each square-free code
-    to counts.
+def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int, int], weight: int) -> None:
+    """Add weight times the number of polynomials of a slab with each
+    square-free code to counts.
 
     The codes are sorted in place, which puts the square-free ones first,
     and each run of equal codes is found by binary search, so no other
@@ -560,21 +571,47 @@ def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int
     while lo < end:
         code = codes[lo]
         hi = int(codes.searchsorted(code, side="right"))
-        counts[int(code)] = counts.get(int(code), 0) + hi - lo
+        counts[int(code)] = counts.get(int(code), 0) + weight * (hi - lo)
         lo = hi
+
+
+def _orbit_weights(n: int, p: int) -> tuple[int, ...]:
+    """The weight of a polynomial by the coefficient c of x^(n-1), the top
+    digit of its index, for c below the length of the tuple: the size of
+    its orbit under the substitutions below, which keep the factorization
+    type and the quadratic character of the discriminant.
+
+    Where p does not divide n, f(x) -> f(x + b) takes c to c + n*b, so the
+    p translates of f are distinct and one has c = 0: that one stands for
+    all p.  Where p | n, f(x) -> a^(-n) f(ax), a in F_p^*, takes c to c/a,
+    so the polynomials with c != 0 come in orbits of p - 1 with one c = 1;
+    those with c = 0 stand for themselves.  (At p = 2 that is every
+    polynomial once.)  Both maps send irreducible factors to irreducibles of
+    the same degree, disc f(x + b) = disc f, and
+    disc(a^(-n) f(ax)) = a^(-n(n-1)) disc f with n(n-1) even.
+    """
+    return (p,) if n % p else (1, p - 1)
 
 
 def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     radices, dtype = _type_code(n, p)
     square = dtype(math.prod(radices[:-1]))  # the first code that is not square-free
     discriminants = discriminants and p % 2 == 1
+    weights = _orbit_weights(n, p)
+    unit = p ** (n - 1)  # the indices of one value of the top digit
     residue = 0
     counts: dict[int, int] = {}
-    for base, codes in _factor_codes(n, p):
-        if discriminants:
-            # before the sort, which loses the indices
-            residue += _disc_residue_count(codes, base, square, n, p)
-        _count_codes(codes, square, counts)
+    for base, slab in _factor_codes(n, p, len(weights)):
+        # a slab may straddle a change of the top digit: one view per digit
+        for c, weight in enumerate(weights):
+            start, end = max(base, c * unit), min(base + slab.size, (c + 1) * unit)
+            if start >= end:
+                continue
+            codes = slab[start - base : end - base]
+            if discriminants:
+                # before the sort, which loses the indices
+                residue += weight * _disc_residue_count(codes, start, square, n, p)
+            _count_codes(codes, square, counts, weight)
     squarefree = sum(counts.values())
     return SquareFreeStats(
         n=n,
@@ -589,12 +626,12 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
 
 def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFreeStats:
     """Exact statistics over all p^n monic degree-n polynomials over F_p, by
-    the sieve.
+    the sieve over one polynomial per orbit.
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (about 80% at 7^6 and at 3137^2: 0.012 s against 0.002 s without,
-    and 0.40 s against 0.07 s) and can be switched off.
+    time (0.0025 s against 0.0008 s without at 7^6, 0.62 s against 0.04 s
+    at 5^10) and can be switched off.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"degree must be an int, not {n!r}")

@@ -535,10 +535,12 @@ def test_enumerate_stats_counts_match_formula():
     [
         (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
         (3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
-        (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2),
+        (5, 2), (5, 3), (5, 4), (5, 5), (3, 6), (7, 2), (7, 3), (11, 2),
     ],
 )
 def test_sieve_and_direct_methods_agree(p, n):
+    # (3, 3), (3, 6) and (5, 5) have p | n at odd p, where the orbits of
+    # the scaling have p - 1 > 1 members
     assert enumerate_stats(n, p) == stats_direct(n, p)
 
 
@@ -559,7 +561,8 @@ def _direct(n, p):
 
 def test_slabs_tile_the_index_range(monkeypatch):
     # consecutive slabs from index 0 to p^n, each k values of the top s
-    # digits wide but the last, and all views of one buffer
+    # digits wide but the last, and all views of one buffer; with leads,
+    # from 0 to leads * p^(n-1), here with a slab across p^(n-1) = 49
     monkeypatch.setattr(ffpoly, "_SLAB", 30)
     p, n = 7, 3
     assert ffpoly._slab_shape(n, p) == (2, 4)  # 7^2 > 30 >= 7, and 4 * 7 <= 30
@@ -567,8 +570,12 @@ def test_slabs_tile_the_index_range(monkeypatch):
     assert [base for base, _, _ in slabs] == list(range(0, p**n, 4 * p))
     assert [size for _, size, _ in slabs] == [4 * p] * 12 + [p]
     assert len({id(buffer) for _, _, buffer in slabs}) == 1
+    prefix = [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, 2)]
+    assert prefix == [(0, 28), (28, 28), (56, 28), (84, 14)]
+    # one slab, addressed by the top digit, so a prefix of it is whole slabs too
     monkeypatch.setattr(ffpoly, "_SLAB", p**n)
-    assert ffpoly._slab_shape(n, p) == (0, 1)
+    assert ffpoly._slab_shape(n, p) == (1, p)
+    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, 1)] == [(0, p * p)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -597,14 +604,16 @@ def test_sieve_equals_direct_across_slab_edges(monkeypatch, p):
 
 
 def test_slabbed_discriminants_at_large_p(monkeypatch):
-    # 5 values of the top digit a slab, 202 slabs, the last with 4: every
-    # class against the closed-form discriminant b^2 - 4c of x^2 + b*x + c,
-    # and the whole statistics against the one slab of the default size
-    p, n = 1009, 2
-    assert ffpoly._slab_shape(n, p) == (0, 1)
+    # the p polynomials x^2 + c that stand for all p^2 in 8 slabs of 100
+    # values of both digits, the last with 19: every class against the
+    # closed-form discriminant b^2 - 4c of x^2 + b*x + c over all p^2, and
+    # the whole statistics against the one slab of the default size
+    p, n = 719, 2
+    assert ffpoly._slab_shape(n, p) == (1, p)
     whole = enumerate_stats(n, p)
-    monkeypatch.setattr(ffpoly, "_SLAB", 5 * p + 7)
-    assert ffpoly._slab_shape(n, p) == (1, 5)
+    monkeypatch.setattr(ffpoly, "_SLAB", 100)
+    assert ffpoly._slab_shape(n, p) == (2, 100)
+    assert [codes.size for _, codes in ffpoly._factor_codes(n, p, 1)] == [100] * 7 + [19]
     slabbed = enumerate_stats(n, p)
     assert slabbed == whole
     b, c = np.divmod(np.arange(p**n, dtype=np.int64), p)
@@ -614,6 +623,69 @@ def test_slabbed_discriminants_at_large_p(monkeypatch):
     assert slabbed.disc_residue == np.count_nonzero(squares[disc])
     assert slabbed.disc_nonresidue == np.count_nonzero(disc) - slabbed.disc_residue
     assert slabbed.type_counts == (((1, 1), p * (p - 1) // 2), ((2,), p * (p - 1) // 2))
+
+
+def _slabs_sieved(monkeypatch, n, p):
+    """(base, size) of every slab enumerate_stats(n, p) reads."""
+    slabs = []
+    factor_codes = ffpoly._factor_codes
+
+    def recorded(*args):
+        for base, codes in factor_codes(*args):
+            if args[:2] == (n, p):
+                slabs.append((base, codes.size))
+            yield base, codes
+
+    monkeypatch.setattr(ffpoly, "_factor_codes", recorded)
+    enumerate_stats(n, p, discriminants=False)
+    return slabs
+
+
+def test_stats_sieve_one_polynomial_per_orbit(monkeypatch):
+    # the slabs read stop at the end of the orbit representatives: at
+    # (10, 5), p | n, the top digit 0 or 1; at (9, 5) the top digit 0
+    for n, p, end in [(10, 5, 2 * 5**9), (9, 5, 5**8)]:
+        slabs = _slabs_sieved(monkeypatch, n, p)
+        assert slabs[0][0] == 0
+        assert all(base + size == nxt for (base, size), (nxt, _) in zip(slabs, slabs[1:]))
+        assert slabs[-1][0] + slabs[-1][1] == end, (n, p)
+
+
+_orbit_points = [(3, 4), (3, 5), (5, 3), (7, 3), (13, 2), (2, 5),  # p does not divide n
+                 (3, 3), (3, 6), (5, 5), (7, 7),  # p | n, p odd
+                 (2, 2), (2, 6), (2, 8)]  # p = 2, n even: no reduction
+
+
+@functools.lru_cache(maxsize=None)
+def _full_range_stats(n, p):
+    """SquareFreeStats from a histogram of the codes of all p^n
+    polynomials, with discriminant classes at odd p."""
+    codes = _codes(n, p)
+    radices = ffpoly._type_code(n, p)[0]
+    types = {}
+    for code, count in zip(*np.unique(codes, return_counts=True)):
+        parts = ffpoly._code_type(int(code), n, radices)
+        if parts is not None:
+            types[parts] = types.get(parts, 0) + int(count)
+    disc = (None, None)
+    if p % 2:
+        square = math.prod(radices[:-1])
+        residue = int(np.count_nonzero(_disc_residues(np.flatnonzero(codes < square), n, p)))
+        disc = (residue, sum(types.values()) - residue)
+    return ffpoly.SquareFreeStats(n, p, p**n, tuple(sorted(types.items())), *disc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_orbit_points), st.data())
+def test_orbit_representatives_equal_the_full_range(point, data):
+    # the weighted orbit representatives against every polynomial's code,
+    # under a random slab size, so that slabs straddle p^(n-1)
+    p, n = point
+    expected = _full_range_stats(n, p)
+    slab = data.draw(st.integers(min_value=1, max_value=2 * p ** (n - 1) + 1), label="_SLAB")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffpoly, "_SLAB", slab)
+        assert enumerate_stats(n, p) == expected
 
 
 @pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
@@ -629,7 +701,7 @@ def test_stats_sieve_stops_below_degree_n(monkeypatch):
     # sieved: only degrees 1..n//2 are
     sieved = []
     factor_codes = ffpoly._factor_codes
-    monkeypatch.setattr(ffpoly, "_factor_codes", lambda n, p: sieved.append((n, p)) or factor_codes(n, p))
+    monkeypatch.setattr(ffpoly, "_factor_codes", lambda n, p, *leads: sieved.append((n, p)) or factor_codes(n, p, *leads))
     ffpoly._irreducibles.cache_clear()
     enumerate_stats(4, 3)
     assert sorted(sieved) == [(1, 3), (2, 3), (4, 3)]
@@ -745,7 +817,7 @@ def test_stats_peak_is_two_and_a_half_bytes_per_polynomial():
 
 
 def test_stats_peak_is_one_slab_at_5_to_the_10():
-    # 13 slabs of 2 * 5^8 codes: the peak does not grow with p^n; one uint16
+    # 10 slabs of 5^8 codes: the peak does not grow with p^n; one uint16
     # code array of all 5^10 polynomials alone would be 18.6 MiB
     n, p = 10, 5
     _sieve_irreducibles(p, n // 2)
