@@ -8,17 +8,17 @@ field (`RationalFunction`), plus the order of the general linear group
 
 A `QPoly` is stored as integer numerators over one positive common
 denominator, (z_0 + z_1 q + ... + z_m q^m) / d with gcd(d, z_0, ..., z_m)
-= 1, so all of its arithmetic runs on Python ints: division with
-remainder is pseudo-division over Z, and exact division by a primitive
-factor is integer division.  Its readers (`coeffs`, indexing, `leading`,
-`eval`) still return Fractions.
+= 1, so all of its arithmetic runs on Python ints: exact division by a
+primitive factor is integer division.  Its readers (`coeffs`, indexing,
+`leading`, `eval`) still return Fractions.
 
 `poly_gcd` is the heuristic GCDHEU of Char, Geddes and Gonnet (1989) on
 the primitive parts: it evaluates both at a large integer, takes the
 integer gcd, reads a candidate back from its symmetric base-x digits and
 keeps it only when it divides both operands exactly.  When a few
-evaluation points all fail it falls back to the Euclidean algorithm.  It
-returns the cofactors with the gcd, so cancelling never divides twice.
+evaluation points all fail it falls back to a primitive remainder
+sequence, on the same pseudo-division over Z.  It returns the cofactors
+with the gcd, so cancelling never divides twice.
 
 Everything here is immutable and exact; there is no floating point.
 Rational functions are kept in a canonical form (numerator and
@@ -164,25 +164,6 @@ class QPoly:
             raise ZeroDivisionError("polynomial division by zero")
         return _poly(list(self.z), self.d * c)
 
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        """Exact polynomial division with remainder over Q.
-
-        Pseudo-division over Z gives m*a = quot*b + rem for the numerators;
-        the Q quotient and remainder are those divided by m.
-        """
-        if not other.z:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem, m = _pseudo_divmod(self.z, other.z)
-        return _poly([c * other.d for c in quot], self.d * m), _poly(rem, self.d * m)
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "QPoly":
-        if not self.z:
-            return self
-        return _poly(list(self.z), self.z[-1])
-
     def eval(self, x: Scalar) -> Fraction:
         """Exact value at x, by Horner's rule on the numerator of x."""
         x = Fraction(x)
@@ -319,7 +300,7 @@ def _symmetric_digits(v: int, x: int) -> list[int]:
     return out
 
 
-#: evaluation points GCDHEU tries before falling back to the Euclidean gcd
+#: evaluation points GCDHEU tries before falling back to `_euclidean_gcd`
 _HEU_TRIES = 6
 
 
@@ -355,16 +336,19 @@ def _heu_gcd(f, g) -> tuple[list[int], list[int], list[int]] | None:
 
 
 def _euclidean_gcd(f, g) -> tuple[list[int], list[int], list[int]]:
-    """(h, f/h, g/h) by the Euclidean algorithm over Q; the GCDHEU fallback.
+    """(h, f/h, g/h) for primitive f, g of positive degree, by a primitive
+    remainder sequence over Z; the GCDHEU fallback.
 
-    h is primitive with a positive leading coefficient, as from GCDHEU.
-    Remainders are rescaled to monic at every step, which keeps their
-    coefficients small.
+    Each pseudo-remainder is replaced by its primitive part, which keeps
+    the coefficients small, so the last nonzero one, h, is primitive with
+    a positive leading coefficient, as from GCDHEU.
     """
-    a, b = _raw(tuple(f), 1), _raw(tuple(g), 1)
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    h = _primitive(a.z)[1]
+    h, b = f, g
+    while b:
+        rem = _pseudo_divmod(h, b)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        h, b = b, _primitive(rem)[1] if rem else rem
     return h, _exact_quotient(f, h), _exact_quotient(g, h)
 
 
@@ -373,12 +357,14 @@ def poly_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
 
     The gcd of two zero polynomials is zero, with zero cofactors.  The
     work is done on the primitive parts in Z[q], by GCDHEU (`_heu_gcd`)
-    and, when that gives up, by the Euclidean algorithm.
+    and, when that gives up, by a primitive remainder sequence.
     """
-    if not a.z or not b.z:
-        if not b.z:
-            return a.monic(), QPoly.constant(a.leading()) if a.z else _ZERO, _ZERO
-        return b.monic(), _ZERO, QPoly.constant(b.leading())
+    if not b.z:
+        if not a.z:
+            return _ZERO, _ZERO, _ZERO
+        return _poly(list(a.z), a.z[-1]), QPoly.constant(a.leading()), _ZERO
+    if not a.z:
+        return _poly(list(b.z), b.z[-1]), _ZERO, QPoly.constant(b.leading())
     if len(a.z) == 1 or len(b.z) == 1:
         return _ONE, a, b
     ca, f = _primitive(a.z)

@@ -315,11 +315,8 @@ class _Moduli:
         _CHUNK indices, block of quotients by block, in increasing order
         for each modulus."""
         p, r, t, e = self.p, self.r, self.t, len(self.steps)
-        # (block, modulus) pairs in one array: at most _CHUNK marks, and the
-        # widest level of residue digits, D a pair over p, in no more bytes
-        # than the array of their indices
-        width = _CHUNK * np.dtype(np.intp).itemsize * p // (self.D * self.residues.itemsize)
-        units = max(1, min(_CHUNK // p**t, width))
+        # (block, modulus) pairs in one array: at most _CHUNK marks
+        units = max(1, _CHUNK // p**t)
         first, end = lo * p ** (r - t - e), (lo + count) * p ** (r - t - e)  # prefixes of p^e blocks
         moduli = max(1, units // ((end - first) * p**e))
         prefixes = max(1, units // (moduli * p**e))

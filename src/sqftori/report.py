@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
 from .ffpoly import MAX_BUDGET, check_prime
@@ -97,14 +97,7 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "primes": list(self.primes),
-            "series_order": self.series_order,
-            "enumeration_budget": self.enumeration_budget,
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-        }
+        return {**asdict(self), "primes": list(self.primes)}
 
 
 def _param_sort_key(parameters: Mapping[str, Any]):

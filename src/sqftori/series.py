@@ -14,7 +14,6 @@ products and the torus cycle index run it on `QPoly` numerators, and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
 from .exact import ONE, ZERO, RationalFunction
@@ -57,11 +56,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     # -- ring operations -----------------------------------------------
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -97,18 +91,21 @@ class TruncatedSeries:
     def log(self) -> "TruncatedSeries":
         """Formal log; requires constant term 1.
 
-        Computed through (log f)' = f'/f followed by termwise
-        integration, which needs only one series division.
+        L = log f solves the exp recurrence of `ExpCoefficients` the other
+        way: n*f_n = sum_{k=1..n} k*L_k*f_(n-k), and f_0 = 1, so each n*L_n
+        follows from the k*L_k before it.
         """
-        if self.coeffs[0] != ONE:
+        f = self.coeffs
+        if f[0] != ONE:
             raise ValueError("series log requires constant term 1")
-        h = self.derivative() / self.truncate(self.order - 1 if self.order else 0)
-        out = [ZERO] * (self.order + 1)
-        for k in range(1, self.order + 1):
-            c = h.coeffs[k - 1]
-            if c != ZERO:
-                out[k] = c * RationalFunction.from_fraction(Fraction(1, k))
-        return TruncatedSeries(out)
+        kL = [ZERO]  # k*L_k
+        for n in range(1, len(f)):
+            acc = f[n] * n
+            for k in range(1, n):
+                if not (kL[k].is_zero() or f[n - k].is_zero()):
+                    acc = acc - kL[k] * f[n - k]
+            kL.append(acc)
+        return TruncatedSeries([ZERO] + [kL[n] / n for n in range(1, len(f))])
 
     def exp(self) -> "TruncatedSeries":
         """Formal exp; requires constant term 0.  Read off `ExpCoefficients`."""
@@ -138,14 +135,6 @@ class TruncatedSeries:
             out.append(a * ck if a != ZERO else ZERO)
             ck = ck * c
         return TruncatedSeries(out)
-
-    def derivative(self) -> "TruncatedSeries":
-        """Formal d/du, one order lower."""
-        if self.order == 0:
-            return TruncatedSeries([ZERO])
-        return TruncatedSeries(
-            RationalFunction.from_fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)
-        )
 
     # -- comparisons / rendering ----------------------------------------
 

@@ -21,6 +21,7 @@ verification power).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -178,7 +179,7 @@ _QUAD_EXCESS = {
     "quad-excess-finite-n": (
         _DEGREES,
         lambda n: sqfree.quad_excess_formula(n),
-        lambda n: sqfree.binomial_moment(n, {2: 1}) - sqfree.binomial_moment(n, {1: 2}),
+        lambda n: sqfree.quad_excess_exact(n),
     ),
     "quad-excess-limit-series": (
         _point({"order": len(_INTRO_QUAD_EXCESS)}, len(_INTRO_QUAD_EXCESS)),
@@ -232,7 +233,7 @@ _TORI_COUNT = {
 }
 
 
-def _tori_type_rows(n: int, with_evaluations: bool) -> dict:
+def _tori_type_rows(n: int) -> dict:
     """The type table of rank n: one grid point per partition of n."""
 
     def types(config: RunConfig):
@@ -252,7 +253,7 @@ def _tori_type_rows(n: int, with_evaluations: bool) -> dict:
         return [
             ({"n": n, "q": p, "type": _type_name(parts)}, (parts, count, p))
             for parts, count in tori.type_counts(n)
-            for p in (config.primes if with_evaluations else ())
+            for p in config.primes
         ]
 
     return {
@@ -295,7 +296,7 @@ _EIGENVECTOR = {
 _SUBTORI_EXCESS = {
     "subtori-excess-partition": (
         _RANKS_FROM_2,
-        lambda n: tori.binomial_moment(n, {1: 2}) - tori.binomial_moment(n, {2: 1}),
+        lambda n: tori.tori_quad_excess(n),
         lambda n: tori.binomial_moment_partition(n, {1: 2}) - tori.binomial_moment_partition(n, {2: 1}),
     ),
     "subtori-excess-pair-moment": (
@@ -379,10 +380,8 @@ def tori_count_reports(config: RunConfig) -> list[VerificationReport]:
     return _run(_TORI_COUNT, config)
 
 
-def tori_type_reports(
-    config: RunConfig, n: int, with_evaluations: bool = True
-) -> list[VerificationReport]:
-    return _run(_tori_type_rows(n, with_evaluations), config)
+def tori_type_reports(config: RunConfig, n: int) -> list[VerificationReport]:
+    return _run(_tori_type_rows(n), config)
 
 
 def eigenvector_reports(config: RunConfig) -> list[VerificationReport]:
@@ -415,8 +414,10 @@ def verify_all(config: RunConfig) -> list[VerificationReport]:
     reports += mu_sum_reports(config)
     reports += discriminant_reports(config)
     reports += tori_count_reports(config)
+    # the type counts at q = p run only under `tori types`
+    no_primes = replace(config, primes=())
     for n in range(1, config.n_max + 1):
-        reports += tori_type_reports(config, n, with_evaluations=False)
+        reports += tori_type_reports(no_primes, n)
     reports += eigenvector_reports(config)
     reports += subtori_excess_reports(config)
     reports += mod2_bias_reports(config)

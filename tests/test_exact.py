@@ -227,8 +227,6 @@ def test_eval_is_a_homomorphism(a, b, q0):
 @given(_nonzero_polys, _nonzero_polys)
 def test_poly_gcd_divides_both(a, b):
     g, ca, cb = poly_gcd(a, b)
-    assert (a % g).is_zero()
-    assert (b % g).is_zero()
     assert g.leading() == 1
     assert (g * ca, g * cb) == (a, b)
 
@@ -291,7 +289,7 @@ def test_heuristic_gcd_matches_euclidean_with_planted_factor(a, b, c):
     assert (g * ca, g * cb) == (a, b)
     assert g.is_zero() or g.leading() == 1
     if not c.is_zero():
-        assert (g % c).is_zero()
+        assert poly_gcd(g, c)[2].degree <= 0
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ TYPE_RANK = 3
 
 #: row builders of `suites` and the arguments that reach every row they build
 BUILDERS = {
-    "_tori_type_rows": (TYPE_RANK, True),
+    "_tori_type_rows": (TYPE_RANK,),
 }
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,39 @@ LARGE_DIGEST = "4b6a506958ac2225650bf19ce3e63731fc98daca80da5e07a5e653f2dd7612f2
 #: sha256 of the timing-free `tori types --n 5 --prime 2 --prime 3` JSON, the
 #: only command that emits the `tori-type-count-at-q` rows
 TORI_TYPES_DIGEST = "28189952f2ab6642022cdfec3282ba702a2d76c68a00210ff01dfd9638062c8a"
+
+#: per identity name of `verify_all(RunConfig())`: sha256 of that name's
+#: timing-free reports, serialized as the CLI serializes them, and their
+#: number; a change to the row set shows here which identities moved
+IDENTITY_DIGESTS = {
+    "discriminant-balance": ("40664d847a1ddb1f7954ff57d059c699ded05628a8480fe08717ad34bbb4bc07", 10),
+    "eigenvectors-partition": ("b2ece99f355ea7a18028db4687bbd24ffd8b8f1beb2226941fa7b331b37aef93", 10),
+    "eigenvectors-series": ("c6258509651d5c5335375541380780953ee945e209dcd9980524df7af6b8e5d0", 10),
+    "euler-identity-1": ("d664e7556aeacf8724583ef1ba0a9daa02b8c5d3c8779131cc804eefe7dc7337", 1),
+    "euler-identity-2": ("4c2b14c637c38656359573b97c111f631f69693307754da3cee4ea01cd07abe5", 1),
+    "factorization-identity": ("d7f72c01c6da8efe654ab6b6690a7978da685605b5aac1cb6a41f5df848dfa04", 1),
+    "irreducible-type-match": ("dab0e5d9545b131f3751b2d2c63ffb2d32c4ecba118558e3af49c14de764eeea", 10),
+    "linear-factors-oracle": ("0fbac773ea2cd922a1ff6984dec584a81c840f9b1ec3166e03e4f7d7219da610", 27),
+    "linear-factors-symbolic": ("a2fb5b988bd7496ae6c09ee9525dd71f93250f9e37f1822a7b312cdb6be517de", 23),
+    "mod2-bias-partition": ("949be65fe0646f351d7a62ae2ffe103fe2d264eaef938c1a5bd62a9a272136b8", 10),
+    "mod2-bias-series": ("6584228353b3c1a581832041974a1d9cd9d8eeda8ea57fb1e2d6566421747981", 10),
+    "mu-signed-sum-oracle": ("5b8a59a3779da56952819887279418d20ecb23e234659293cd4feb73923152b8", 27),
+    "mu-signed-sum-symbolic": ("ceb77a0bdbeb7b2229e92bf15092b899ddcd6cb64ccc9d9ab5200bce1d63a238", 23),
+    "quad-excess-finite-n": ("c77a039ee73f4558caeebcc948e4bcbd09b7f230d7f0c4877c33c0a06da0c607", 23),
+    "quad-excess-limit-series": ("349eaa8de8807da78bcc188b646e9723a8b3297a4568a68f383a7ebe70d725b6", 1),
+    "quad-excess-oracle": ("991e55ac48bbca1d9913deda869d858e92a0d3a3c8c8b90a72e218cae050e415", 27),
+    "squarefree-count-oracle": ("8b3e94253097e583205ff419bd10263f8d1c30a6ec48a864d374b99363533afd", 27),
+    "squarefree-count-symbolic": ("335f435bacb0127bc150c5edc3efa541d5644d2e4327b427adec8e0c698632c1", 23),
+    "subtori-excess-limit-series": ("de512ab6fe57659e9b36e828211a55ba2c4d5f10574f633da4ae48edff7c4ab8", 1),
+    "subtori-excess-pair-moment": ("ed6718798ce8de10d3cb8bb33045e55ec0ff1da3b92b1808089ab00d1381dce6", 9),
+    "subtori-excess-partition": ("adcd7b852cefd000b24a4e9eb39eb236bae291e62699b469f169e14e50644a46", 9),
+    "subtori-excess-quad-moment": ("ba100bdfdee4a45ac0ce8c92d6a5d6785552ad99e10816df87e87b64aa68d0b2", 9),
+    "tori-total-partition": ("3635408ac5e3134807d4c2845699ba8e7aa36bf4a44f388b1fef44b7b3251b8d", 10),
+    "tori-total-series": ("93e8d82a8037b263803c7b39c6bafd18a570cf5315ac146b5ab3cac5dca679ce", 10),
+    "tori-type-polynomial": ("7a28a20c3848c451fda2690332bb43fe6b15cb47526e5582c2ea470381eb1870", 138),
+    "tori-type-total": ("b844fa9bb4dfc8be5627ad461909983f89fde3990f363242995f9c834689f6ca", 10),
+    "type-probability-sum": ("9649bae9eb180206fe4de0a580b2dd7d2bdd2ecdbade54f4d09507131c6d6243", 10),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +257,16 @@ def test_tori_types_json_is_byte_identical_to_recorded_digest(capsys):
     assert timing_free_digest(capsys.readouterr().out) == (TORI_TYPES_DIGEST, 23)
 
 
+def test_each_identity_of_verify_all_is_byte_identical_to_its_recorded_digest():
+    # one digest per name, beside the whole-output digests: a row-set change
+    # must leave the names it did not touch where they were
+    by_name = {}
+    for r in sort_reports(suites.verify_all(RunConfig())):
+        by_name.setdefault(r.identity_name, []).append(r.to_json_dict())
+    digests = {name: timing_free_digest(json.dumps({"reports": rows})) for name, rows in by_name.items()}
+    assert digests == IDENTITY_DIGESTS
+
+
 def _clear_symbolic_caches():
     for module in (exact, sqfree, tori):
         for fn in vars(module).values():
@@ -253,7 +297,7 @@ def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(monkeypatch):
 
 def test_type_reports_flag_coefficient_signs():
     # coefficient non-negativity is observed and reported, never assumed
-    reports = suites.tori_type_reports(SMALL, 4, with_evaluations=False)
+    reports = suites.tori_type_reports(replace(SMALL, primes=()), 4)
     flags = [
         r.parameters["nonnegative_coefficients"]
         for r in reports

@@ -187,9 +187,11 @@ def test_integer_pow_matches_repeated_multiplication(f, k):
 def test_derivative_of_exp(f):
     g = TruncatedSeries((RF(0),) + f.coeffs[1:])
     e = g.exp()
-    lhs = e.derivative()
-    rhs = g.derivative() * e.truncate(e.order - 1)
-    assert lhs == rhs
+
+    def derivative(s):  # d/du, one order lower
+        return TruncatedSeries(RF(k) * c for k, c in enumerate(s.coeffs) if k)
+
+    assert derivative(e) == derivative(g) * TruncatedSeries(e.coeffs[:-1])
 
 
 @settings(max_examples=40, deadline=None)
