@@ -157,7 +157,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"wrote {config.output_path}: passed {s['passed']} / failed {s['failed']}"
         )
     else:
-        sys.stdout.write(rendered)
+        try:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     failures = failing_names(reports)
     if failures:

@@ -4,8 +4,8 @@ A row maps a report name to a parameter grid taken from a `RunConfig`
 and to the two routes of the identity.  `_run` evaluates both routes at
 every grid point, renders them in canonical text form and makes one
 `VerificationReport` per point; it is the only place where routes are
-compared.  Each suite is one call of `_run`, and ``verify_all``
-concatenates every suite.
+compared.  Each suite is its row table, callable with a `RunConfig` to
+run its rows through `_run`, and ``verify_all`` concatenates every suite.
 
 Routes look library functions up on their module when called
 (``sqfree.f(n)``, never a stored ``f``), so a row always evaluates what
@@ -54,6 +54,13 @@ def _run(rows: dict, config: RunConfig) -> list[VerificationReport]:
             elapsed = int((time.perf_counter() - start) * 1000)
             reports.append(make_report(name, params, str(lhs), str(rhs), elapsed))
     return reports
+
+
+class _Suite(dict):
+    """A row table that runs itself: ``suite(config)`` is ``_run(suite, config)``."""
+
+    def __call__(self, config: RunConfig) -> list[VerificationReport]:
+        return _run(self, config)
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +134,19 @@ def _type_name(parts: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, parts)) + ")"
 
 
-def _probability_sum(n: int) -> RationalFunction:
-    """The type probabilities count/q^(n^2-n), added one type at a time."""
-    total = tori.total_tori_formula(n)
-    acc = RationalFunction(0)
-    for parts, count in tori.type_counts(n):
-        acc = acc + count / total
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # square-free polynomial identities
 # ---------------------------------------------------------------------------
 
-_FACTORIZATION = {
+factorization_reports = _Suite({
     "factorization-identity": (
         lambda config: [({"order": config.series_order}, (config.series_order,))],
         lambda order: sqfree.inverse_factorization_series(order),
         lambda order: sqfree.geometric_q_series(order),
     ),
-}
+})
 
-_SQUAREFREE_COUNT = {
+squarefree_count_reports = _Suite({
     "squarefree-count-symbolic": (
         _DEGREES,
         lambda n: sqfree.squarefree_count(n),
@@ -159,9 +157,9 @@ _SQUAREFREE_COUNT = {
         lambda n, p: sqfree.squarefree_count(n).eval(p),
         lambda n, p: _oracle_stats(n, p).squarefree_count,
     ),
-}
+})
 
-_LINEAR_FACTOR = {
+linear_factor_reports = _Suite({
     "linear-factors-symbolic": (
         _DEGREES,
         lambda n: sqfree.expected_linear_factors(n),
@@ -172,10 +170,10 @@ _LINEAR_FACTOR = {
         lambda n, p: sqfree.expected_linear_factors(n).eval(p),
         lambda n, p: _oracle_stats(n, p).binomial_moment({1: 1}),
     ),
-}
+})
 
 
-_QUAD_EXCESS = {
+quad_excess_reports = _Suite({
     "quad-excess-finite-n": (
         _DEGREES,
         lambda n: sqfree.quad_excess_formula(n),
@@ -191,9 +189,9 @@ _QUAD_EXCESS = {
         lambda n, p: sqfree.quad_excess_exact(n).eval(p),
         lambda n, p: _oracle_stats(n, p).binomial_moment({2: 1}) - _oracle_stats(n, p).binomial_moment({1: 2}),
     ),
-}
+})
 
-_MU_SUM = {
+mu_sum_reports = _Suite({
     "mu-signed-sum-symbolic": (
         _DEGREES,
         lambda n: sqfree.moebius_signed_sum(n),
@@ -204,22 +202,22 @@ _MU_SUM = {
         lambda n, p: _oracle_stats(n, p).mu_sum,
         lambda n, p: 0,
     ),
-}
+})
 
-_DISCRIMINANT = {
+discriminant_reports = _Suite({
     "discriminant-balance": (
         lambda config: _oracle(config, DISC_N_CAP, min_p=3),
         lambda n, p: _oracle_stats(n, p).disc_residue,
         lambda n, p: _oracle_stats(n, p).disc_nonresidue,
     ),
-}
+})
 
 
 # ---------------------------------------------------------------------------
 # maximal torus identities
 # ---------------------------------------------------------------------------
 
-_TORI_COUNT = {
+tori_count_reports = _Suite({
     "tori-total-partition": (
         _RANKS,
         lambda n: tori.total_tori(n),
@@ -230,7 +228,7 @@ _TORI_COUNT = {
         lambda n: tori.cycle_index_coefficient(n, 1),
         lambda n: tori.total_tori_formula(n),
     ),
-}
+})
 
 
 def _tori_type_rows(n: int) -> dict:
@@ -280,7 +278,11 @@ def _tori_type_rows(n: int) -> dict:
     }
 
 
-_EIGENVECTOR = {
+def tori_type_reports(config: RunConfig, n: int) -> list[VerificationReport]:
+    return _run(_tori_type_rows(n), config)
+
+
+eigenvector_reports = _Suite({
     "eigenvectors-partition": (
         _RANKS,
         lambda n: tori.binomial_moment(n, {1: 1}),
@@ -291,9 +293,9 @@ _EIGENVECTOR = {
         lambda n: tori.binomial_moment(n, {1: 1}),
         lambda n: tori.expected_eigenvectors_series(n),
     ),
-}
+})
 
-_SUBTORI_EXCESS = {
+subtori_excess_reports = _Suite({
     "subtori-excess-partition": (
         _RANKS_FROM_2,
         lambda n: tori.tori_quad_excess(n),
@@ -314,9 +316,9 @@ _SUBTORI_EXCESS = {
         lambda order: _joined(tori.tori_quad_excess_limit().inverse_q_expansion(order)[1:]),
         lambda order: _joined(_INTRO_SUBTORI_EXCESS),
     ),
-}
+})
 
-_MOD2_BIAS = {
+mod2_bias_reports = _Suite({
     "mod2-bias-partition": (
         _RANKS,
         lambda n: tori.mod2_bias_partition(n),
@@ -327,81 +329,24 @@ _MOD2_BIAS = {
         lambda n: tori.mod2_bias_series(n),
         lambda n: tori.mod2_bias_formula(n),
     ),
-}
+})
 
-_EULER = {
+euler_reports = _Suite({
     f"euler-identity-{which}": (
         _euler_point(which),
         lambda which, order: tori.euler_sum_series(which, order),
         lambda which, order: tori.euler_shifted_series(which, order),
     )
     for which in (1, 2)
-}
+})
 
-_CAYLEY = {
+cayley_reports = _Suite({
     "type-probability-sum": (
         _RANKS,
-        lambda n: _probability_sum(n),
+        lambda n: tori.binomial_moment_partition(n, {}),
         lambda n: RationalFunction(1),
     ),
-}
-
-
-# ---------------------------------------------------------------------------
-# suites
-# ---------------------------------------------------------------------------
-
-
-def factorization_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_FACTORIZATION, config)
-
-
-def squarefree_count_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_SQUAREFREE_COUNT, config)
-
-
-def linear_factor_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_LINEAR_FACTOR, config)
-
-
-def quad_excess_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_QUAD_EXCESS, config)
-
-
-def mu_sum_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_MU_SUM, config)
-
-
-def discriminant_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_DISCRIMINANT, config)
-
-
-def tori_count_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_TORI_COUNT, config)
-
-
-def tori_type_reports(config: RunConfig, n: int) -> list[VerificationReport]:
-    return _run(_tori_type_rows(n), config)
-
-
-def eigenvector_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_EIGENVECTOR, config)
-
-
-def subtori_excess_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_SUBTORI_EXCESS, config)
-
-
-def mod2_bias_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_MOD2_BIAS, config)
-
-
-def euler_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_EULER, config)
-
-
-def cayley_reports(config: RunConfig) -> list[VerificationReport]:
-    return _run(_CAYLEY, config)
+})
 
 
 def verify_all(config: RunConfig) -> list[VerificationReport]:

@@ -682,7 +682,11 @@ def test_orbit_representatives_equal_the_full_range(point, data):
     # under a random slab size, so that slabs straddle p^(n-1)
     p, n = point
     expected = _full_range_stats(n, p)
-    slab = data.draw(st.integers(min_value=1, max_value=2 * p ** (n - 1) + 1), label="_SLAB")
+    # at least 2p^(n-1)/64, so that no point walks more than 64 slabs
+    slab = data.draw(
+        st.integers(min_value=max(1, 2 * p ** (n - 1) // 64), max_value=2 * p ** (n - 1) + 1),
+        label="_SLAB",
+    )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ffpoly, "_SLAB", slab)
         assert enumerate_stats(n, p) == expected

@@ -110,7 +110,7 @@ def test_corrupting_one_side_fails_exactly_that_row(name):
 
 def test_cli_exits_1_and_names_a_corrupted_row(capsys, monkeypatch):
     name = "type-probability-sum"
-    monkeypatch.setitem(suites._CAYLEY, name, _corrupted(suites._CAYLEY[name]))
+    monkeypatch.setitem(suites.cayley_reports, name, _corrupted(suites.cayley_reports[name]))
     argv = ["verify", "all", "--n-max", "3", "--order", "3", "--budget", "3"]
     assert cli.main(argv) == 1
     failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAILED:")]

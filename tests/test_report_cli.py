@@ -415,6 +415,22 @@ def test_cli_unwritable_out_exit_code_2(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_cli_stdout_write_error_exit_code_2():
+    # a full stdout is an I/O error, as an unwritable --out is: exit 2 and
+    # one error line, with no traceback and no message at interpreter exit
+    env = {**os.environ, "PYTHONPATH": str(Path(sqftori.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "sqftori", "sqfree", "mu-sum", *_FAST],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_tori_types_table(capsys):
     assert cli.main(["tori", "types", "--n", "2", *_FAST]) == 0
     out = capsys.readouterr().out

@@ -193,7 +193,6 @@ def test_cayley_identity():
         counts = [count for _, count in tori.type_counts(n)]
         total = tori.total_tori_formula(n)
         assert sum((count / total for count in counts), RF(0)) == ONE
-        assert suites._probability_sum(n) == ONE
         assert not any(count.is_zero() for count in counts)
 
 
