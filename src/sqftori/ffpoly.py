@@ -7,9 +7,9 @@ the sign (-1)^(number of factors) are sums over the types; discriminant
 residue classes are counted beside them.  Everything is integer
 arithmetic, so the results are exact and byte-reproducible.
 
-Every total is invariant under f(x) -> f(x + b) and f(x) -> a^(-n) f(ax),
-so the oracle reads one polynomial per orbit, p^(n-1) or 2p^(n-1) of the
-p^n, and weights it by the orbit's size (`_orbit_weights`).
+Every total is invariant under f(x) -> a^(-n) f(ax + b), which permutes
+the classes of indices with given top s digits, so the oracle reads one
+class per orbit and weights it by the orbit's size (`_orbit_classes`).
 
 The oracle is a sieve.  The per-polynomial type codes are accumulated by
 marking every monic multiple of degree n of each modulus M = g or g^2, g
@@ -20,9 +20,9 @@ number of repeated factors sits on top; the codes are uint16 where they
 fit, else uint32.  The code array is never held whole: it is marked,
 read and overwritten one slab at a time, in one buffer of at most _SLAB
 codes.  A slab is the indices whose top s digits take one of a run of
-values, s >= 1 the fewest digits with p^(n-s) <= _SLAB, so the orbit
-representatives, the indices below p^(n-1) or 2p^(n-1), are a run of
-whole slabs, and the marking stops at their end.
+consecutive values, s >= 1 the fewest digits with p^(n-s) <= _SLAB, so
+each class is a slab or part of one, and only the slabs of the classes
+are marked.
 The multiples are marked from the quotient side: a monic f of degree n
 is a multiple of M, of degree D, exactly when f = x^D*F + u with F monic
 of degree n - D and u = -x^D*F mod M, so each F gives one multiple, at
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,8 +74,9 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 #: the largest p^n one enumeration may count, checked before anything is
-#: allocated; the sieve reads p^(n-1) or 2p^(n-1) of them, all 2^26 at the
-#: top.  It bounds time, not memory: the sieve holds one slab of at most
+#: allocated; the sieve reads one class per orbit of the affine maps, at
+#: most 2p^(n-1) of them, and 9/16 of the 2^26 at the top (72 classes of
+#: 2^19).  It bounds time, not memory: the sieve holds one slab of at most
 #: _SLAB type codes (1 MiB in uint16, 2 MiB in uint32, needed only at
 #: p = 2 with n >= 16 and p = 3 with n >= 14) and arrays of about _CHUNK
 #: entries beside it, so above the interpreter with numpy it peaks near
@@ -457,20 +459,21 @@ def _slab_shape(n: int, p: int) -> tuple[int, int]:
     with p^(n-s) <= _SLAB and k as many values as fit in _SLAB, so that a
     large p at a small n makes a few slabs, not p tiny ones.  One slab
     (s = 1, k = p) holds every index where p^n <= _SLAB; s is never 0, so
-    that the indices below any multiple of p^(n-1) are a run of whole
-    slabs."""
+    that the classes of `_orbit_classes`, given by the top s digits, are
+    whole slabs or parts of one."""
     s = 1
     while p ** (n - s) > _SLAB:
         s += 1
     return s, min(p**s, _SLAB // p ** (n - s))
 
 
-def _factor_codes(n: int, p: int, leads: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """The type code of every monic degree-n polynomial whose coefficient
-    of x^(n-1), the top digit of its index, is below leads (every one when
-    leads is None), one slab of consecutive indices at a time, in index
-    order: pairs (base, codes), codes[i] the code of index base + i.  Every
-    slab is a view of one buffer, which the next slab overwrites.
+def _factor_codes(n: int, p: int, classes: tuple | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The type code of every monic degree-n polynomial in the classes of
+    `_orbit_classes` (every one when classes is None), one slab of
+    consecutive indices at a time, in index order: pairs (base, codes),
+    codes[i] the code of index base + i.  A slab is a run of at most k
+    consecutive classes, (s, k) the `_slab_shape`.  Every slab is a view of
+    one buffer, which the next slab overwrites.
 
     Each multiple of an irreducible g of degree d <= n/2 adds the weight
     of digit d, and each multiple of g^2 the weight of the top digit.  A
@@ -503,10 +506,17 @@ def _factor_codes(n: int, p: int, leads: int | None = None) -> Iterator[tuple[in
             else:
                 idx = np.concatenate(list(_Moduli(M, p, n, n - D).multiples(0, 1)))
                 shared.append((np.sort(idx), weight))
-    stop = (p if leads is None else leads) * p ** (s - 1)  # values of the top s digits
-    codes = np.empty(min(k, stop) * unit, dtype=dtype)
-    for top in range(0, stop, k):
-        count = min(k, stop - top)
+    if classes is None:
+        runs = [(top, min(k, p**s - top)) for top in range(0, p**s, k)]
+    else:
+        runs = []  # (first value of the top s digits, count)
+        for top, _ in classes:
+            if runs and sum(runs[-1]) == top and runs[-1][1] < k:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            else:
+                runs.append((top, 1))
+    codes = np.empty(max(count for _, count in runs) * unit, dtype=dtype)
+    for top, count in runs:
         base, slab = top * unit, codes[: count * unit]
         slab.fill(0)
         for moduli, weight in groups:
@@ -572,39 +582,55 @@ def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int
         lo = hi
 
 
-def _orbit_weights(n: int, p: int) -> tuple[int, ...]:
-    """The weight of a polynomial by the coefficient c of x^(n-1), the top
-    digit of its index, for c below the length of the tuple: the size of
-    its orbit under the substitutions below, which keep the factorization
-    type and the quadratic character of the discriminant.
+def _orbit_classes(n: int, p: int, s: int) -> tuple[tuple[int, int], ...]:
+    """Sorted pairs (top, weight), one per orbit of the affine maps
+    f(x) -> a^(-n) f(ax + b) on the values of the top s digits: top the
+    least value in the orbit, weight its size.
 
-    Where p does not divide n, f(x) -> f(x + b) takes c to c + n*b, so the
-    p translates of f are distinct and one has c = 0: that one stands for
-    all p.  Where p | n, f(x) -> a^(-n) f(ax), a in F_p^*, takes c to c/a,
-    so the polynomials with c != 0 come in orbits of p - 1 with one c = 1;
-    those with c = 0 stand for themselves.  (At p = 2 that is every
-    polynomial once.)  Both maps send irreducible factors to irreducibles of
-    the same degree, disc f(x + b) = disc f, and
-    disc(a^(-n) f(ax)) = a^(-n(n-1)) disc f with n(n-1) even.
+    Coefficient k of the image is a^(k-n) sum_(j>=k) C(j, k) b^(j-k) c_j,
+    c_n = 1, so the top s digits of the image depend only on those of f.
+    The maps keep the factorization type and, as n(n-1) is even, the
+    quadratic character of the discriminant, so all classes of an orbit
+    hold the same statistics.  At s = 1 the top digit c goes to
+    (c + n*b)/a.  At s >= 2 (p <= 190 and p^s < 2^16 at the default _SLAB)
+    the orbits are those of translation by 1 and scaling by a generator.
     """
-    return (p,) if n % p else (1, p - 1)
+    if s == 1:
+        return ((0, p),) if n % p else ((0, 1), (1, p - 1))
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    top = np.arange(p**s)
+    digits = _monic_rows(top, p, s, np.int64)  # row i: c_(n-i), and c_n = 1
+    shift = scale = 0  # the top values of f(x + 1) and g^n f(x/g), by Horner's rule
+    for i in range(1, s + 1):
+        shift = shift * p + sum(math.comb(n - j, n - i) * digits[j] for j in range(i + 1)) % p
+        scale = scale * p + pow(g, i, p) * digits[i] % p
+    least = top
+    for perm, order in ((shift, p), (scale, p - 1)):
+        # the least over each cycle of perm, by doubling: after j steps, over x .. perm^(2^j - 1)(x)
+        while order > 1:
+            least = np.minimum(least, least[perm])
+            perm, order = perm[perm], (order + 1) // 2
+    # counted in Python: numpy's counting calls would page in about 0.1 MiB
+    # of resident code that nothing else runs
+    return tuple(sorted(Counter(least.tolist()).items()))
 
 
 def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     radices, dtype = _type_code(n, p)
     square = dtype(math.prod(radices[:-1]))  # the first code that is not square-free
     discriminants = discriminants and p % 2 == 1
-    weights = _orbit_weights(n, p)
-    unit = p ** (n - 1)  # the indices of one value of the top digit
+    s = _slab_shape(n, p)[0]
+    classes = _orbit_classes(n, p, s)
+    weights = dict(classes)
+    unit = p ** (n - s)  # the indices of one class
     residue = 0
     counts: dict[int, int] = {}
-    for base, slab in _factor_codes(n, p, len(weights)):
-        # a slab may straddle a change of the top digit: one view per digit
-        for c, weight in enumerate(weights):
-            start, end = max(base, c * unit), min(base + slab.size, (c + 1) * unit)
-            if start >= end:
-                continue
-            codes = slab[start - base : end - base]
+    for base, slab in _factor_codes(n, p, classes):
+        # a slab may hold several classes: one view per class
+        for top in range(base // unit, (base + slab.size) // unit):
+            start, weight = top * unit, weights[top]
+            codes = slab[start - base : start - base + unit]
             if discriminants:
                 # before the sort, which loses the indices
                 residue += weight * _disc_residue_count(codes, start, square, n, p)
@@ -627,7 +653,7 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (0.0025 s against 0.0008 s without at 7^6, 0.62 s against 0.04 s
+    time (0.0024 s against 0.0007 s without at 7^6, 0.25 s against 0.017 s
     at 5^10) and can be switched off.
     """
     if isinstance(n, bool) or not isinstance(n, int):

@@ -129,16 +129,22 @@ def reports_to_json(config: RunConfig, reports: Sequence[VerificationReport]) ->
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _extra(parameters: Mapping[str, Any]) -> str:
+    """The parameters other than n and q, as sorted k=v pairs."""
+    return " ".join(f"{k}={parameters[k]}" for k in sorted(parameters) if k not in ("n", "q"))
+
+
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["identity_name", "n", "q", "lhs", "rhs", "pass"])
+    writer.writerow(["identity_name", "n", "q", "extra", "lhs", "rhs", "pass"])
     for r in sort_reports(reports):
         writer.writerow(
             [
                 r.identity_name,
                 r.parameters.get("n", ""),
                 r.parameters.get("q", ""),
+                _extra(r.parameters),
                 r.lhs_rendered,
                 r.rhs_rendered,
                 "true" if r.passed else "false",
@@ -150,17 +156,12 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 def reports_to_table(reports: Sequence[VerificationReport]) -> str:
     rows = [["identity", "n", "q", "extra", "lhs", "rhs", "pass"]]
     for r in sort_reports(reports):
-        extra = " ".join(
-            f"{k}={r.parameters[k]}"
-            for k in sorted(r.parameters)
-            if k not in ("n", "q")
-        )
         rows.append(
             [
                 r.identity_name,
                 str(r.parameters.get("n", "")),
                 str(r.parameters.get("q", "")),
-                extra,
+                _extra(r.parameters),
                 r.lhs_rendered,
                 r.rhs_rendered,
                 "ok" if r.passed else "FAIL",

@@ -561,8 +561,8 @@ def _direct(n, p):
 
 def test_slabs_tile_the_index_range(monkeypatch):
     # consecutive slabs from index 0 to p^n, each k values of the top s
-    # digits wide but the last, and all views of one buffer; with leads,
-    # from 0 to leads * p^(n-1), here with a slab across p^(n-1) = 49
+    # digits wide but the last, and all views of one buffer; with a class
+    # table, one slab per run of at most k consecutive classes
     monkeypatch.setattr(ffpoly, "_SLAB", 30)
     p, n = 7, 3
     assert ffpoly._slab_shape(n, p) == (2, 4)  # 7^2 > 30 >= 7, and 4 * 7 <= 30
@@ -570,12 +570,17 @@ def test_slabs_tile_the_index_range(monkeypatch):
     assert [base for base, _, _ in slabs] == list(range(0, p**n, 4 * p))
     assert [size for _, size, _ in slabs] == [4 * p] * 12 + [p]
     assert len({id(buffer) for _, _, buffer in slabs}) == 1
-    prefix = [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, 2)]
-    assert prefix == [(0, 28), (28, 28), (56, 28), (84, 14)]
-    # one slab, addressed by the top digit, so a prefix of it is whole slabs too
+    classes = ffpoly._orbit_classes(n, p, 2)
+    assert classes == ((0, 7), (1, 21), (3, 21))
+    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, classes)] == [(0, 14), (21, 7)]
+    # a run longer than k is split, and a gap starts a new slab
+    table = tuple((top, 1) for top in (0, 1, 2, 3, 4, 9))
+    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, table)] == [(0, 28), (28, 7), (63, 7)]
+    # one slab, addressed by the top digit, so one class of it is a slab too
     monkeypatch.setattr(ffpoly, "_SLAB", p**n)
     assert ffpoly._slab_shape(n, p) == (1, p)
-    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, 1)] == [(0, p * p)]
+    classes = ffpoly._orbit_classes(n, p, 1)
+    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, classes)] == [(0, p * p)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -604,8 +609,9 @@ def test_sieve_equals_direct_across_slab_edges(monkeypatch, p):
 
 
 def test_slabbed_discriminants_at_large_p(monkeypatch):
-    # the p polynomials x^2 + c that stand for all p^2 in 8 slabs of 100
-    # values of both digits, the last with 19: every class against the
+    # x^2, x^2 + 1 and x^2 + 11, 11 the least non-residue, stand for all
+    # p^2 when a slab holds 100 values of both digits; the first two are
+    # one slab and the third another: every class against the
     # closed-form discriminant b^2 - 4c of x^2 + b*x + c over all p^2, and
     # the whole statistics against the one slab of the default size
     p, n = 719, 2
@@ -613,7 +619,9 @@ def test_slabbed_discriminants_at_large_p(monkeypatch):
     whole = enumerate_stats(n, p)
     monkeypatch.setattr(ffpoly, "_SLAB", 100)
     assert ffpoly._slab_shape(n, p) == (2, 100)
-    assert [codes.size for _, codes in ffpoly._factor_codes(n, p, 1)] == [100] * 7 + [19]
+    classes = ffpoly._orbit_classes(n, p, 2)
+    assert classes == ((0, p), (1, p * (p - 1) // 2), (11, p * (p - 1) // 2))
+    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, classes)] == [(0, 2), (11, 1)]
     slabbed = enumerate_stats(n, p)
     assert slabbed == whole
     b, c = np.divmod(np.arange(p**n, dtype=np.int64), p)
@@ -642,13 +650,11 @@ def _slabs_sieved(monkeypatch, n, p):
 
 
 def test_stats_sieve_one_polynomial_per_orbit(monkeypatch):
-    # the slabs read stop at the end of the orbit representatives: at
-    # (10, 5), p | n, the top digit 0 or 1; at (9, 5) the top digit 0
-    for n, p, end in [(10, 5, 2 * 5**9), (9, 5, 5**8)]:
-        slabs = _slabs_sieved(monkeypatch, n, p)
-        assert slabs[0][0] == 0
-        assert all(base + size == nxt for (base, size), (nxt, _) in zip(slabs, slabs[1:]))
-        assert slabs[-1][0] + slabs[-1][1] == end, (n, p)
+    # one slab per class: at (10, 5), p | n, the top two digits 0, 1, 2
+    # and 5 (c9 c8 = 00, 01, 02, 10), four slabs of 5^8; at (9, 5) the top
+    # digit 0, one slab of 5^8
+    assert _slabs_sieved(monkeypatch, 10, 5) == [(top * 5**8, 5**8) for top in (0, 1, 2, 5)]
+    assert _slabs_sieved(monkeypatch, 9, 5) == [(0, 5**8)]
 
 
 _orbit_points = [(3, 4), (3, 5), (5, 3), (7, 3), (13, 2), (2, 5),  # p does not divide n
@@ -678,18 +684,54 @@ def _full_range_stats(n, p):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_orbit_points), st.data())
 def test_orbit_representatives_equal_the_full_range(point, data):
-    # the weighted orbit representatives against every polynomial's code,
-    # under a random slab size, so that slabs straddle p^(n-1)
+    # the weighted classes against every polynomial's code, under a random
+    # slab size: the depth s of the classes from 1 to n, where they are at
+    # most 64, so that no point walks more than 64 slabs, and a slab size
+    # of that depth, so that slabs hold one class or several
     p, n = point
     expected = _full_range_stats(n, p)
-    # at least 2p^(n-1)/64, so that no point walks more than 64 slabs
-    slab = data.draw(
-        st.integers(min_value=max(1, 2 * p ** (n - 1) // 64), max_value=2 * p ** (n - 1) + 1),
-        label="_SLAB",
-    )
+    depths = [s for s in range(1, n + 1) if len(ffpoly._orbit_classes(n, p, s)) <= 64]
+    s = data.draw(st.sampled_from(depths), label="s")
+    # p^(n-s) <= _SLAB < p^(n-s+1), and at s = 1 up to one slab of all p^n
+    slab = data.draw(st.integers(min_value=p ** (n - s), max_value=p ** (n - s + 1) - (s > 1)), label="_SLAB")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ffpoly, "_SLAB", slab)
+        assert ffpoly._slab_shape(n, p)[0] == s
         assert enumerate_stats(n, p) == expected
+
+
+def _affine_image(f, a, b):
+    """a^(-n) f(ax + b), made monic, by Horner's rule."""
+    g = FieldPoly(f.p, [])
+    for c in reversed(f.coeffs):
+        g = g * FieldPoly(f.p, [b, a])
+        g = FieldPoly(f.p, [g.coeffs[0] + c if g.coeffs else c, *g.coeffs[1:]])
+    return g.monic()
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, 4), (5, 3), (7, 4), (2, 5),  # p does not divide n
+     (3, 3), (5, 5), (7, 7),  # p | n, p odd
+     (2, 4), (2, 6)],  # p = 2, n = 0 and 2 mod 4
+)
+def test_orbit_classes_are_the_affine_orbits(p, n):
+    # every top-s tuple, as x^n plus its top s terms, under all p(p-1)
+    # maps f -> a^(-n) f(ax + b): each class is the least top value of an
+    # orbit, weighted by the orbit's size, and at s = 1 the table is one
+    # class of weight p where p does not divide n, else {0: 1, 1: p - 1}
+    for s in range(1, min(3, n) + 1):
+        orbits = set()
+        for top in range(p**s):
+            f = FieldPoly(p, [0] * (n - s) + [top // p**i % p for i in range(s)] + [1])
+            images = {_index(_affine_image(f, a, b)) // p ** (n - s) for a in range(1, p) for b in range(p)}
+            orbits.add(frozenset(images))
+        expected = tuple(sorted((min(orbit), len(orbit)) for orbit in orbits))
+        classes = ffpoly._orbit_classes(n, p, s)
+        assert classes == expected, (p, n, s)
+        assert sum(weight for _, weight in classes) == p**s
+        if s == 1:
+            assert classes == (((0, p),) if n % p else ((0, 1), (1, p - 1)))
 
 
 @pytest.mark.parametrize("p,n", [(1009, 2), (101, 3)])
@@ -705,7 +747,7 @@ def test_stats_sieve_stops_below_degree_n(monkeypatch):
     # sieved: only degrees 1..n//2 are
     sieved = []
     factor_codes = ffpoly._factor_codes
-    monkeypatch.setattr(ffpoly, "_factor_codes", lambda n, p, *leads: sieved.append((n, p)) or factor_codes(n, p, *leads))
+    monkeypatch.setattr(ffpoly, "_factor_codes", lambda n, p, *classes: sieved.append((n, p)) or factor_codes(n, p, *classes))
     ffpoly._irreducibles.cache_clear()
     enumerate_stats(4, 3)
     assert sorted(sieved) == [(1, 3), (2, 3), (4, 3)]
@@ -821,7 +863,7 @@ def test_stats_peak_is_two_and_a_half_bytes_per_polynomial():
 
 
 def test_stats_peak_is_one_slab_at_5_to_the_10():
-    # 10 slabs of 5^8 codes: the peak does not grow with p^n; one uint16
+    # 4 slabs of 5^8 codes: the peak does not grow with p^n; one uint16
     # code array of all 5^10 polynomials alone would be 18.6 MiB
     n, p = 10, 5
     _sieve_irreducibles(p, n // 2)

@@ -1,7 +1,9 @@
 """Report serialization, run configuration, and the command-line interface."""
 
 import ast
+import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -160,10 +162,10 @@ def test_summary_and_failing_names():
 
 
 def test_csv_columns():
-    reports = [make_report("id", {"n": 3, "q": 2}, "8", "8")]
+    reports = [make_report("id", {"n": 3, "q": 2}, "8", "8"), make_report("id", {"n": 3, "which": "a", "k": 2}, "1", "2")]
     lines = reports_to_csv(reports).splitlines()
-    assert lines[0] == "identity_name,n,q,lhs,rhs,pass"
-    assert lines[1] == "id,3,2,8,8,true"
+    assert lines[0] == "identity_name,n,q,extra,lhs,rhs,pass"
+    assert lines[1:] == ["id,3,,k=2 which=a,1,2,false", "id,3,2,,8,8,true"]
 
 
 def test_json_schema():
@@ -386,7 +388,17 @@ def test_package_exports_resolve():
 def test_cli_csv_format(capsys):
     assert cli.main(["sqfree", "mu-sum", *_FAST, "--format", "csv"]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "identity_name,n,q,lhs,rhs,pass"
+    assert out.splitlines()[0] == "identity_name,n,q,extra,lhs,rhs,pass"
+
+
+def test_cli_csv_rows_have_distinct_keys(capsys):
+    # every parameter is in the key, so no two reports of verify all share
+    # a row key: at this size the two tori-type-polynomial rows of n = 2
+    # differ only in parameters other than n and q
+    assert cli.main(["verify", "all", *_FAST, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    keys = [tuple(v for k, v in row.items() if k not in ("lhs", "rhs", "pass")) for row in rows]
+    assert len(keys) > 10 and len(set(keys)) == len(keys)
 
 
 def test_cli_verify_all_emits_json(capsys):
