@@ -8,48 +8,38 @@ residue classes are counted beside them.  Everything is integer
 arithmetic, so the results are exact and byte-reproducible.
 
 Every total is invariant under f(x) -> a^(-n) f(ax + b), which permutes
-the classes of indices with given top s digits, so the oracle reads one
-class per orbit and weights it by the orbit's size (`_orbit_classes`).
+the classes of indices with given top c digits, so the oracle reads one
+class per orbit, weighted by the orbit's size (`_orbit_classes`), at the
+depth c that reads fewest (`_read_classes`).
 
-The oracle is a sieve.  The per-polynomial type codes are accumulated by
-marking every monic multiple of degree n of each modulus M = g or g^2, g
-irreducible with deg(g) <= n/2, the multiples of g^2 with a square mark.
-A type code is mixed-radix: digit d is m_d, the number of distinct
-degree-d irreducible factors, with radix min(n//d, N(d, p)) + 1, and the
-number of repeated factors sits on top; the codes are uint16 where they
-fit, else uint32.  The code array is never held whole: it is marked,
-read and overwritten one slab at a time, in one buffer of at most _SLAB
-codes.  A slab is the indices whose top s digits take one of a run of
-consecutive values, s >= 1 the fewest digits with p^(n-s) <= _SLAB, so
-each class is a slab or part of one, and only the slabs of the classes
-are marked.
+The oracle is a sieve.  A type code is mixed-radix: digit d is m_d, the
+number of distinct degree-d irreducible factors, with radix
+min(n//d, N(d, p)) + 1, and the number of repeated factors sits on top;
+the codes are uint16 where they fit, else uint32.  They are accumulated
+by marking every monic multiple of degree n of each modulus M = g or g^2,
+g irreducible with deg(g) <= n/2, the multiples of g^2 with a square
+mark, one slab at a time in one buffer of at most _SLAB codes, a slab
+being up to _SLAB // p^(n-c) classes packed back to back.
 The multiples are marked from the quotient side: a monic f of degree n
 is a multiple of M, of degree D, exactly when f = x^D*F + u with F monic
 of degree n - D and u = -x^D*F mod M, so each F gives one multiple, at
-index idx(F)*p^D + idx(u).  The top s digits of f are those of F, so a
-slab is a run of quotients and needs no division to start.  u is linear
-in the digits of F, a sum of the residues x^k mod M for k = D..n: the
-lowest digits of F are read from a table per modulus, built once per
-enumeration where it is small beside the marks it serves, the next ones
-are added one at a time along a numpy axis with the moduli innermost,
-reduced mod p by a compare in uint16, and the highest once per run.
-Each modulus' marks come out in increasing order, one per block of p^D
-indices, in arrays of at most _CHUNK.  The few moduli whose quotients
-have fewer than s digits (g^2 with deg g near n/2) have their multiples
-made once and shared out by slab.  A repeated factor has degree at most
-n/2, so the square-free polynomials are exactly those without a square
-mark, and the irreducibles those with code 0: the same pass at each
-degree d <= n/2 yields the g.  Each is hit once per irreducible factor
-of degree <= n/2; when those degrees sum to S < n, the rest is one
-irreducible factor of degree n - S > n/2, which is added when the code
-is decoded.  The types are read off a histogram of each slab's codes,
-sorted in place, each count times its orbit's size, with each distinct
-code decoded once at the end.
+index idx(F)*p^D + idx(u).  The top c digits of f are those of F, so a
+class is a run of quotients.  u is linear in the digits of F: the lowest
+are read from a table per modulus, the next added one at a time along a
+numpy axis, the highest once per run (`_Moduli`).  The moduli whose
+quotients have fewer than c digits, and those with few marks over
+several slabs, have their marks made once and shared out by slab.  A
+repeated factor has degree at most n/2, so the square-free polynomials
+are exactly those without a square mark, and the irreducibles those with
+code 0: the same pass at each degree d <= n/2 yields the g.  When the
+marked degrees sum to S < n, the rest is one irreducible factor of
+degree n - S > n/2, added when the code is decoded.  The types are read
+off each run of classes of equal weight, sorted in place.
 Discriminant classes come from one batched Euclidean resultant
-Res(f', f) over each slab's square-free polynomials, passed on one window
-of codes at a time, in digit-major numpy blocks of int16 up to p = 127,
-int32 up to p = 32749 and int64 above, each step on the rows still live,
-with Euler's criterion once per polynomial at the end.
+Res(f', f) over each class's square-free polynomials, in digit-major
+numpy blocks of int16 up to p = 127, int32 up to p = 32749 and int64
+above, each step in place on the rows still live, with Euler's criterion
+once per polynomial at the end.
 
 The tests hold the sieve to a scalar reference, ``tests/fp_reference.py``,
 which walks one polynomial at a time with the definitional operations
@@ -69,19 +59,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 #: the largest p^n one enumeration may count, checked before anything is
 #: allocated; the sieve reads one class per orbit of the affine maps, at
-#: most 2p^(n-1) of them, and 9/16 of the 2^26 at the top (72 classes of
-#: 2^19).  It bounds time, not memory: the sieve holds one slab of at most
-#: _SLAB type codes (1 MiB in uint16, 2 MiB in uint32, needed only at
-#: p = 2 with n >= 16 and p = 3 with n >= 14) and arrays of about _CHUNK
-#: entries beside it, so above the interpreter with numpy it peaks near
-#: 2 MiB at 5^10 (2.4 MiB with discriminant classes), 1 MiB at 9973^2 and
-#: 6.5 MiB at 2^26, the largest uint32 point
+#: most 2p^(n-1) of them, and 17/32 of the 2^26 at the top (136 classes
+#: of 2^18).  It bounds time, not memory: the sieve holds one slab of at
+#: most _SLAB type codes (0.5 MiB in uint16, 1 MiB in uint32, needed only
+#: at p = 2 with n >= 16 and p = 3 with n >= 14) and arrays of about
+#: _CHUNK entries beside it, so above the interpreter with numpy it peaks
+#: near 1.7 MiB at 5^10 (1.9 MiB with discriminant classes), 1 MiB at
+#: 9973^2 and 5.6 MiB at 2^26, the largest uint32 point
 MAX_BUDGET = 100_000_000
 
 _CHUNK = 1 << 16
@@ -94,7 +85,7 @@ except (AttributeError, OSError, TypeError):  # another C library, or no handle 
 
 #: the most type codes the sieve holds at once: it marks, counts and
 #: reads the code array one slab of at most this many indices at a time
-_SLAB = 1 << 19
+_SLAB = 1 << 18
 
 
 class EnumerationBudgetError(ValueError):
@@ -139,12 +130,13 @@ def check_moment_orders(k: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
+def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """x mod p in [0, p), also for negative x, in the dtype of x, by floor
     division: on the 6 x 9362 rows the pass reduces at (n, p) = (6, 7),
     about 20x faster than % in int16, 15x in int32, 7x in int64.  Built in
-    place on the quotient, it allocates one array, as %."""
-    r = x // p
+    place on the quotient, in out where given, it allocates at most one
+    array, as %."""
+    r = np.floor_divide(x, p, out=out)
     r *= -p
     r += x
     return r
@@ -182,37 +174,53 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     block = max(1, _CHUNK // (n + 1))  # rows of n+1 coefficients
     dtype = np.int16 if 2 * p * p < 2**15 else np.int32 if 2 * p * p < 2**31 else np.int64
     for lo in range(0, len(idx), block):
-        b = _monic_rows(idx[lo : lo + block], p, n, dtype)
-        a = np.zeros_like(b)
-        a[:n] = _mod(b[:n] * (np.arange(n, 0, -1) % p).astype(dtype)[:, None], p)  # f' at formal degree n-1
-        acc = np.ones(b.shape[1], dtype=dtype)
-        db = np.full_like(acc, n)
-        sign = np.full_like(acc, n * (n - 1) // 2 % 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f'), as bit 0
-        for s in range(2 * n - 1, 0, -1):
-            live = min(n + 1, max(s - int(db.min()), int(db.max())) + 1)
-            la, lb = a[:live], b[:live]
-            swap = (a[0] != 0) & (db > s // 2)
-            if s % 2 == 0:  # (s - db) * db is odd only where s is even and db odd
-                sign ^= swap & db
-            d = (lb - la) * swap  # swap in place
-            la += d
-            lb -= d
-            db += swap * (s - 2 * db)
-            acc = np.where(db & 1, acc, _mod(acc * b[0], p))
-            la[:-1] = _mod(b[0] * la[1:] - a[0] * lb[1:], p)
-            la[-1] = 0
-        if db.any():
-            raise ArithmeticError(f"Res(f', f) = 0 on {np.count_nonzero(db)} of {db.size} rows: not square-free")
-        acc = np.where(sign & 1, p - acc, acc)
-        chi = np.ones_like(acc)
-        e = (p - 1) // 2
-        while e:
-            if e & 1:
-                chi = _mod(chi * acc, p)
-            acc = _mod(acc * acc, p)
-            e >>= 1
-        out[lo : lo + block] = chi == 1
+        # made in a call, so that no array or view of a block outlives it
+        out[lo : lo + block] = _disc_block(idx[lo : lo + block], n, p, dtype)
     return out
+
+
+def _disc_block(idx: np.ndarray, n: int, p: int, dtype: type[np.signedinteger]) -> np.ndarray:
+    """`_disc_residues` on one block of rows, in one dtype.  Each step
+    works in place and in one buffer of the block's shape, so it allocates
+    no array of rows."""
+    b = _monic_rows(idx, p, n, dtype)
+    a = np.zeros_like(b)
+    work = np.empty_like(b)
+    np.multiply(b[:n], (np.arange(n, 0, -1) % p).astype(dtype)[:, None], out=work[:n])
+    _mod(work[:n], p, out=a[:n])  # f' at formal degree n-1
+    acc = np.ones(b.shape[1], dtype=dtype)
+    db = np.full_like(acc, n)
+    sign = np.full_like(acc, n * (n - 1) // 2 % 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f'), as bit 0
+    for s in range(2 * n - 1, 0, -1):
+        live = min(n + 1, max(s - int(db.min()), int(db.max())) + 1)
+        la, lb, w = a[:live], b[:live], work[:live]
+        swap = (a[0] != 0) & (db > s // 2)
+        if s % 2 == 0:  # (s - db) * db is odd only where s is even and db odd
+            sign ^= swap & db
+        np.subtract(lb, la, out=w)  # swap in place
+        w *= swap
+        la += w
+        lb -= w
+        db += swap * (s - 2 * db)
+        acc = np.where(db & 1, acc, _mod(acc * b[0], p))
+        # lc(b)*a - lc(a)*x^(deg a - deg b)*b, one row up
+        d = w[:-1]
+        np.multiply(la[1:], b[0], out=d)
+        np.multiply(lb[1:], a[0], out=la[1:])
+        d -= la[1:]
+        _mod(d, p, out=la[:-1])
+        la[-1] = 0
+    if db.any():
+        raise ArithmeticError(f"Res(f', f) = 0 on {np.count_nonzero(db)} of {db.size} rows: not square-free")
+    acc = np.where(sign & 1, p - acc, acc)
+    chi = np.ones_like(acc)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            chi = _mod(chi * acc, p)
+        acc = _mod(acc * acc, p)
+        e >>= 1
+    return chi == 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +252,23 @@ def _unsigned(top: int) -> type[np.unsignedinteger]:
 
 class _Moduli:
     """Monic moduli M of one degree D, whose monic multiples of degree n
-    are made one run of quotients at a time.
+    are made for a few classes of quotients at a time.
 
     f = x^D*F + u is a multiple of M exactly when u = -x^D*F mod M, so M
     has one multiple for each monic F of degree n - D, at index
     idx(F)*p^D + idx(u).  u is linear in the digits of F,
     u = -(x^n + sum_j F_j x^(D+j)) mod M, and is built from the residues
     x^k mod M, k = D..n: `residues` has shape (n - D + 1, D, len(M)),
-    coefficient i of x^(D+j) mod M at [j, i], the moduli on the innermost
-    axis so that the inner loops run along them, in a dtype that holds
-    2p - 2, the sum of two residues.
+    coefficient i of x^(D+j) mod M at [j, i], the moduli innermost, in a
+    dtype that holds 2p - 2, the sum of two residues.
 
-    `multiples(lo, count)` yields the multiples whose quotient index lies
-    in lo*p^r .. (lo+count)*p^r - 1.  The lowest t digits of each quotient
-    are read from a table, where t <= r is the largest at which the tables
+    Of the lowest r digits of a quotient, which `multiples` leaves free,
+    the lowest t are read from a table, t the largest at which the tables
     of all the moduli hold at most _CHUNK entries and at most 1/16 of each
-    modulus' p^(n-D) multiples, so a table costs little beside the marks it
-    serves; t = 0 is no table.  The next e digits are added one at a time
-    along a new axis, e <= r - t the largest at which p^e blocks of p^t
+    modulus' p^(n-D) multiples (t = 0: no table).  The next e are added one
+    at a time along a new axis, e the largest at which p^e blocks of p^t
     quotients fit in _CHUNK marks and the e steps of all moduli in _CHUNK
-    entries.  The rest, a prefix shared by a run of p^e blocks, is summed
-    per prefix.
+    entries.  The rest, a prefix shared by p^e blocks, is summed per prefix.
     """
 
     def __init__(self, M: np.ndarray, p: int, n: int, r: int):
@@ -309,28 +313,27 @@ class _Moduli:
         table += (np.arange(p**t) * p**D).astype(table.dtype)
         return table
 
-    def multiples(self, lo: int, count: int) -> Iterator[np.ndarray]:
-        """The indices, less lo*p^(r+D), of the multiples whose quotient
-        index lies in lo*p^r .. (lo+count)*p^r - 1: with r = n - D - s one
-        slab of the code array, with r = n - D, lo = 0 and count = 1 every
-        multiple at its own index.  Every yielded array holds at most
-        _CHUNK indices, block of quotients by block, in increasing order
-        for each modulus."""
+    def multiples(self, tops: np.ndarray) -> Iterator[np.ndarray]:
+        """The multiples whose quotients, less their lowest r digits, take
+        the values tops (r = n - D and tops = [0]: every multiple), those of
+        each top packed after the last's, in arrays of at most _CHUNK,
+        increasing for each modulus and top."""
         p, r, t, e = self.p, self.r, self.t, len(self.steps)
         # (block, modulus) pairs in one array: at most _CHUNK marks
         units = max(1, _CHUNK // p**t)
-        first, end = lo * p ** (r - t - e), (lo + count) * p ** (r - t - e)  # prefixes of p^e blocks
-        moduli = max(1, units // ((end - first) * p**e))
+        per = p ** (r - t - e)  # prefixes of p^e blocks under one top
+        P = (tops[:, None] * per + np.arange(per)).ravel()
+        moduli = max(1, units // (len(P) * p**e))
         prefixes = max(1, units // (moduli * p**e))
         for m0 in range(0, self.residues.shape[2], moduli):
             R = self.residues[:, :, m0 : m0 + moduli].astype(np.int64)
-            for P0 in range(first, end, prefixes):
+            for first in range(0, len(P), prefixes):
                 # made in a call, so that none of its arrays outlives the yield
-                yield self._marks(R, m0, np.arange(P0, min(P0 + prefixes, end)), first)
+                yield self._marks(R, m0, P[first : first + prefixes], first)
 
     def _marks(self, R: np.ndarray, m0: int, P: np.ndarray, first: int) -> np.ndarray:
         """The multiples of moduli m0.. (R their residues in int64) whose
-        quotients have the prefixes P, less the first index of prefix first."""
+        quotients have the prefixes P, P[0] the first'th of the run."""
         p, D, e = self.p, self.D, len(self.steps)
         digits = _monic_rows(P, p, len(R) - 1 - self.t - e, np.int64)  # row k: the coefficient of x^(n-k) in x^D*F
         W = np.zeros((D, len(P), R.shape[2]), dtype=np.int64)
@@ -360,7 +363,7 @@ class _Moduli:
         del W
         v = v[:, :, None] if self.table is None else self.table[np.arange(m0, m0 + v.shape[1]), v]
         idx = v.astype(np.intp)
-        idx += ((np.arange(len(v)) + (P[0] - first) * p**e) * p ** (D + self.t))[:, None, None]  # each block's first index
+        idx += ((np.arange(len(v)) + first * p**e) * p ** (D + self.t))[:, None, None]  # each block's place
         return idx.ravel()
 
 
@@ -377,7 +380,7 @@ def _irreducibles(p: int, d: int) -> np.ndarray:
     factor of degree <= d/2 and no square mark.  At d = 1 nothing is
     marked, so all p linear polynomials are kept.
     """
-    zeros = [np.flatnonzero(codes == 0) + base for base, codes in _factor_codes(d, p)]
+    zeros = [np.flatnonzero(codes == 0) + starts[0] for starts, codes in _factor_codes(d, p)]
     return _monic_rows(np.concatenate(zeros), p, d, np.int64)[::-1].T
 
 
@@ -442,58 +445,70 @@ def _type_code(n: int, p: int) -> tuple[list[int], type[np.unsignedinteger]]:
     factors of degree d: at most n//d, and at most N(d, p), the number of
     monic irreducibles of degree d that the sieve found, so its radix is
     min(n//d, N(d, p)) + 1.  The top digit is the number of repeated
-    factors, at most n//2.  The codes are uint16 where every code fits,
-    else uint32; within MAX_BUDGET the largest code, 117573119, is at
-    (p, n) = (2, 26).
+    factors, at most n//2.  The codes are `_unsigned`: uint16 where every
+    code fits, else uint32; within MAX_BUDGET the largest code, 117573119,
+    is at (p, n) = (2, 26).
     """
     radices = [min(n // d, len(_irreducibles(p, d))) + 1 for d in range(1, n // 2 + 1)] + [n // 2 + 1]
-    for dtype in (np.uint16, np.uint32):
-        if math.prod(radices) <= np.iinfo(dtype).max + 1:
-            return radices, dtype
-    raise ValueError(f"the type codes of degree {n} over F_{p} do not fit in 32 bits")
+    top = math.prod(radices) - 1
+    if top >= 2**32:
+        raise ValueError(f"the type codes of degree {n} over F_{p} do not fit in 32 bits")
+    return radices, _unsigned(top)
 
 
 def _slab_shape(n: int, p: int) -> tuple[int, int]:
-    """(s, k): each slab of the degree-n code array holds the indices whose
-    top s digits take one of k consecutive values, s >= 1 the fewest digits
-    with p^(n-s) <= _SLAB and k as many values as fit in _SLAB, so that a
-    large p at a small n makes a few slabs, not p tiny ones.  One slab
-    (s = 1, k = p) holds every index where p^n <= _SLAB; s is never 0, so
-    that the classes of `_orbit_classes`, given by the top s digits, are
-    whole slabs or parts of one."""
+    """(s, k): s >= 1 the fewest top digits with p^(n-s) <= _SLAB, so that
+    a slab holds whole classes of s or more digits, and k the classes of s
+    digits that fit in a slab, so that a large p at a small n makes a few
+    slabs, not p tiny ones (s = 1, k = p where p^n <= _SLAB)."""
     s = 1
     while p ** (n - s) > _SLAB:
         s += 1
     return s, min(p**s, _SLAB // p ** (n - s))
 
 
-def _factor_codes(n: int, p: int, classes: tuple | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """The type code of every monic degree-n polynomial in the classes of
-    `_orbit_classes` (every one when classes is None), one slab of
-    consecutive indices at a time, in index order: pairs (base, codes),
-    codes[i] the code of index base + i.  A slab is a run of at most k
-    consecutive classes, (s, k) the `_slab_shape`.  Every slab is a view of
-    one buffer, which the next slab overwrites.
+def _read_classes(n: int, p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(c, `_orbit_classes(n, p, c)`): the classes the statistics read.
+    c starts at the slab depth of `_slab_shape`; up to c = 3, a deeper c is
+    tried while its classes still hold _CHUNK/8 polynomials, enough to
+    carry their own pass, and p^c <= _CHUNK/16, and taken where it reads
+    fewer: at p >= 5 always; at p = 2 only to c = 2 where n is even; at
+    p = 3 where 3 | n, else only to c = 3."""
+    c = _slab_shape(n, p)[0]
+    best = c, _orbit_classes(n, p, c)
+    while c < 3 and p ** (n - c - 1) >= _CHUNK // 8 and p ** (c + 1) <= _CHUNK // 16:
+        c += 1
+        classes = _orbit_classes(n, p, c)
+        if len(classes) * p ** (n - c) < len(best[1]) * p ** (n - best[0]):
+            best = c, classes
+    return best
+
+
+def _factor_codes(
+    n: int, p: int, c: int | None = None, tops: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The type codes of the monic degree-n polynomials in the classes of
+    c top digits with the top values tops (by default the slab depth and
+    every value), in slabs of at most _SLAB codes: pairs
+    (starts, codes), codes[i*p^(n-c) + j] the code of index starts[i] + j.
+    Every slab is a view of one buffer, which the next slab overwrites.
 
     Each multiple of an irreducible g of degree d <= n/2 adds the weight
-    of digit d, and each multiple of g^2 the weight of the top digit.  A
-    repeated factor g has 2*deg(g) <= n, so exactly the polynomials that
-    are not square-free get a square mark: their codes are the ones at or
-    above the product of the lower radices.  A slab fixes the top s digits
-    of a multiple f = x^D*F + u of a modulus of degree D <= n - s, which
-    are those of its quotient F, so each slab marks the multiples of its
-    run of quotients; the few multiples of moduli of higher degree (g^2
-    with deg g near n/2) are made once, sorted, and each slab marks its
-    range of them.  The moduli of one degree and weight are marked
-    together, as one `_Moduli`, whose tables serve every slab.
+    of digit d, and each multiple of g^2 the weight of the top digit, so
+    the codes at or above the product of the lower radices are those of
+    the polynomials that are not square-free.  The moduli of one degree
+    and weight are marked together, as one `_Moduli`.
     """
     radices, dtype = _type_code(n, p)
     # sieved before the code buffer is made, so their passes add nothing to its peak
     irr = [_irreducibles(p, d) for d in range(1, n // 2 + 1)]
-    s, k = _slab_shape(n, p)
-    unit = p ** (n - s)
-    groups = []  # (moduli, weight) of degree D <= n - s, marked slab by slab
-    shared = []  # (sorted indices, weight) of the multiples of the others
+    if c is None:
+        c = _slab_shape(n, p)[0]
+    tops = np.arange(p**c) if tops is None else np.asarray(tops, dtype=np.int64)
+    unit = p ** (n - c)  # the indices of one class
+    k = min(len(tops), _SLAB // unit)  # classes per slab
+    groups = []  # (moduli, weight) marked slab by slab
+    shared = []  # (sorted indices, weight) of the marks made once
     for d, g in enumerate(irr, 1):
         squares = np.zeros((len(g), 2 * d + 1), dtype=np.int64)
         for i in range(d + 1):
@@ -501,32 +516,33 @@ def _factor_codes(n: int, p: int, classes: tuple | None = None) -> Iterator[tupl
         squares %= p
         for M, weight in ((g, dtype(math.prod(radices[: d - 1]))), (squares, dtype(math.prod(radices[:-1])))):
             D = M.shape[1] - 1
-            if D <= n - s:
-                groups.append((_Moduli(M, p, n, n - D - s), weight))
-            else:
-                idx = np.concatenate(list(_Moduli(M, p, n, n - D).multiples(0, 1)))
+            if D > n - c:
+                # quotients shorter than c digits: every multiple at its own index
+                idx = np.concatenate(list(_Moduli(M, p, n, n - D).multiples(np.zeros(1, dtype=np.int64))))
                 shared.append((np.sort(idx), weight))
-    if classes is None:
-        runs = [(top, min(k, p**s - top)) for top in range(0, p**s, k)]
-    else:
-        runs = []  # (first value of the top s digits, count)
-        for top, _ in classes:
-            if runs and sum(runs[-1]) == top and runs[-1][1] < k:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            elif len(tops) > k and len(M) * p ** (n - D - c) * len(tops) <= _CHUNK:
+                # few marks over several slabs: made in one pass, not one per slab
+                idx = np.concatenate(list(_Moduli(M, p, n, n - D - c).multiples(tops)))
+                shared.append((np.sort(tops[idx // unit] * unit + idx % unit), weight))
             else:
-                runs.append((top, 1))
-    codes = np.empty(max(count for _, count in runs) * unit, dtype=dtype)
-    for top, count in runs:
-        base, slab = top * unit, codes[: count * unit]
+                groups.append((_Moduli(M, p, n, n - D - c), weight))
+    codes = np.empty(k * unit, dtype=dtype)
+    for i in range(0, len(tops), k):
+        starts = tops[i : i + k] * unit
+        slab = codes[: len(starts) * unit]
         slab.fill(0)
         for moduli, weight in groups:
-            for idx in moduli.multiples(top, count):
+            for idx in moduli.multiples(tops[i : i + k]):
                 np.add.at(slab, idx, weight)
                 del idx  # before the next array is made
+        # one search per run of consecutive classes, each starting at slot a
+        at = starts.tolist()
+        runs = [a for a in range(len(at)) if a == 0 or at[a] != at[a - 1] + unit]
         for idx, weight in shared:
-            lo, hi = idx.searchsorted([base, base + slab.size])
-            np.add.at(slab, idx[lo:hi] - base, weight)
-        yield base, slab
+            for a, b in zip(runs, runs[1:] + [len(at)]):
+                lo, hi = idx.searchsorted([at[a], at[b - 1] + unit])
+                np.add.at(slab, idx[lo:hi] - (at[a] - a * unit), weight)
+        yield starts, slab
 
 
 def _code_type(code: int, n: int, radices: list[int]) -> tuple[int, ...] | None:
@@ -551,10 +567,10 @@ def _code_type(code: int, n: int, radices: list[int]) -> tuple[int, ...] | None:
 
 
 def _disc_residue_count(codes: np.ndarray, base: int, square: np.unsignedinteger, n: int, p: int) -> int:
-    """How many square-free polynomials of a slab have disc f a nonzero
+    """How many square-free polynomials of a class have disc f a nonzero
     square, p odd.
 
-    The square-free indices are gathered one window of the slab at a time
+    The square-free indices are gathered one window of the class at a time
     and passed to _disc_residues, which splits them into blocks, so no
     array of all of them is made.
     """
@@ -566,15 +582,24 @@ def _disc_residue_count(codes: np.ndarray, base: int, square: np.unsignedinteger
 
 
 def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int, int], weight: int) -> None:
-    """Add weight times the number of polynomials of a slab with each
-    square-free code to counts.
+    """Add weight times the number of polynomials with each square-free
+    code to counts.
 
-    The codes are sorted in place, which puts the square-free ones first,
-    and each run of equal codes is found by binary search, so no other
-    array of their length is made."""
+    The codes are sorted in place, which puts the square-free ones first.
+    Where every code is one already in counts, as in most classes after the
+    first, one search finds every run; else each run is found by binary
+    search.  No other array of their length is made."""
     codes.sort()
     # a search key of another dtype would make searchsorted cast all codes
-    lo, end = 0, int(codes.searchsorted(square))
+    end = int(codes.searchsorted(square))
+    if counts:
+        keys = np.array(sorted(counts), dtype=codes.dtype)
+        sizes = codes[:end].searchsorted(keys, side="right") - codes[:end].searchsorted(keys)
+        if sizes.sum() == end:
+            for key, size in zip(keys.tolist(), sizes.tolist()):
+                counts[key] += weight * size
+            return
+    lo = 0
     while lo < end:
         code = codes[lo]
         hi = int(codes.searchsorted(code, side="right"))
@@ -592,7 +617,7 @@ def _orbit_classes(n: int, p: int, s: int) -> tuple[tuple[int, int], ...]:
     The maps keep the factorization type and, as n(n-1) is even, the
     quadratic character of the discriminant, so all classes of an orbit
     hold the same statistics.  At s = 1 the top digit c goes to
-    (c + n*b)/a.  At s >= 2 (p <= 190 and p^s < 2^16 at the default _SLAB)
+    (c + n*b)/a.  At s >= 2 (p <= 97 and p^s < 2^14 at the default _SLAB)
     the orbits are those of translation by 1 and scaling by a generator.
     """
     if s == 1:
@@ -620,21 +645,23 @@ def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
     radices, dtype = _type_code(n, p)
     square = dtype(math.prod(radices[:-1]))  # the first code that is not square-free
     discriminants = discriminants and p % 2 == 1
-    s = _slab_shape(n, p)[0]
-    classes = _orbit_classes(n, p, s)
-    weights = dict(classes)
-    unit = p ** (n - s)  # the indices of one class
+    c, classes = _read_classes(n, p)
+    unit = p ** (n - c)  # the indices of one class
+    weights = {top * unit: weight for top, weight in classes}
     residue = 0
     counts: dict[int, int] = {}
-    for base, slab in _factor_codes(n, p, classes):
-        # a slab may hold several classes: one view per class
-        for top in range(base // unit, (base + slab.size) // unit):
-            start, weight = top * unit, weights[top]
-            codes = slab[start - base : start - base + unit]
-            if discriminants:
-                # before the sort, which loses the indices
-                residue += weight * _disc_residue_count(codes, start, square, n, p)
-            _count_codes(codes, square, counts, weight)
+    for starts, slab in _factor_codes(n, p, c, [top for top, _ in classes]):
+        slots = [(start, weights[start]) for start in starts.tolist()]
+        if discriminants:
+            # one view per class, before the sort, which loses the indices
+            for i, (start, weight) in enumerate(slots):
+                residue += weight * _disc_residue_count(slab[i * unit : (i + 1) * unit], start, square, n, p)
+        # one view per run of classes of equal weight
+        lo = 0
+        for weight, run in groupby(weight for _, weight in slots):
+            hi = lo + len(list(run))
+            _count_codes(slab[lo * unit : hi * unit], square, counts, weight)
+            lo = hi
     squarefree = sum(counts.values())
     return SquareFreeStats(
         n=n,
@@ -653,7 +680,7 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (0.0024 s against 0.0007 s without at 7^6, 0.25 s against 0.017 s
+    time (0.0022 s against 0.0007 s without at 7^6, 0.11 s against 0.009 s
     at 5^10) and can be switched off.
     """
     if isinstance(n, bool) or not isinstance(n, int):

@@ -22,7 +22,7 @@ from fp_reference import (
     resultant,
     stats_direct,
 )
-from sqftori import ffpoly, sqfree
+from sqftori import ffpoly, sqfree, suites
 from sqftori.ffpoly import (
     EnumerationBudgetError,
     _disc_residues,
@@ -30,6 +30,7 @@ from sqftori.ffpoly import (
     enumerate_stats,
     is_prime,
 )
+from sqftori.report import RunConfig
 
 
 def fp(p, *coeffs):
@@ -426,12 +427,15 @@ _modulus_cases = [
 @pytest.mark.parametrize("chunk", [None, 4, 64])
 @pytest.mark.parametrize("slab", [None, 5, 30])
 def test_multiples_are_exactly_each_modulus_multiples(monkeypatch, chunk, slab):
-    # each modulus alone: its marks over all slabs, shifted to their slab's
-    # base, are strictly increasing, each in its slab, and are exactly the
-    # indices of M*h over the p^(n-D) monic h; all moduli of a degree
-    # together, as the sieve marks them, make the same multiset in arrays
-    # of at most _CHUNK.  Moduli of degree D > n - s are made once, with
-    # every multiple at its own index
+    # each modulus alone: the slabs hold the classes of the even values of
+    # the top s digits, then of the odd ones, k at a time, so a slab of two
+    # or more classes has gaps; each slab's marks lie in its classes, packed
+    # back to back, and put back at their indices they are strictly
+    # increasing within the slab, and over all slabs exactly the indices of
+    # M*h over the p^(n-D) monic h; all moduli of a degree together, as the
+    # sieve marks them, make the same multiset in arrays of at most _CHUNK.
+    # Moduli of degree D > n - s are made once, with every multiple at its
+    # own index
     if chunk is not None:
         monkeypatch.setattr(ffpoly, "_CHUNK", chunk)
     if slab is not None:
@@ -441,35 +445,40 @@ def test_multiples_are_exactly_each_modulus_multiples(monkeypatch, chunk, slab):
         polys, rows = _moduli(p, e, square)
         D = rows.shape[1] - 1
         s, k = ffpoly._slab_shape(n, p)
-        slabs = [(0, 1, n - D, 0, p**n)] if D > n - s else [
-            (top, min(k, p**s - top), n - D - s, top * p ** (n - s), min(top + k, p**s) * p ** (n - s))
-            for top in range(0, p**s, k)
-        ]
+        if D > n - s:
+            slabs, r = [np.zeros(1, dtype=np.int64)], n - D
+        else:
+            order = np.r_[0 : p**s : 2, 1 : p**s : 2]
+            slabs, r = [np.sort(order[i : i + k]) for i in range(0, p**s, k)], n - D - s
+        unit = p ** (r + D)  # the indices of one class
+        if any((np.diff(tops) > 1).any() for tops in slabs):
+            seen.add("gaps")
 
         def marks(M):
-            moduli = ffpoly._Moduli(M, p, n, slabs[0][2])
+            moduli = ffpoly._Moduli(M, p, n, r)
             seen.add("shared" if D > n - s else "table" if moduli.table is not None else "direct")
             out = []
-            for lo, count, _, base, end in slabs:
-                arrays = list(moduli.multiples(lo, count))
+            for tops in slabs:
+                arrays = list(moduli.multiples(tops))
                 assert all(len(a) <= ffpoly._CHUNK for a in arrays)
-                got = np.concatenate(arrays) + base
-                assert ((base <= got) & (got < end)).all(), (p, n, D)
-                out.append(got)
-            return np.concatenate(out)
+                got = np.concatenate(arrays)
+                assert ((0 <= got) & (got < len(tops) * unit)).all(), (p, n, D)
+                out.append(tops[got // unit] * unit + got % unit)
+            return out
 
         expected = [sorted(_index(M * h) for h in monic_polys(p, n - D)) for M in polys]
         for M, row in zip(expected, rows):
             got = marks(row[None, :])
-            assert len(got) == p ** (n - D)
-            assert (np.diff(got) > 0).all() and got.tolist() == M, (p, n, D)
-        assert sorted(marks(rows).tolist()) == sorted(i for M in expected for i in M)
-    # both ways of marking under test at the default sizes, and the shared
-    # moduli under small slabs
+            assert all((np.diff(part) > 0).all() for part in got), (p, n, D)
+            assert sorted(np.concatenate(got).tolist()) == M, (p, n, D)
+        assert sorted(np.concatenate(marks(rows)).tolist()) == sorted(i for M in expected for i in M)
+    # both ways of marking under test at the default sizes, the shared
+    # moduli under small slabs, and slabs with gaps at 30
     if chunk is None:
         assert {"table", "direct"} <= seen
     if slab is not None:
         assert "shared" in seen
+    assert ("gaps" in seen) == (slab == 30)
 
 
 @functools.lru_cache(maxsize=None)
@@ -560,27 +569,32 @@ def _direct(n, p):
 
 
 def test_slabs_tile_the_index_range(monkeypatch):
-    # consecutive slabs from index 0 to p^n, each k values of the top s
-    # digits wide but the last, and all views of one buffer; with a class
-    # table, one slab per run of at most k consecutive classes
+    # without tops, consecutive slabs from index 0 to p^n, each k values of
+    # the top s digits wide but the last, and all views of one buffer; with
+    # tops, _SLAB // p^(n-c) classes of c digits a slab, packed back to back
+    # in the order given, consecutive or not
     monkeypatch.setattr(ffpoly, "_SLAB", 30)
     p, n = 7, 3
     assert ffpoly._slab_shape(n, p) == (2, 4)  # 7^2 > 30 >= 7, and 4 * 7 <= 30
-    slabs = [(base, codes.size, codes.base) for base, codes in ffpoly._factor_codes(n, p)]
-    assert [base for base, _, _ in slabs] == list(range(0, p**n, 4 * p))
+    slabs = [(starts.tolist(), codes.size, codes.base) for starts, codes in ffpoly._factor_codes(n, p)]
+    runs = [range(top, min(top + 4, p * p)) for top in range(0, p * p, 4)]
+    assert [starts for starts, _, _ in slabs] == [[top * p for top in run] for run in runs]
     assert [size for _, size, _ in slabs] == [4 * p] * 12 + [p]
     assert len({id(buffer) for _, _, buffer in slabs}) == 1
-    classes = ffpoly._orbit_classes(n, p, 2)
-    assert classes == ((0, 7), (1, 21), (3, 21))
-    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, classes)] == [(0, 14), (21, 7)]
-    # a run longer than k is split, and a gap starts a new slab
-    table = tuple((top, 1) for top in (0, 1, 2, 3, 4, 9))
-    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, table)] == [(0, 28), (28, 7), (63, 7)]
+    assert ffpoly._orbit_classes(n, p, 2) == ((0, 7), (1, 21), (3, 21))
+
+    def read(*args):
+        return [(starts.tolist(), codes.size) for starts, codes in ffpoly._factor_codes(n, p, *args)]
+
+    assert read(2, [0, 1, 3]) == [([0, 7, 21], 21)]
+    # more than k classes are split in order, a gap or not
+    assert read(2, [0, 1, 2, 3, 4, 9]) == [([0, 7, 14, 21], 28), ([28, 63], 14)]
+    # classes deeper than the slab depth: 30 classes of one index a slab
+    assert [(len(starts), size) for starts, size in read(3)] == [(30, 30)] * 11 + [(13, 13)]
     # one slab, addressed by the top digit, so one class of it is a slab too
     monkeypatch.setattr(ffpoly, "_SLAB", p**n)
     assert ffpoly._slab_shape(n, p) == (1, p)
-    classes = ffpoly._orbit_classes(n, p, 1)
-    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, classes)] == [(0, p * p)]
+    assert read(1, [0]) == [([0], p * p)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -610,51 +624,84 @@ def test_sieve_equals_direct_across_slab_edges(monkeypatch, p):
 
 def test_slabbed_discriminants_at_large_p(monkeypatch):
     # x^2, x^2 + 1 and x^2 + 11, 11 the least non-residue, stand for all
-    # p^2 when a slab holds 100 values of both digits; the first two are
-    # one slab and the third another: every class against the
-    # closed-form discriminant b^2 - 4c of x^2 + b*x + c over all p^2, and
-    # the whole statistics against the one slab of the default size
+    # p^2 when a class fixes both digits: two slabs of at most two classes,
+    # then all three packed in one slab, x^2 + 11 right after x^2 + 1;
+    # every class against the closed-form discriminant b^2 - 4c of
+    # x^2 + b*x + c over all p^2, and the whole statistics against the one
+    # class of the default depth
     p, n = 719, 2
-    assert ffpoly._slab_shape(n, p) == (1, p)
+    assert ffpoly._read_classes(n, p) == (1, ((0, p),))
     whole = enumerate_stats(n, p)
-    monkeypatch.setattr(ffpoly, "_SLAB", 100)
-    assert ffpoly._slab_shape(n, p) == (2, 100)
-    classes = ffpoly._orbit_classes(n, p, 2)
-    assert classes == ((0, p), (1, p * (p - 1) // 2), (11, p * (p - 1) // 2))
-    assert [(base, codes.size) for base, codes in ffpoly._factor_codes(n, p, classes)] == [(0, 2), (11, 1)]
-    slabbed = enumerate_stats(n, p)
-    assert slabbed == whole
     b, c = np.divmod(np.arange(p**n, dtype=np.int64), p)
     disc = (b * b - 4 * c) % p
     squares = np.zeros(p, dtype=bool)
     squares[np.arange(1, p) ** 2 % p] = True
-    assert slabbed.disc_residue == np.count_nonzero(squares[disc])
-    assert slabbed.disc_nonresidue == np.count_nonzero(disc) - slabbed.disc_residue
-    assert slabbed.type_counts == (((1, 1), p * (p - 1) // 2), ((2,), p * (p - 1) // 2))
+    for slab, slabs in [(2, [([0, 1], 2), ([11], 1)]), (100, [([0, 1, 11], 3)])]:
+        monkeypatch.setattr(ffpoly, "_SLAB", slab)
+        assert ffpoly._slab_shape(n, p)[0] == 2
+        assert ffpoly._read_classes(n, p) == (2, ((0, p), (1, p * (p - 1) // 2), (11, p * (p - 1) // 2)))
+        slabbed, read = _slabs_read(n, p, discriminants=True)
+        assert read == slabs
+        assert slabbed == whole
+        assert slabbed.disc_residue == np.count_nonzero(squares[disc])
+        assert slabbed.disc_nonresidue == np.count_nonzero(disc) - slabbed.disc_residue
+        assert slabbed.type_counts == (((1, 1), p * (p - 1) // 2), ((2,), p * (p - 1) // 2))
 
 
-def _slabs_sieved(monkeypatch, n, p):
-    """(base, size) of every slab enumerate_stats(n, p) reads."""
+def _slabs_read(n, p, discriminants=False):
+    """enumerate_stats(n, p), and the (class starts, size) of every slab
+    of degree n that it reads."""
     slabs = []
     factor_codes = ffpoly._factor_codes
 
     def recorded(*args):
-        for base, codes in factor_codes(*args):
+        for starts, codes in factor_codes(*args):
             if args[:2] == (n, p):
-                slabs.append((base, codes.size))
-            yield base, codes
+                slabs.append((starts.tolist(), codes.size))
+            yield starts, codes
 
-    monkeypatch.setattr(ffpoly, "_factor_codes", recorded)
-    enumerate_stats(n, p, discriminants=False)
-    return slabs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffpoly, "_factor_codes", recorded)
+        stats = enumerate_stats(n, p, discriminants=discriminants)
+    return stats, slabs
 
 
-def test_stats_sieve_one_polynomial_per_orbit(monkeypatch):
-    # one slab per class: at (10, 5), p | n, the top two digits 0, 1, 2
-    # and 5 (c9 c8 = 00, 01, 02, 10), four slabs of 5^8; at (9, 5) the top
-    # digit 0, one slab of 5^8
-    assert _slabs_sieved(monkeypatch, 10, 5) == [(top * 5**8, 5**8) for top in (0, 1, 2, 5)]
-    assert _slabs_sieved(monkeypatch, 9, 5) == [(0, 5**8)]
+def test_stats_sieve_one_polynomial_per_orbit():
+    # at (10, 5), p | n, nine classes of the top three digits c9 c8 c7
+    # (000, 001, 010, 020, and 1xx), three 5^7 to a slab; at (9, 5) eight
+    # classes of 5^6, all in one slab
+    tops = [0, 1, 5, 10, 25, 26, 27, 28, 29]
+    assert _slabs_read(10, 5)[1] == [([top * 5**7 for top in tops[i : i + 3]], 3 * 5**7) for i in (0, 3, 6)]
+    assert _slabs_read(9, 5)[1] == [([top * 5**6 for top in (0, 1, 5, 6, 7, 10, 11, 12)], 8 * 5**6)]
+
+
+@pytest.mark.parametrize(
+    "p,n,depth",
+    [
+        (5, 7, 1), (5, 8, 2), (5, 9, 3), (5, 10, 3),  # p >= 5: as deep as the floor allows
+        (7, 6, 1), (3, 10, 1),  # the classes of depth 2 would hold fewer than _CHUNK/8
+        (2, 15, 1), (2, 17, 1), (2, 16, 2),  # p = 2: deeper reads fewer only where p | n
+        (3, 11, 1), (3, 12, 3), (3, 13, 3),  # p = 3: depth 2 reads fewer only where p | n
+        (2, 26, 8), (5, 11, 4), (97, 4, 2), (3137, 2, 1),  # never above the slab depth
+    ],
+)
+def test_read_classes_take_the_depth_that_reads_fewest(p, n, depth):
+    c, classes = ffpoly._read_classes(n, p)
+    assert c == depth >= ffpoly._slab_shape(n, p)[0]
+    assert classes == ffpoly._orbit_classes(n, p, c)
+
+
+def test_reads_per_default_grid_point():
+    # a point reads its classes times the class size: at depth 1 one or two
+    # classes of p^(n-1) (p | n), deeper at 5^8, 5^9 and 5^10; 2,089,445 in
+    # all when every class fixed as many digits as a slab
+    deeper = {(8, 5): 3 * 5**6, (9, 5): 8 * 5**6, (10, 5): 9 * 5**7}
+    total = 0
+    for _, (n, p) in suites._oracle(RunConfig()):
+        reads = sum(size for _, size in _slabs_read(n, p)[1])
+        assert reads == deeper.get((n, p), (1 if n % p else 2) * p ** (n - 1)), (p, n)
+        total += reads
+    assert total == 933_195
 
 
 _orbit_points = [(3, 4), (3, 5), (5, 3), (7, 3), (13, 2), (2, 5),  # p does not divide n
@@ -681,23 +728,41 @@ def _full_range_stats(n, p):
     return ffpoly.SquareFreeStats(n, p, p**n, tuple(sorted(types.items())), *disc)
 
 
+def _at_depth(c):
+    """A `_read_classes` that reads the classes of depth c."""
+    return lambda n, p: (c, ffpoly._orbit_classes(n, p, c))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_orbit_points), st.data())
 def test_orbit_representatives_equal_the_full_range(point, data):
-    # the weighted classes against every polynomial's code, under a random
-    # slab size: the depth s of the classes from 1 to n, where they are at
-    # most 64, so that no point walks more than 64 slabs, and a slab size
-    # of that depth, so that slabs hold one class or several
+    # the weighted classes against every polynomial's code: the class depth
+    # c from 1 to n, where there are at most 64 classes, and apart from it
+    # a slab size of at least one class, so that a slab holds one class or
+    # several, consecutive or not, and the slab depth is anything up to c
     p, n = point
     expected = _full_range_stats(n, p)
-    depths = [s for s in range(1, n + 1) if len(ffpoly._orbit_classes(n, p, s)) <= 64]
-    s = data.draw(st.sampled_from(depths), label="s")
-    # p^(n-s) <= _SLAB < p^(n-s+1), and at s = 1 up to one slab of all p^n
-    slab = data.draw(st.integers(min_value=p ** (n - s), max_value=p ** (n - s + 1) - (s > 1)), label="_SLAB")
+    depths = [c for c in range(1, n + 1) if len(ffpoly._orbit_classes(n, p, c)) <= 64]
+    c = data.draw(st.sampled_from(depths), label="c")
+    slab = data.draw(st.integers(min_value=p ** (n - c), max_value=p**n), label="_SLAB")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ffpoly, "_SLAB", slab)
-        assert ffpoly._slab_shape(n, p)[0] == s
+        patch.setattr(ffpoly, "_read_classes", _at_depth(c))
+        assert ffpoly._slab_shape(n, p)[0] <= c
         assert enumerate_stats(n, p) == expected
+
+
+@pytest.mark.parametrize("p,n,c", [(5, 5, 2), (3, 6, 3)])
+def test_one_slab_packs_classes_that_are_not_consecutive(monkeypatch, p, n, c):
+    # two classes a slab, p | n: at 5^5 the tops 0, 1 | 2, 5 of c4 c3, at
+    # 3^6 seven classes of c5 c4 c3; types and discriminant classes against
+    # every polynomial's code
+    monkeypatch.setattr(ffpoly, "_SLAB", 2 * p ** (n - c))
+    monkeypatch.setattr(ffpoly, "_read_classes", _at_depth(c))
+    stats, slabs = _slabs_read(n, p, discriminants=True)
+    gaps = [starts for starts, _ in slabs if len(starts) == 2 and starts[1] - starts[0] > p ** (n - c)]
+    assert gaps and all(size <= 2 * p ** (n - c) for _, size in slabs)
+    assert stats == _full_range_stats(n, p)
 
 
 def _affine_image(f, a, b):
