@@ -17,6 +17,9 @@ from typing import Sequence
 
 from . import suites
 from .report import (
+    MAX_N_MAX,
+    MAX_ORDER,
+    MAX_TYPE_RANK,
     RunConfig,
     failing_names,
     reports_to_csv,
@@ -32,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-max",
         type=int,
         default=RunConfig.n_max,
-        help="largest degree / rank (default %(default)s)",
+        help=f"largest degree / rank (default %(default)s, at most {MAX_N_MAX})",
     )
     common.add_argument(
         "--prime",
@@ -46,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=RunConfig.series_order,
         help="largest degree of the symbolic square-free checks and the order "
-        "of the factorization identity (default %(default)s)",
+        f"of the factorization identity (default %(default)s, at most {MAX_ORDER})",
     )
     common.add_argument(
         "--budget",
@@ -73,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _TORI_SUITES:
         tor_sub.add_parser(name, parents=[common])
     types = tor_sub.add_parser("types", parents=[common])
-    types.add_argument("--n", type=int, default=4, help="rank for the type table (default 4)")
+    types.add_argument(
+        "--n", type=int, default=4, help=f"rank for the type table (default 4, at most {MAX_TYPE_RANK})"
+    )
 
     ver = sub.add_parser("verify", help="run every identity suite")
     ver_sub = ver.add_subparsers(dest="command", required=True)
@@ -101,8 +106,8 @@ _TORI_SUITES = {
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.command == "types" and args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.command == "types" and not 1 <= args.n <= MAX_TYPE_RANK:
+        raise ValueError(f"--n must be between 1 and {MAX_TYPE_RANK}, got {args.n}")
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.group == "verify" else "table"

@@ -620,19 +620,33 @@ def gl_order(n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
+#: canonical forms whose text `render_poly` keeps, the most recently used
+_RENDER_MEMO = 1024
+
+
 def render_poly(p: QPoly) -> str:
-    """q-descending text form, e.g. ``q^2 - q`` or ``1/2*q^2 + 3``."""
-    if p.is_zero():
+    """q-descending text form, e.g. ``q^2 - q`` or ``1/2*q^2 + 3``.
+
+    The text is a function of the canonical (z, d) alone, so it is kept
+    per canonical form: the two sides of a passing report are one value,
+    and a value that several rows read is rendered once.
+    """
+    return _render(p.z, p.d)
+
+
+@lru_cache(maxsize=_RENDER_MEMO)
+def _render(z: tuple[int, ...], d: int) -> str:
+    if not z:
         return "0"
     parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.z[k]
+    for k in range(len(z) - 1, -1, -1):
+        c = z[k]
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
         # |c|/d in lowest terms, written as str(Fraction) writes it
-        g = gcd(c, p.d)
-        mag, den = abs(c) // g, p.d // g
+        g = gcd(c, d)
+        mag, den = abs(c) // g, d // g
         coeff = str(mag) if den == 1 else f"{mag}/{den}"
         if k == 0:
             body = coeff

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from .ffpoly import MAX_BUDGET, check_prime
@@ -29,6 +30,9 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def to_json_dict(self) -> dict:
+        """The report as a JSON object: the reference that `reports_to_json`
+        writes through its `_REPORT` template (a field added here goes there
+        too, and the tests compare the two)."""
         return {
             "identity_name": self.identity_name,
             "parameters": dict(self.parameters),
@@ -56,6 +60,20 @@ def make_report(
     )
 
 
+#: the largest n_max a run accepts: `verify all --n-max 24 --budget 3` takes
+#: about 2.5 s cold and peaks near 230 MiB, `--n-max 26` 4.6 s and 410 MiB
+#: (2-core host); the type tables of every rank up to n_max set the cost
+MAX_N_MAX = 24
+
+#: the largest series order a run accepts: `verify all --order 300 --budget 3`
+#: takes about 2.9 s cold and peaks near 45 MiB, `--order 320` 3.3 s
+MAX_ORDER = 300
+
+#: the largest rank `tori types --n` accepts: --n 28 (3718 types) takes about
+#: 2.7 s cold and peaks near 340 MiB, --n 32 8.1 s and 970 MiB (2-core host)
+MAX_TYPE_RANK = 28
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Sizes and output settings for a verification run."""
@@ -76,6 +94,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.n_max > MAX_N_MAX:
+            raise ValueError(f"n_max {self.n_max} exceeds the maximum of {MAX_N_MAX}")
+        if self.series_order > MAX_ORDER:
+            raise ValueError(f"series order {self.series_order} exceeds the maximum of {MAX_ORDER}")
         if self.series_order < self.n_max:
             raise ValueError(
                 f"series order {self.series_order} is smaller than n_max {self.n_max}"
@@ -120,13 +142,71 @@ def summarize(reports: Sequence[VerificationReport]) -> dict:
     return {"passed": passed, "failed": len(reports) - passed}
 
 
+#: how json.dumps writes a scalar of each exact type; any other type is
+#: left to json.dumps itself
+_SCALARS = {
+    str: encode_basestring_ascii,
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+}
+
+#: one report in the list, the keys of `VerificationReport.to_json_dict` sorted,
+#: as json.dumps(indent=2) lays it out
+_REPORT = """
+    {
+      "elapsed_ms": %s,
+      "identity_name": %s,
+      "lhs_rendered": %s,
+      "parameters": %s,
+      "pass": %s,
+      "rhs_rendered": %s
+    }"""
+
+
+def _scalar(value) -> str:
+    return _SCALARS.get(type(value), json.dumps)(value)
+
+
+def _nested(obj) -> str:
+    """obj as json.dumps(sort_keys=True, indent=2) writes it one level in."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _parameters(parameters: Mapping[str, Any]) -> str:
+    items = ",".join(
+        f"\n        {encode_basestring_ascii(k)}: {_scalar(parameters[k])}" for k in sorted(parameters)
+    )
+    return "{" + items + "\n      }" if items else "{}"
+
+
+def _report_json(r: VerificationReport) -> str:
+    return _REPORT % (
+        _scalar(r.elapsed_ms),
+        encode_basestring_ascii(r.identity_name),
+        encode_basestring_ascii(r.lhs_rendered),
+        _parameters(r.parameters),
+        _scalar(r.passed),
+        encode_basestring_ascii(r.rhs_rendered),
+    )
+
+
 def reports_to_json(config: RunConfig, reports: Sequence[VerificationReport]) -> str:
-    payload = {
-        "config": config.to_json_dict(),
-        "reports": [r.to_json_dict() for r in sort_reports(reports)],
-        "summary": summarize(reports),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The reports, sorted, with the configuration and the summary: the
+    bytes of json.dumps(payload, sort_keys=True, indent=2) + "\\n" for the
+    payload {"config", "reports", "summary"} of `to_json_dict`s.
+
+    Each report is written through one template, its strings quoted by
+    the json module's own C escaper, where json.dumps would run its
+    pure-Python encoder (which ``indent`` forces) over every value.
+    Parameter names are strings.
+    """
+    body = ",".join([_report_json(r) for r in sort_reports(reports)])
+    return '{\n  "config": %s,\n  "reports": [%s%s,\n  "summary": %s\n}\n' % (
+        _nested(config.to_json_dict()),
+        body,
+        "\n  ]" if body else "]",
+        _nested(summarize(reports)),
+    )
 
 
 def _extra(parameters: Mapping[str, Any]) -> str:

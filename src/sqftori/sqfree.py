@@ -218,11 +218,21 @@ def expected_linear_factors(n: int) -> RationalFunction:
     return RationalFunction(_poly(num, 1), QPoly.q_power(n - 2))
 
 
+#: degrees whose quadratic excess `quad_excess_exact` keeps, the most recently used
+_EXCESS_MEMO = 256
+
+
 def quad_excess_exact(n: int) -> RationalFunction:
     """E[X_2 - C(X_1,2)], the excess of irreducible over reducible
-    quadratic factors, from the binomial moments."""
+    quadratic factors, from the binomial moments; once per degree, since
+    the oracle rows read it at every prime."""
     if n < 2:
         raise ValueError("the quadratic excess needs n >= 2")
+    return _quad_excess_exact(n)
+
+
+@lru_cache(maxsize=_EXCESS_MEMO, typed=True)
+def _quad_excess_exact(n: int) -> RationalFunction:
     return binomial_moment(n, {2: 1}) - binomial_moment(n, {1: 2})
 
 

@@ -163,8 +163,19 @@ def _type_sum(n: int, weight) -> RationalFunction:
     return RationalFunction(_poly(acc, common))
 
 
+#: arguments whose value each memo of the type sums and moments keeps
+_MEMO = 256
+
+
 def total_tori(n: int) -> RationalFunction:
     """Total number of tori, as the sum of the type counts."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _total_tori(n)
+
+
+@lru_cache(maxsize=_MEMO, typed=True)
+def _total_tori(n: int) -> RationalFunction:
     return _type_sum(n, lambda parts: 1)
 
 
@@ -273,7 +284,11 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    key = check_moment_orders(k)
+    return _binomial_moment(n, check_moment_orders(k))
+
+
+@lru_cache(maxsize=_MEMO, typed=True)
+def _binomial_moment(n: int, key: tuple[tuple[int, int], ...]) -> RationalFunction:
     m = n - sum(i * ki for i, ki in key)
     if m < 0:
         return RationalFunction(0)
@@ -290,7 +305,11 @@ def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:
     """The same moment as a sum over the types: sum of P(lambda) prod_i C(n_i(lambda), k_i)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    key = check_moment_orders(k)
+    return _binomial_moment_partition(n, check_moment_orders(k))
+
+
+@lru_cache(maxsize=_MEMO, typed=True)
+def _binomial_moment_partition(n: int, key: tuple[tuple[int, int], ...]) -> RationalFunction:
     moment = _type_sum(n, lambda parts: prod(comb(parts.count(i), ki) for i, ki in key))
     return moment / total_tori_formula(n)
 

@@ -18,7 +18,11 @@ import sqftori
 from sqftori import cli, exact, ffpoly, sqfree, suites, tori
 from sqftori.ffpoly import MAX_BUDGET
 from sqftori.report import (
+    MAX_N_MAX,
+    MAX_ORDER,
+    MAX_TYPE_RANK,
     RunConfig,
+    VerificationReport,
     failing_names,
     make_report,
     reports_to_csv,
@@ -102,8 +106,8 @@ def test_json_dict_uses_pass_key():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(n_max=30, series_order=24)
+    with pytest.raises(ValueError, match="smaller than n_max"):
+        RunConfig(n_max=20, series_order=12)
     with pytest.raises(ValueError):
         RunConfig(primes=(4,))
     with pytest.raises(ValueError):
@@ -183,6 +187,49 @@ def test_json_schema():
         }
 
 
+def _json_dumps(config, reports):
+    """The JSON report as the json module writes the payload itself."""
+    payload = {
+        "config": config.to_json_dict(),
+        "reports": [r.to_json_dict() for r in sort_reports(reports)],
+        "summary": summarize(reports),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config, run",
+    [
+        (SMALL, suites.verify_all),
+        (RunConfig(output_format="json"), lambda config: suites.tori_type_reports(config, 5)),
+        (RunConfig(n_max=3, primes=(), series_order=8), suites.verify_all),
+    ],
+    ids=["small", "tori-types-5", "no-primes"],
+)
+def test_json_report_is_json_dumps_of_its_payload(config, run):
+    reports = run(config)
+    assert reports_to_json(config, reports) == _json_dumps(config, reports)
+
+
+def test_json_report_escapes_as_json_dumps_does():
+    config = RunConfig(primes=(), output_format="json", output_path='out "x"\\y\n\u00e9.json')
+    reports = [
+        make_report(
+            'quote " slash \\ line \n tab \t nul \x00',
+            {"flag": True, "n": 7, "type": 'a"b\\c\nd\u00e9'},
+            "q \u2212 1",
+            "q \u2212 1",
+            3,
+        ),
+        make_report("\u00fcber \U0001d53d", {"off": False, "q": -2}, 'x"', "y\\", 0),
+        make_report("empty", {}, "", "", 12),
+        VerificationReport("marked passed", {}, "a", "b", passed=True),
+    ]
+    assert [r.passed for r in reports] == [True, False, True, True]
+    assert reports_to_json(config, reports) == _json_dumps(config, reports)
+    assert reports_to_json(config, []) == _json_dumps(config, [])
+
+
 def test_reports_are_byte_reproducible():
     first = suites.mu_sum_reports(SMALL)
     second = suites.mu_sum_reports(SMALL)
@@ -242,6 +289,57 @@ def test_verify_all_enumerates_each_oracle_point_once(monkeypatch):
     assert all(disc == (p % 2 == 1 and n <= suites.DISC_N_CAP) for n, p, disc in calls)
 
 
+#: the memos of the symbolic routes that rows call with repeated arguments
+_MEMOS = (
+    (sqfree, "_quad_excess_exact"),
+    (tori, "_binomial_moment"),
+    (tori, "_binomial_moment_partition"),
+    (tori, "_total_tori"),
+    (exact, "_render"),
+)
+
+
+def test_verify_all_computes_each_memoized_value_once(clear_symbolic_caches, monkeypatch):
+    # each memo misses once per distinct normalized argument, so its bound
+    # holds every argument of the default run, and rows do repeat arguments
+    seen = {}
+    for module, name in _MEMOS:
+        memo = getattr(module, name)
+        args = seen[module.__name__, name] = (memo, [])
+        monkeypatch.setattr(module, name, lambda *a, memo=memo, args=args[1]: args.append(a) or memo(*a))
+    assert failing_names(suites.verify_all(RunConfig())) == []
+    for key, (memo, args) in seen.items():
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (len(set(args)), len(args) - len(set(args))), key
+        assert info.hits > 0, key
+    # the memo is keyed on the normalized orders
+    tori_moment, _ = seen["sqftori.tori", "_binomial_moment"]
+    hits = tori_moment.cache_info().hits
+    assert tori.binomial_moment(5, {2: 0, 1: 1}) == tori.binomial_moment(5, {1: 1})
+    assert tori_moment.cache_info().hits == hits + 2
+    # the memoized text is the renderer's own
+    render, args = seen["sqftori.exact", "_render"]
+    assert all(render(z, d) == render.__wrapped__(z, d) for z, d in set(args))
+    # bad arguments are refused with the memos warm
+    for call in (
+        lambda: sqfree.binomial_moment(-1, {1: 1}),
+        lambda: sqfree.binomial_moment(4, {1: True}),
+        lambda: sqfree.quad_excess_exact(1),
+        lambda: tori.binomial_moment(0, {1: 1}),
+        lambda: tori.binomial_moment(4, {0: 1}),
+        lambda: tori.binomial_moment_partition(0, {}),
+        lambda: tori.binomial_moment_partition(4, {1: 1.5}),
+        lambda: tori.total_tori(0),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    # the memos are typed: a float rank is not answered by the int rank's value
+    with pytest.raises(TypeError):
+        tori.binomial_moment(4.0, {1: 1})
+    with pytest.raises(TypeError):
+        tori.binomial_moment_partition(4.0, {2: 1})
+
+
 def test_verify_all_json_is_byte_identical_to_recorded_digest():
     # guards every refactor of the report path: names, parameters and renderings
     reports = suites.verify_all(SMALL)
@@ -269,14 +367,7 @@ def test_each_identity_of_verify_all_is_byte_identical_to_its_recorded_digest():
     assert digests == IDENTITY_DIGESTS
 
 
-def _clear_symbolic_caches():
-    for module in (exact, sqfree, tori):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
-def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(monkeypatch):
+def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(clear_symbolic_caches, monkeypatch):
     # with the heuristic gcd giving up every time, the fallback alone must
     # reach the same canonical forms and so the same reports
     fallback_calls = []
@@ -288,11 +379,7 @@ def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(monkeypatch):
 
     monkeypatch.setattr(exact, "_heu_gcd", lambda f, g: None)
     monkeypatch.setattr(exact, "_euclidean_gcd", counted)
-    _clear_symbolic_caches()
-    try:
-        text = reports_to_json(SMALL, suites.verify_all(SMALL))
-    finally:
-        _clear_symbolic_caches()
+    text = reports_to_json(SMALL, suites.verify_all(SMALL))
     assert fallback_calls
     assert timing_free_digest(text) == (SMALL_DIGEST, 90)
 
@@ -334,20 +421,52 @@ def test_cli_usage_error_exit_code_2():
 
 
 def test_cli_invalid_config_exit_code_2(capsys):
-    for argv in (
-        ["sqfree", "count", "--n-max", "30"],
-        ["sqfree", "count", *_FAST, "--prime", "2"],
-        ["tori", "types", "--n", "0"],
-        ["tori", "types", "--n", "-3"],
-        ["sqfree", "count", "--n-max", "1", "--order", "1"],
-        ["sqfree", "discriminant", "--n-max", "6", "--prime", "2"],
-        ["verify", "all", "--budget", str(10**9)],
-        ["verify", "all", "--prime", str(LARGE_PRIME), "--budget", "3", "--n-max", "2"],
+    for argv, reason in (
+        (["sqfree", "count", "--n-max", "20", "--order", "12"], "smaller than n_max"),
+        (["sqfree", "count", *_FAST, "--prime", "2"], "repeated prime"),
+        (["tori", "types", "--n", "0"], "--n must be between"),
+        (["tori", "types", "--n", "-3"], "--n must be between"),
+        (["sqfree", "count", "--n-max", "1", "--order", "1"], "no identity to check"),
+        (["sqfree", "discriminant", "--n-max", "6", "--prime", "2"], "no identity to check"),
+        (["verify", "all", "--budget", str(10**9)], "enumeration budget"),
+        (
+            ["verify", "all", "--prime", str(LARGE_PRIME), "--budget", "3", "--n-max", "2"],
+            "out of range",
+        ),
     ):
         start = time.perf_counter()
         assert cli.main(argv) == 2, argv
         assert time.perf_counter() - start < 1.0, argv
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "at_bound, above",
+    [
+        (["tori", "types", "--n", str(MAX_TYPE_RANK)], ["--n", str(MAX_TYPE_RANK + 1)]),
+        (
+            ["verify", "all", "--n-max", str(MAX_N_MAX), "--order", str(MAX_N_MAX)],
+            ["--n-max", str(MAX_N_MAX + 1)],
+        ),
+        (["verify", "all", "--order", str(MAX_ORDER)], ["--order", str(MAX_ORDER + 1)]),
+    ],
+    ids=["--n", "--n-max", "--order"],
+)
+def test_cli_refuses_a_size_above_its_bound(at_bound, above, capsys, monkeypatch):
+    # the bound itself is a valid configuration; one above it is refused with
+    # exit 2 and one error line before any report is built
+    parser = cli.build_parser()
+    cli._config_from_args(parser.parse_args(at_bound))
+
+    def refuse(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(suites, "verify_all", refuse)
+    monkeypatch.setattr(suites, "tori_type_reports", refuse)
+    assert cli.main(at_bound + above) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_runtime_imports_no_sympy():

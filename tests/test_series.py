@@ -275,16 +275,13 @@ def test_exp_coefficients_refuse_a_negative_exponent():
         ExpCoefficients(lambda n, k: ONE, ONE)[-1]
 
 
-def test_clearing_the_symbolic_caches_leaves_no_memo():
+def test_clearing_the_symbolic_caches_leaves_no_memo(clear_symbolic_caches):
     sqfree.squarefree_count(6)
     sqfree.moebius_signed_sum(6)
     sqfree.inverse_factorization_series(6)
     sqfree.binomial_moment(6, {1: 2})
     tori.cycle_index_coefficient(5, -1)
     tori.expected_eigenvectors_series(5)
-    for module in (exact, sqfree, tori):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+    clear_symbolic_caches()
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, ExpCoefficients)]

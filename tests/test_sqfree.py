@@ -214,15 +214,11 @@ def test_binomial_moment_equals_the_qq_reference(k):
         assert sqfree.binomial_moment(n, k) == qq_reference.binomial_moment(n, k)
 
 
-def test_binomial_moment_takes_at_most_one_gcd(monkeypatch):
+def test_binomial_moment_takes_at_most_one_gcd(clear_symbolic_caches, monkeypatch):
     # one integer numerator, cancelled by S_n once, when it enters Q(q)
     calls = []
     gcd = exact.poly_gcd
     monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
-    for module in (exact, sqfree, tori):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
     for k in _ORDERS_OF_WEIGHT_AT_MOST_4:
         for n in range(15):
             calls.clear()

@@ -138,19 +138,15 @@ def test_type_sum_equals_the_sum_one_type_at_a_time(name):
         assert tori._type_sum(n, lambda parts: weight(n, parts)) == expected
 
 
-def test_type_table_needs_no_polynomial_division_or_scaling(monkeypatch):
+def test_type_table_needs_no_polynomial_division_or_scaling(clear_symbolic_caches, monkeypatch):
     def refuse(*args):
         raise AssertionError("the type table divided or added QPolys")
 
     gl_order(12)  # its build subtracts; the table itself must not add
     monkeypatch.setattr(exact, "_pseudo_divmod", refuse)
     monkeypatch.setattr(QPoly, "__add__", refuse)
-    tori.type_counts.cache_clear()
-    try:
-        tori.type_counts(12)
-        total = tori.total_tori(12)
-    finally:
-        tori.type_counts.cache_clear()
+    tori.type_counts(12)
+    total = tori.total_tori(12)
     assert total == tori.total_tori_formula(12)
 
 
@@ -232,19 +228,11 @@ def test_cycle_index_refuses_a_weight_that_is_not_an_int(weight):
         tori.cycle_index_coefficient(2, weight)
 
 
-def _clear_symbolic_caches():
-    for module in (exact, sqfree, tori):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
-def test_cycle_index_takes_no_gcd(monkeypatch):
+def test_cycle_index_takes_no_gcd(clear_symbolic_caches, monkeypatch):
     # G_n is built on integer numerators: no Q(q) canonical form on the way
     calls = []
     gcd = exact.poly_gcd
     monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
-    _clear_symbolic_caches()
     for n in range(1, 13):
         tori.cycle_index_coefficient(n, 1)
         tori.cycle_index_coefficient(n, -1)
