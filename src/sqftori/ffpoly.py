@@ -26,9 +26,10 @@ of degree n - D and u = -x^D*F mod M, so each F gives one multiple, at
 index idx(F)*p^D + idx(u).  The top c digits of f are those of F, so a
 class is a run of quotients.  u is linear in the digits of F: the lowest
 are read from a table per modulus, the next added one at a time along a
-numpy axis, the highest once per run (`_Moduli`).  The moduli whose
-quotients have fewer than c digits, and those with few marks over
-several slabs, have their marks made once and shared out by slab.  A
+numpy axis, the highest by one product per batch of prefixes, each in
+whole-array steps (`_Moduli`).  The moduli whose quotients have fewer
+than c digits, and those with few marks over several slabs, have their
+marks made once and shared out by slab.  A
 repeated factor has degree at most n/2, so the square-free polynomials
 are exactly those without a square mark, and the irreducibles those with
 code 0: the same pass at each degree d <= n/2 yields the g.  When the
@@ -260,57 +261,60 @@ class _Moduli:
     u = -(x^n + sum_j F_j x^(D+j)) mod M, and is built from the residues
     x^k mod M, k = D..n: `residues` has shape (n - D + 1, D, len(M)),
     coefficient i of x^(D+j) mod M at [j, i], the moduli innermost, in a
-    dtype that holds 2p - 2, the sum of two residues.
+    dtype that holds 2p - 2.  They are made in one int64 array, each row
+    from the last, and reduced once.
 
     Of the lowest r digits of a quotient, which `multiples` leaves free,
     the lowest t are read from a table, t the largest at which the tables
     of all the moduli hold at most _CHUNK entries and at most 1/16 of each
     modulus' p^(n-D) multiples (t = 0: no table).  The next e are added one
-    at a time along a new axis, e the largest at which p^e blocks of p^t
-    quotients fit in _CHUNK marks and the e steps of all moduli in _CHUNK
-    entries.  The rest, a prefix shared by p^e blocks, is summed per prefix.
+    at a time along a new axis, from `steps`: steps[j, :, a] = -a*x^(D+t+j)
+    mod M for every a in F_p, all made in one broadcast, e the largest at
+    which p^e blocks of p^t quotients fit in _CHUNK marks and the steps in
+    _CHUNK entries; the lowest of them is added to the digits of u a few
+    at a time, as many as fit in _CHUNK entries.  The rest, a prefix shared
+    by p^e blocks, is one product of the prefixes' digits with the residues.
     """
 
     def __init__(self, M: np.ndarray, p: int, n: int, r: int):
         D, nm = M.shape[1] - 1, len(M)
         self.p, self.D, self.r = p, D, r
-        dtype = _unsigned(2 * p - 2)
-        low = -M[:, :D].T % p  # x^D = x^D - M mod M
-        self.residues = np.empty((n - D + 1, D, nm), dtype=dtype)
-        x = low
-        for j in range(n - D + 1):
-            self.residues[j] = x
-            # x * x^(D+j): each coefficient moves up one, and the top one returns times x^D mod M
-            x = (np.concatenate([np.zeros_like(x[:1]), x[:-1]]) + x[-1] * low) % p
+        res = np.empty((n - D + 1, D, nm), dtype=np.int64)
+        res[0] = -M[:, :D].T % p  # x^D = x^D - M mod M
+        for j in range(1, n - D + 1):
+            # x * x^(D+j-1): each coefficient moves up one, and the top one returns times x^D mod M;
+            # reduced at the end, as row j stays below p^(j+1) <= p^n
+            np.multiply(res[j - 1, -1], res[0], out=res[j])
+            res[j, 1:] += res[j - 1, :-1]
+        res %= p
+        self.residues = res.astype(_unsigned(2 * p - 2))
         t = 0
         while t < r and nm * p ** (D + t + 1) <= _CHUNK and 16 * p ** (D + t + 1) <= p ** (n - D):
             t += 1
         self.t = t
-        self.table = self._table() if t else None
+        self.table = self._table(res[:t]) if t else None
         e = 0
         while e < r - t and p ** (t + e + 1) <= _CHUNK and (e + 1) * D * p * nm <= _CHUNK:
             e += 1
-        a = np.arange(p)[:, None]
-        # -a * x^(D+j) mod M for every a in F_p, for each expanded digit j
-        self.steps = [(-a * self.residues[j][:, None, :].astype(np.int64) % p).astype(dtype) for j in range(t, t + e)]
+        steps = -np.arange(p)[:, None] * res[t : t + e, :, None, :] % p
+        self.steps = steps.astype(_unsigned(max(2 * p - 2, p**D - 1)))  # a sum of two, and idx(u) < p^D
 
-    def _table(self) -> np.ndarray:
+    def _table(self, res: np.ndarray) -> np.ndarray:
         """Entry [m, w, L], for every residue w (by index) and L < p^t, is
         L*p^D + idx(w - sum_(j<t) L_j x^(D+j) mod M_m), L_j the digits of
-        L: the p^t multiples, less the block's first index, of a block of
-        quotients whose higher digits leave residue w; shape
-        (len(M), p^D, p^t), in a dtype that holds p^(D+t) - 1."""
-        p, D, t, res = self.p, self.D, self.t, self.residues
-        nm = res.shape[2]
-        a = np.arange(p)[:, None]
-        low = np.zeros((D, 1, nm), dtype=np.int64)  # the sum for every L, highest digit first
-        for j in reversed(range(t)):
-            low = ((low[:, :, None, :] + a * res[j][:, None, None, :]) % p).reshape(D, -1, nm)
-        w = _monic_rows(np.arange(p**D), p, D, np.int64)[:0:-1]  # w[i]: digit i of each residue
-        table = np.zeros((nm, p**D, p**t), dtype=_unsigned(p ** (D + t) - 1))
-        for i in range(D):
-            table += ((w[i][:, None] - low[i].T[:, None, :]) % p * p**i).astype(table.dtype)
-        table += (np.arange(p**t) * p**D).astype(table.dtype)
+        L and res the residues of j < t in int64: the p^t multiples, less
+        the first index, of a block of quotients whose higher digits leave
+        residue w; shape (len(M), p^D, p^t), in a dtype that holds
+        p^(D+t) - 1, made one digit of w at a time along a new axis."""
+        p, D, t, nm = self.p, self.D, self.t, res.shape[2]
+        digits = _monic_rows(np.arange(p**t), p, t, np.int64)[:0:-1]  # digits[j]: digit j of each L
+        low = np.dot(res.reshape(t, -1).T, digits).reshape(D, nm, 1, -1)  # [i, m, 0, L]: the sum, unreduced
+        # [i, m, a, L]: digit i of the entries where digit i of w is a, times p^i
+        dtype = _unsigned(p ** (D + t) - 1)
+        planes = (_mod(np.arange(p)[:, None] - low, p) * (p ** np.arange(D))[:, None, None, None]).astype(dtype)
+        table = planes[-1] + np.arange(p**t, dtype=dtype) * dtype(p**D)
+        for plane in planes[-2::-1]:  # each lower digit of w along a new axis
+            table = (table[:, :, None, :] + plane[:, None, :, :]).reshape(nm, -1, p**t)
         return table
 
     def multiples(self, tops: np.ndarray) -> Iterator[np.ndarray]:
@@ -326,44 +330,40 @@ class _Moduli:
         moduli = max(1, units // (len(P) * p**e))
         prefixes = max(1, units // (moduli * p**e))
         for m0 in range(0, self.residues.shape[2], moduli):
-            R = self.residues[:, :, m0 : m0 + moduli].astype(np.int64)
+            # -x^(D+t+e+k) mod M for the prefix digits k, the last for x^n
+            R = -self.residues[t + e :, :, m0 : m0 + moduli].astype(np.int64)
             for first in range(0, len(P), prefixes):
                 # made in a call, so that none of its arrays outlives the yield
                 yield self._marks(R, m0, P[first : first + prefixes], first)
 
     def _marks(self, R: np.ndarray, m0: int, P: np.ndarray, first: int) -> np.ndarray:
-        """The multiples of moduli m0.. (R their residues in int64) whose
-        quotients have the prefixes P, P[0] the first'th of the run."""
-        p, D, e = self.p, self.D, len(self.steps)
-        digits = _monic_rows(P, p, len(R) - 1 - self.t - e, np.int64)  # row k: the coefficient of x^(n-k) in x^D*F
-        W = np.zeros((D, len(P), R.shape[2]), dtype=np.int64)
-        for k, d in enumerate(digits):
-            W -= d[:, None] * R[len(R) - 1 - k][:, None, :]
-        W = _mod(W, p).astype(self.residues.dtype)
-        steps = [step[:, :, m0 : m0 + R.shape[2]] for step in self.steps]
-        for step in reversed(steps[1:]):
-            W = W[:, :, None, :] + step[:, None, :, :]
-            np.minimum(W, W - p, out=W)  # W - p wraps where W < p
-            W = W.reshape(D, -1, W.shape[-1])
-
-        def digit(i: int) -> np.ndarray:
-            """Digit i of u for every block, blocks by moduli: the lowest
-            expanded digit is added one plane at a time, so that no array
-            of every digit of every block is made."""
-            if not steps:
-                return W[i]
-            x = W[i][:, None, :] + steps[0][i]
-            np.minimum(x, x - p, out=x)
-            return x.reshape(-1, x.shape[-1])
-
-        v = digit(D - 1).astype(_unsigned(p**D - 1))  # idx(u), by Horner's rule
-        for i in range(D - 2, -1, -1):
-            v *= p
-            v += digit(i)
-        del W
-        v = v[:, :, None] if self.table is None else self.table[np.arange(m0, m0 + v.shape[1]), v]
+        """The multiples of moduli m0.. (R their negated residues of the
+        prefix digits and of x^n, in int64) whose quotients have the
+        prefixes P, P[0] the first'th of the run."""
+        p, D, t, e = self.p, self.D, self.t, len(self.steps)
+        K, nm = len(R) - 1, R.shape[2]
+        digits = _monic_rows(P, p, K, np.int64)[::-1]  # the prefix's, then F's leading 1
+        W = np.dot(digits.T, R.reshape(K + 1, -1)).reshape(len(P), D, nm).transpose(1, 0, 2)
+        W = _mod(W, p).astype(self.steps.dtype, order="C")
+        steps = self.steps[..., m0 : m0 + nm]
+        for step in steps[:0:-1]:  # each expanded digit but the lowest along a new axis
+            W = (W[:, :, None, :] + step[:, None, :, :]).reshape(D, -1, W.shape[2])
+        if e > 1:  # a sum of e residues
+            W -= W // p * p
+        v = np.zeros((W.shape[1] * p ** min(e, 1), nm), dtype=W.dtype)  # idx(u), blocks by moduli
+        k = max(1, _CHUNK // v.size)  # digits of u made at once, the lowest expanded digit added here
+        for i in range((D - 1) // k * k, -1, -k):
+            x = W[i : i + k, :, None, :]
+            if e:
+                x = x + steps[0, i : i + k, None, :, :]
+                np.minimum(x, x - p, out=x)
+            for digit in x[::-1]:  # by Horner's rule
+                v *= p
+                v += digit.reshape(v.shape)
+        del W, x, digit
+        v = v[:, :, None] if self.table is None else self.table[np.arange(m0, m0 + nm), v]
         idx = v.astype(np.intp)
-        idx += ((np.arange(len(v)) + first * p**e) * p ** (D + self.t))[:, None, None]  # each block's place
+        idx += ((np.arange(len(v)) + first * p**e) * p ** (D + t))[:, None, None]  # each block's place
         return idx.ravel()
 
 
@@ -680,7 +680,7 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (0.0022 s against 0.0007 s without at 7^6, 0.11 s against 0.009 s
+    time (0.0022 s against 0.0007 s without at 7^6, 0.11 s against 0.0082 s
     at 5^10) and can be switched off.
     """
     if isinstance(n, bool) or not isinstance(n, int):

@@ -481,6 +481,50 @@ def test_multiples_are_exactly_each_modulus_multiples(monkeypatch, chunk, slab):
     assert ("gaps" in seen) == (slab == 30)
 
 
+def _check_moduli_setup(p, n, r, rows):
+    """`_Moduli` of the monic moduli with these non-leading coefficient
+    rows: residues[j] is x^(D+j) mod M by division, steps[j][:, a] is
+    -a*residues[t+j] mod p; returns (t, e)."""
+    M = np.array([row + [1] for row in rows], dtype=np.int64)
+    D = M.shape[1] - 1
+    moduli = ffpoly._Moduli(M, p, n, r)
+    assert moduli.residues.shape == (n - D + 1, D, len(rows))
+    assert moduli.residues.dtype == (np.uint32 if 2 * p - 2 >= 2**16 else np.uint16)
+    for m, row in enumerate(M.tolist()):
+        for j in range(n - D + 1):
+            rem = list((FieldPoly(p, [0] * (D + j) + [1]) % FieldPoly(p, row)).coeffs)
+            assert moduli.residues[j, :, m].tolist() == rem + [0] * (D - len(rem)), (p, row, j)
+    t, e = moduli.t, len(moduli.steps)
+    residues = moduli.residues.astype(np.int64)
+    for j in range(e):
+        for a in range(p):
+            assert moduli.steps[j, :, a].tolist() == (-a * residues[t + j] % p).tolist(), (p, j, a)
+    return t, e
+
+
+@pytest.mark.parametrize(
+    "p,n,D,r,moduli,t,e",
+    [(2, 12, 2, 10, 1, 4, 6), (3, 8, 2, 5, 3, 1, 4), (5, 7, 1, 5, 5, 3, 2), (7, 6, 3, 3, 2, 0, 3), (40009, 2, 1, 1, 3, 0, 0)],
+)
+def test_moduli_setup_with_tables_and_steps(p, n, D, r, moduli, t, e):
+    # cases with a table (t > 0), with two or more expanded digits, and
+    # at a p whose residues need uint32
+    rows = [[(m * 7 + i * 3 + 1) % p for i in range(D)] for m in range(moduli)]
+    assert _check_moduli_setup(p, n, r, rows) == (t, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_moduli_setup_equals_division(data):
+    # drawn moduli, not only irreducibles or their squares: the residues
+    # of x^(D+j) and the step planes follow from M alone
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 40009]), label="p")
+    D = data.draw(st.integers(1, 2 if p > 7 else 4), label="D")
+    n = data.draw(st.integers(D, 2 if p > 7 else 10), label="n")
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=D, max_size=D), min_size=1, max_size=6))
+    _check_moduli_setup(p, n, data.draw(st.integers(0, n - D), label="r"), rows)
+
+
 @functools.lru_cache(maxsize=None)
 def _trial_types(p, n):
     """The factorization type of each monic degree-n polynomial by trial
@@ -940,6 +984,21 @@ def test_stats_peak_is_one_slab_at_5_to_the_10():
         tracemalloc.stop()
     assert _slab_bytes(n, p) <= 2 * ffpoly._SLAB
     assert peak < _slab_bytes(n, p) + _CHUNK_ALLOWANCE
+
+
+@pytest.mark.parametrize("discriminants,mib", [(False, 1.7), (True, 1.9)])
+def test_peak_at_5_to_the_10_is_the_documented_one(discriminants, mib):
+    # the peaks that MAX_BUDGET's comment and the README give; with the
+    # irreducibles cached, the call holds next to nothing when it returns
+    _sieve_irreducibles(5, 5)
+    tracemalloc.start()
+    try:
+        enumerate_stats(10, 5, discriminants=discriminants)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
+    assert held <= 64 * 2**10
 
 
 @pytest.mark.parametrize("p,n,dtype", [(2, 15, np.uint16), (5, 10, np.uint16), (2, 16, np.uint32)])
