@@ -29,7 +29,6 @@ from .sqfree import (
 )
 from .tori import (
     centralizer_order,
-    expected_eigenvectors,
     irreducible_tori_count,
     partitions,
     tori_quad_excess,

@@ -28,8 +28,7 @@ class is a run of quotients.  u is linear in the digits of F: the lowest
 are read from a table per modulus, the next added one at a time along a
 numpy axis, the highest by one product per batch of prefixes, each in
 whole-array steps (`_Moduli`).  The moduli whose quotients have fewer
-than c digits, and those with few marks over several slabs, have their
-marks made once and shared out by slab.  A
+than c digits have their marks made once and shared out by slab.  A
 repeated factor has degree at most n/2, so the square-free polynomials
 are exactly those without a square mark, and the irreducibles those with
 code 0: the same pass at each degree d <= n/2 yields the g.  When the
@@ -93,20 +92,28 @@ class EnumerationBudgetError(ValueError):
     """Raised when an enumeration would count more than MAX_BUDGET polynomials."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, nondecreasing, by
+    trial division."""
+    factors = []
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def check_prime(p: int) -> None:
     """Raise ValueError unless p is an int, 2 <= p < 2^31 and prime, by
-    trial division."""
+    the trial division of `_prime_factors`."""
     # a float or bool p passes the range and trial division checks
     if isinstance(p, bool) or not isinstance(p, int):
         raise ValueError(f"prime must be an int, not {p!r}")
@@ -520,10 +527,6 @@ def _factor_codes(
                 # quotients shorter than c digits: every multiple at its own index
                 idx = np.concatenate(list(_Moduli(M, p, n, n - D).multiples(np.zeros(1, dtype=np.int64))))
                 shared.append((np.sort(idx), weight))
-            elif len(tops) > k and len(M) * p ** (n - D - c) * len(tops) <= _CHUNK:
-                # few marks over several slabs: made in one pass, not one per slab
-                idx = np.concatenate(list(_Moduli(M, p, n, n - D - c).multiples(tops)))
-                shared.append((np.sort(tops[idx // unit] * unit + idx % unit), weight))
             else:
                 groups.append((_Moduli(M, p, n, n - D - c), weight))
     codes = np.empty(k * unit, dtype=dtype)
@@ -622,7 +625,7 @@ def _orbit_classes(n: int, p: int, s: int) -> tuple[tuple[int, int], ...]:
     """
     if s == 1:
         return ((0, p),) if n % p else ((0, 1), (1, p - 1))
-    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    factors = set(_prime_factors(p - 1))
     g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
     top = np.arange(p**s)
     digits = _monic_rows(top, p, s, np.int64)  # row i: c_(n-i), and c_n = 1

@@ -214,39 +214,33 @@ def _extra(parameters: Mapping[str, Any]) -> str:
     return " ".join(f"{k}={parameters[k]}" for k in sorted(parameters) if k not in ("n", "q"))
 
 
+def _rows(reports: Sequence[VerificationReport], verdicts: tuple[str, str]) -> list[list[str]]:
+    """One row per report, in report order: the identity, n, q, the other
+    parameters, both sides and verdicts[passed]."""
+    return [
+        [
+            r.identity_name,
+            str(r.parameters.get("n", "")),
+            str(r.parameters.get("q", "")),
+            _extra(r.parameters),
+            r.lhs_rendered,
+            r.rhs_rendered,
+            verdicts[r.passed],
+        ]
+        for r in sort_reports(reports)
+    ]
+
+
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity_name", "n", "q", "extra", "lhs", "rhs", "pass"])
-    for r in sort_reports(reports):
-        writer.writerow(
-            [
-                r.identity_name,
-                r.parameters.get("n", ""),
-                r.parameters.get("q", ""),
-                _extra(r.parameters),
-                r.lhs_rendered,
-                r.rhs_rendered,
-                "true" if r.passed else "false",
-            ]
-        )
+    writer.writerows(_rows(reports, ("false", "true")))
     return buf.getvalue()
 
 
 def reports_to_table(reports: Sequence[VerificationReport]) -> str:
-    rows = [["identity", "n", "q", "extra", "lhs", "rhs", "pass"]]
-    for r in sort_reports(reports):
-        rows.append(
-            [
-                r.identity_name,
-                str(r.parameters.get("n", "")),
-                str(r.parameters.get("q", "")),
-                _extra(r.parameters),
-                r.lhs_rendered,
-                r.rhs_rendered,
-                "ok" if r.passed else "FAIL",
-            ]
-        )
+    rows = [["identity", "n", "q", "extra", "lhs", "rhs", "pass"], *_rows(reports, ("FAIL", "ok"))]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for row in rows:
@@ -257,8 +251,4 @@ def reports_to_table(reports: Sequence[VerificationReport]) -> str:
 
 
 def failing_names(reports: Sequence[VerificationReport]) -> list[str]:
-    seen: list[str] = []
-    for r in sort_reports(reports):
-        if not r.passed and r.identity_name not in seen:
-            seen.append(r.identity_name)
-    return seen
+    return sorted({r.identity_name for r in reports if not r.passed})

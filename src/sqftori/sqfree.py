@@ -52,25 +52,15 @@ from math import factorial
 from typing import Callable, Mapping, Sequence
 
 from .exact import _ONE, ONE, Q, ZERO, QPoly, RationalFunction, _mul, _poly
-from .ffpoly import check_moment_orders
+from .ffpoly import _prime_factors, check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
 
 def _mobius(n: int) -> int:
     if n < 1:
         raise ValueError("Moebius function needs a positive argument")
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    factors = _prime_factors(n)
+    return 0 if len(set(factors)) < len(factors) else (-1) ** len(factors)
 
 
 @lru_cache(maxsize=None)

@@ -314,11 +314,6 @@ def _binomial_moment_partition(n: int, key: tuple[tuple[int, int], ...]) -> Rati
     return moment / total_tori_formula(n)
 
 
-def expected_eigenvectors(n: int) -> RationalFunction:
-    """Expected number of fixed lines of a uniform torus, E[n_1] = 1 + 1/q + ... + 1/q^(n-1)."""
-    return binomial_moment(n, {1: 1})
-
-
 def expected_eigenvectors_series(n: int) -> RationalFunction:
     """E[n_1] as |GL(n,q)|/q^(n^2-n) times [u^n] of u/(q-1) * F(u).
 

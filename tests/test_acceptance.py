@@ -129,7 +129,7 @@ def test_criterion_10_expected_eigenvectors():
         assert closed == sum((RF.q_power(-i) for i in range(n)), RF(0))
         assert closed == tori.binomial_moment_partition(n, {1: 1})
         assert closed == tori.expected_eigenvectors_series(n)
-    assert tori.expected_eigenvectors(2).eval(2) == Fraction(3, 2)
+    assert tori.binomial_moment(2, {1: 1}).eval(2) == Fraction(3, 2)
     _ok(10, "eigenvector expectation: closed form = partition sum = series route, n<=12")
 
 

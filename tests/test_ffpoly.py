@@ -74,6 +74,23 @@ def test_prime_field_rejects_composites():
             check_prime(bad)
 
 
+def test_prime_factors_trial_division():
+    # the one trial division behind is_prime, the Moebius function and the
+    # primes of p - 1 that pick a generator for the orbit classes
+    for n in [*range(1, 5001), 2**31 - 1, 2**31 - 2, 99999989, 10**8]:
+        factors = ffpoly._prime_factors(n)
+        assert factors == sorted(factors), n
+        assert all(is_prime(f) for f in factors), n
+        assert math.prod(factors) == n
+    sieve = [False, False] + [True] * (10**4 - 2)
+    for d in range(2, 100):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, 10**4, d))
+    assert [is_prime(n) for n in range(10**4)] == sieve
+    for n in range(1, 1001):
+        assert sum(sqfree._mobius(d) for d in range(1, n + 1) if n % d == 0) == (n == 1), n
+
+
 def test_poly_division():
     assert fp(3, 1, 0, 1) * fp(3, 2, 1) == fp(3, 2, 1, 2, 1)
     f = fp(3, 0, 1, 2, 1)  # (x^2 + 1)(x + 2) + 1

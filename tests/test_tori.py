@@ -288,10 +288,10 @@ def test_euler_first_coefficient():
 
 
 def test_expected_eigenvectors_values():
-    assert tori.expected_eigenvectors(1) == ONE
-    assert tori.expected_eigenvectors(2) == ONE + ONE / Q
-    assert tori.expected_eigenvectors(2).eval(2) == Fraction(3, 2)
-    assert tori.expected_eigenvectors(3).eval(2) == Fraction(7, 4)
+    assert tori.binomial_moment(1, {1: 1}) == ONE
+    assert tori.binomial_moment(2, {1: 1}) == ONE + ONE / Q
+    assert tori.binomial_moment(2, {1: 1}).eval(2) == Fraction(3, 2)
+    assert tori.binomial_moment(3, {1: 1}).eval(2) == Fraction(7, 4)
 
 
 def test_expected_eigenvectors_partition_sum_f2():
@@ -301,7 +301,7 @@ def test_expected_eigenvectors_partition_sum_f2():
     assert counts[(2, 1)].eval(2) == 28
     assert counts[(3,)].eval(2) == 8
     expectation = Fraction(28 * 3 + 28 * 1 + 8 * 0, 64)
-    assert tori.expected_eigenvectors(3).eval(2) == expectation
+    assert tori.binomial_moment(3, {1: 1}).eval(2) == expectation
 
 
 def test_expected_eigenvectors_routes_agree():
@@ -310,7 +310,6 @@ def test_expected_eigenvectors_routes_agree():
         assert closed == sum((RF.q_power(-i) for i in range(n)), RF(0))
         assert closed == tori.binomial_moment_partition(n, {1: 1})
         assert closed == tori.expected_eigenvectors_series(n)
-        assert closed == tori.expected_eigenvectors(n)
 
 
 # ---------------------------------------------------------------------------
