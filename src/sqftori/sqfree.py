@@ -51,7 +51,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
-from .exact import _ONE, ONE, Q, ZERO, QPoly, RationalFunction, _mul, _poly
+from .exact import _ONE, ONE, Q, QPoly, RationalFunction, _mul, _poly
 from .ffpoly import _prime_factors, check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
@@ -167,19 +167,22 @@ def _moment_factor(k: tuple[tuple[int, int], ...]) -> ExpCoefficients:
 def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """E[prod_d C(X_d, k_d)] for a uniform square-free monic f of degree n,
     X_d the number of degree-d irreducible factors of f, by the closed form
-    of the module docstring; it is 0 when sum_d d*k_d > n.
-
-    The value is built as one integer numerator over an integer: the S_j
-    convolved with the integer coefficients of `_moment_factor`, times
-    prod_d C(N(d,q), k_d) = prod_d prod_{i<k_d} (d*N(d,q) - i*d) / (d^k_d k_d!)
-    on Gauss' numerators.  It enters Q(q) once, over S_n.
+    of the module docstring; it is 0 when sum_d d*k_d > n.  It enters
+    Q(q) once, over S_n, from the integers of `_moment_numerator`.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    key = check_moment_orders(k)
+    num, den = _moment_numerator(n, check_moment_orders(k))
+    return RationalFunction(_poly(num, den), squarefree_count_formula(n).num)
+
+
+def _moment_numerator(n: int, key: tuple[tuple[int, int], ...]) -> tuple[list[int], int]:
+    """S_n E[prod_d C(X_d, k_d)] as integer numerators over an integer: the
+    S_j convolved with `_moment_factor`, times prod_d C(N(d,q), k_d) =
+    prod_d prod_{i<k_d} (d*N(d,q) - i*d) / (d^k_d k_d!) on Gauss' numerators."""
     t = n - sum(d * kd for d, kd in key)
     if t < 0:
-        return ZERO
+        return [], 1
     factor = _moment_factor(key)
     # [u^t] of (1-qu^2)/(1-qu) times the factor: S_0 = 1, S_1 = q, S_j = q^j - q^(j-1)
     num = [0] * (t + 1)
@@ -194,7 +197,7 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
         for i in range(kd):
             num = _mul(num, [gauss[0] - i * d, *gauss[1:]])
         den *= d**kd * factorial(kd)
-    return RationalFunction(_poly(num, den), squarefree_count_formula(n).num)
+    return num, den
 
 
 def expected_linear_factors(n: int) -> RationalFunction:
@@ -214,8 +217,9 @@ _EXCESS_MEMO = 256
 
 def quad_excess_exact(n: int) -> RationalFunction:
     """E[X_2 - C(X_1,2)], the excess of irreducible over reducible
-    quadratic factors, from the binomial moments; once per degree, since
-    the oracle rows read it at every prime."""
+    quadratic factors, from the integer numerators of the two binomial
+    moments, combined over one denominator and S_n; once per degree,
+    since the oracle rows read it at every prime."""
     if n < 2:
         raise ValueError("the quadratic excess needs n >= 2")
     return _quad_excess_exact(n)
@@ -223,7 +227,10 @@ def quad_excess_exact(n: int) -> RationalFunction:
 
 @lru_cache(maxsize=_EXCESS_MEMO, typed=True)
 def _quad_excess_exact(n: int) -> RationalFunction:
-    return binomial_moment(n, {2: 1}) - binomial_moment(n, {1: 2})
+    quad, dq = _moment_numerator(n, ((2, 1),))
+    pair, dp = _moment_numerator(n, ((1, 2),))
+    num = [a * dp - b * dq for a, b in zip(quad, pair, strict=True)]
+    return RationalFunction(_poly(num, dq * dp), squarefree_count_formula(n).num)
 
 
 # ---------------------------------------------------------------------------

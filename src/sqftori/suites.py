@@ -240,7 +240,7 @@ def _tori_type_rows(n: int) -> dict:
                 {
                     "n": n,
                     "type": _type_name(parts),
-                    "nonnegative_coefficients": not any(c < 0 for c in count.num.z),
+                    "nonnegative_coefficients": min(count.num.z) >= 0,
                 },
                 (parts, count),
             )

@@ -9,8 +9,10 @@ with its number of polynomials.  The number of tori of type lambda is
     |GL(n,q)| / ( prod_i i^(n_i) n_i!  *  prod_i (q^i - 1)^(n_i) )
 
 with n_i the multiplicity of the part i.  It is computed on integer
-numerators (`torus_type_count`): |GL(n,q)| is divided by each q^i - 1
-by synthetic division, then once by z_lambda = prod_i i^(n_i) n_i!.
+numerators by one depth-first walk over the partitions (`_type_walk`):
+|GL(n,q)| / q^C(n,2) is divided by one more q^i - 1 per step, by synthetic
+division, so a prefix of parts that several types share is divided once,
+and each count then once by z_lambda = prod_i i^(n_i) n_i!.
 Sums over the types (`_type_sum`) add the counts over their common
 denominator n!, which every z_lambda divides.  Every headline quantity is
 computed along two independent routes: an exact sum over partitions,
@@ -45,13 +47,12 @@ F(u) = F(u/q)/(1-u/q) and G(u) = (1+u/q) G(u/q).
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
-from .exact import _ONE, ONE, QPoly, RationalFunction, _poly, _raw, gl_order
+from .exact import _ONE, ONE, QPoly, RationalFunction, _mul, _poly, _raw, gl_order
 from .ffpoly import check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
@@ -84,46 +85,62 @@ def centralizer_order(parts: tuple[int, ...]) -> int:
     return prod(i**m * factorial(m) for i, m in Counter(parts).items())
 
 
-def torus_type_count(parts: tuple[int, ...]) -> RationalFunction:
-    """Number of tori of the type with these parts; always a polynomial in q.
+def _times_q_power_minus_one(z: list[int], i: int) -> list[int]:
+    """The integer numerators z times q^i - 1."""
+    return _mul([-1] + [0] * (i - 1) + [1], z)
 
-    |GL(n,q)| = q^C(n,2) * prod_{k<=n} (q^k - 1), and q^C(n,2) is coprime to
-    every q^i - 1, so only the integer numerators of the product are
-    divided, by each q^i - 1 in turn.  That is synthetic division: a
-    downward pass in which the quotient digit at q^k is added to the
-    coefficient i places below, so each digit is a running sum from the
-    top along its residue class mod i, and the remainder is left in the
-    i lowest places.  The one division by z_lambda is left to the
-    canonical form of `QPoly`.
+
+def _divided(z: list[int], parts: tuple[int, ...]) -> list[int]:
+    """A copy of z divided by q^i - 1, i = parts[-1], by synthetic division:
+    each quotient digit is a running sum from the top along its residue
+    class mod i, and the remainder is left in the i lowest places."""
+    i = parts[-1]
+    z = list(z)
+    for r in range(i):
+        z[r::i] = list(accumulate(z[r::i][::-1]))[::-1]
+    if any(z[:i]):
+        raise ArithmeticError(f"type count for {parts} is not a polynomial")
+    return z[i:]
+
+
+def _type_walk(types) -> Iterator[RationalFunction]:
+    """The counts of the types, partitions of one n >= 1, in turn.
+
+    q^C(n,2) is coprime to every q^i - 1, so only prod_{k<=n} (q^k - 1) is
+    divided: path[j] holds it divided by the first j parts of the type
+    before, so a prefix that consecutive types share is divided once.
     """
+    n = sum(types[0])
+    shift = n * (n - 1) // 2
+    path = [list(gl_order(n).z[shift:])]
+    prev = (0,)  # no type starts with it, so the first shares no prefix
+    for parts in types:
+        j = next(j for j, (a, b) in enumerate(zip(parts, prev)) if a != b)
+        del path[j + 1 :]
+        for k in range(j + 1, len(parts) + 1):
+            path.append(_divided(path[-1], parts[:k]))
+        yield RationalFunction(_poly([0] * shift + path[-1], centralizer_order(parts)))
+        prev = parts
+
+
+def torus_type_count(parts: tuple[int, ...]) -> RationalFunction:
+    """Number of tori of the type with these parts; always a polynomial in q,
+    by the one path of `_type_walk` that ends at the type."""
     if any(isinstance(i, bool) or not isinstance(i, int) for i in parts):
         raise ValueError(f"parts must be ints: {parts}")
     if any(i < 1 for i in parts):
         raise ValueError(f"parts must be positive: {parts}")
-    n = sum(parts)
-    if n < 1:
+    if sum(parts) < 1:
         raise ValueError("the type count needs a partition of n >= 1")
-    shift = n * (n - 1) // 2
-    z = list(gl_order(n).z[shift:])
-    for i in parts:
-        for r in range(i):
-            z[r::i] = list(accumulate(z[r::i][::-1]))[::-1]
-        if any(z[:i]):
-            raise ArithmeticError(f"type count for {parts} is not a polynomial")
-        del z[:i]
-    return RationalFunction(_poly([0] * shift + z, centralizer_order(parts)))
+    return next(_type_walk((parts,)))
 
 
 def irreducible_tori_count(n: int) -> RationalFunction:
     """q^C(n,2)/n * (q-1)(q^2-1)...(q^(n-1)-1): tori of the one-part type."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = RationalFunction.q_power(n * (n - 1) // 2) * RationalFunction.from_fraction(
-        Fraction(1, n)
-    )
-    for i in range(1, n):
-        out = out * (RationalFunction.q_power(i) - ONE)
-    return out
+    z = reduce(_times_q_power_minus_one, range(1, n), [0] * (n * (n - 1) // 2) + [1])
+    return RationalFunction(_poly(z, n))
 
 
 def total_tori_formula(n: int) -> RationalFunction:
@@ -136,10 +153,11 @@ def total_tori_formula(n: int) -> RationalFunction:
 @lru_cache(maxsize=None)
 def type_counts(n: int) -> tuple[tuple[tuple[int, ...], RationalFunction], ...]:
     """One (type, number of tori of that type) pair per partition of n, in
-    the order of `partitions`; they sum to q^(n^2-n) (the Cayley identity)."""
+    the order of `partitions`; they sum to q^(n^2-n) (the Cayley identity).
+    In that order `_type_walk` is depth-first, each prefix divided once."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return tuple((parts, torus_type_count(parts)) for parts in partitions(n))
+    return tuple(zip(partitions(n), _type_walk(partitions(n))))
 
 
 def _type_sum(n: int, weight) -> RationalFunction:
@@ -243,15 +261,12 @@ def euler_sum_series(which: int, order: int) -> TruncatedSeries:
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    coeffs = [ONE]
-    c = ONE
-    for k in range(1, order + 1):
-        step = RationalFunction.q_power(k if which == 2 else 1) * (
-            ONE - RationalFunction.q_power(-k)
-        )
-        c = c / step
-        coeffs.append(c)
-    return TruncatedSeries(coeffs)
+    # the coefficient of u^k is q^C(k,2) (which=1) or 1 (which=2) over prod_{j<=k} (q^j - 1)
+    dens = accumulate(range(1, order + 1), _times_q_power_minus_one, initial=[1])
+    return TruncatedSeries(
+        RationalFunction(QPoly.q_power(k * (k - 1) // 2 if which == 1 else 0), _poly(den, 1))
+        for k, den in enumerate(dens)
+    )
 
 
 def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
@@ -292,13 +307,11 @@ def _binomial_moment(n: int, key: tuple[tuple[int, int], ...]) -> RationalFuncti
     m = n - sum(i * ki for i, ki in key)
     if m < 0:
         return RationalFunction(0)
-    # |GL_n| / |GL_m| * q^(m^2 - m - n^2 + n)
-    out = RationalFunction.q_power(m * (m - 1) // 2 - n * (n - 1) // 2)
-    for i in range(m + 1, n + 1):
-        out = out * (RationalFunction.q_power(i) - ONE)
-    for i, ki in key:
-        out = out / ((RationalFunction.q_power(i) - ONE) ** ki * (i**ki * factorial(ki)))
-    return out
+    # |GL_n| q^(m^2-m) / (|GL_m| q^(n^2-n)) over z_lambda prod_i (q^i - 1), lambda the parts k counts
+    parts = [i for i, ki in key for _ in range(ki)]
+    num = reduce(_times_q_power_minus_one, range(m + 1, n + 1), [1])
+    den = reduce(_times_q_power_minus_one, parts, [0] * (n * (n - 1) // 2 - m * (m - 1) // 2) + [1])
+    return RationalFunction(_poly(num, centralizer_order(parts)), _poly(den, 1))
 
 
 def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:

@@ -5,15 +5,20 @@ Every value is built in `RationalFunction` arithmetic, in canonical form
 after each operation: the torus cycle index as the `TruncatedSeries.exp`
 of its logarithm, times |GL(n,q)|, and the square-free binomial moment
 from N(d,q) by Gauss' formula over Q(q), its moment factor as the exp of
-its logarithm and C(N(d,q), k_d) as a falling-factorial product.  It
-shares no intermediate value with the package's kernels, which never
-leave integer numerators before the end.  Simple and slow; only tests
-call it, so it checks no input.
+its logarithm and C(N(d,q), k_d) as a falling-factorial product; the
+torus type counts, binomial moments and irreducible count, the Euler
+summatory coefficients and the square-free quadratic excess as the
+products, quotients and differences of their definitions.  It shares no
+intermediate value with the package's kernels, which never leave integer
+numerators before the end.  Simple and slow; only tests call it, so it
+checks no input.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from typing import Mapping
 
 from sqftori.exact import ONE, Q, RationalFunction, gl_order
@@ -73,3 +78,50 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
         for i in range(kd):
             out = out * (count_irreducibles(d) - i) / (i + 1)
     return out / squarefree_count(n)
+
+
+def quad_excess_exact(n: int) -> RationalFunction:
+    """E[X_2 - C(X_1,2)] for a uniform square-free monic f of degree n, as
+    the difference of two moments."""
+    return binomial_moment(n, {2: 1}) - binomial_moment(n, {1: 2})
+
+
+def torus_type_count(parts: tuple[int, ...]) -> RationalFunction:
+    """|GL(n,q)| / (z_lambda prod_i (q^(lambda_i) - 1)), one division at a time."""
+    out = RF(gl_order(sum(parts))) / prod(i**m * factorial(m) for i, m in Counter(parts).items())
+    for i in parts:
+        out = out / (RF.q_power(i) - ONE)
+    return out
+
+
+def irreducible_tori_count(n: int) -> RationalFunction:
+    """q^C(n,2)/n * (q-1)(q^2-1)...(q^(n-1)-1), one product at a time."""
+    out = RF.q_power(n * (n - 1) // 2) * RF.from_fraction(Fraction(1, n))
+    for i in range(1, n):
+        out = out * (RF.q_power(i) - ONE)
+    return out
+
+
+def torus_binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
+    """E[prod_i C(n_i, k_i)] for a uniform torus of GL_n:
+    q^(C(m,2) - C(n,2)) prod_{m<i<=n} (q^i - 1) / prod_i i^k_i k_i! (q^i - 1)^k_i."""
+    m = n - sum(i * ki for i, ki in k.items())
+    if m < 0:
+        return RF(0)
+    out = RF.q_power(m * (m - 1) // 2 - n * (n - 1) // 2)
+    for i in range(m + 1, n + 1):
+        out = out * (RF.q_power(i) - ONE)
+    for i, ki in k.items():
+        out = out / ((RF.q_power(i) - ONE) ** ki * (i**ki * factorial(ki)))
+    return out
+
+
+def euler_sum_coefficients(which: int, order: int) -> list[RationalFunction]:
+    """The u^k coefficients, k <= order, of 1 + sum_k u^k / (q^k (1-1/q)...(1-1/q^k))
+    (which=1) or of 1 + sum_k u^k / (q^C(k+1,2) (1-1/q)...(1-1/q^k)) (which=2),
+    each the one before divided by one more step."""
+    coeffs = [ONE]
+    for k in range(1, order + 1):
+        step = RF.q_power(k if which == 2 else 1) * (ONE - RF.q_power(-k))
+        coeffs.append(coeffs[-1] / step)
+    return coeffs

@@ -214,6 +214,12 @@ def test_binomial_moment_equals_the_qq_reference(k):
         assert sqfree.binomial_moment(n, k) == qq_reference.binomial_moment(n, k)
 
 
+def test_quad_excess_exact_equals_the_qq_reference():
+    # two integer numerators over one denominator against the difference of two Q(q) moments
+    for n in range(2, 17):
+        assert sqfree.quad_excess_exact(n) == qq_reference.quad_excess_exact(n)
+
+
 def test_binomial_moment_takes_at_most_one_gcd(clear_symbolic_caches, monkeypatch):
     # one integer numerator, cancelled by S_n once, when it enters Q(q)
     calls = []

@@ -108,6 +108,29 @@ def test_type_count_times_its_denominator_is_gl_order():
             assert product == gl_order(n), parts
 
 
+def test_type_counts_walk_divides_each_shared_prefix_once(clear_symbolic_caches, monkeypatch):
+    for n in range(1, 17):
+        assert tori.type_counts(n) == tuple((parts, tori.torus_type_count(parts)) for parts in tori.partitions(n))
+    calls = []
+    divided = tori._divided
+    monkeypatch.setattr(tori, "_divided", lambda z, parts: calls.append(parts) or divided(z, parts))
+    tori.type_counts.cache_clear()
+    tori.type_counts(10)
+    # one division per distinct non-empty prefix of the partitions of 10,
+    # where dividing each type on its own makes one per part of every partition
+    prefixes = {parts[:k] for parts in tori.partitions(10) for k in range(1, len(parts) + 1)}
+    assert sorted(calls) == sorted(prefixes)
+    assert (len(calls), sum(map(len, tori.partitions(10)))) == (138, 192)
+
+
+def test_type_counts_and_irreducible_count_equal_the_qq_reference():
+    # the integer-numerator walk against |GL_n| divided in Q(q) one factor at a time
+    for n in range(1, 17):
+        for parts, count in tori.type_counts(n):
+            assert count == qq_reference.torus_type_count(parts), parts
+        assert tori.irreducible_tori_count(n) == qq_reference.irreducible_tori_count(n)
+
+
 def test_type_count_raises_on_a_remainder(monkeypatch):
     # q + 1 leaves the remainder 2 on division by q - 1; q^6 (q^2 - 1)(q^8 + 1)
     # divides by the first q^2 - 1 of (2, 2) but not by the second
@@ -277,6 +300,12 @@ def test_cycle_index_at_weight_one_is_euler_f():
     assert [RF(tori._cycle_index(1)[k]) / scale[k] for k in range(17)] == list(f.coeffs)
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_euler_sum_series_equals_the_qq_reference(which):
+    # one integer denominator per coefficient against division step by step in Q(q)
+    assert list(tori.euler_sum_series(which, 20).coeffs) == qq_reference.euler_sum_coefficients(which, 20)
+
+
 def test_euler_first_coefficient():
     f = tori.euler_sum_series(1, 3)
     assert f.coeffs[1] == ONE / (Q - ONE)
@@ -364,6 +393,13 @@ def test_binomial_moment_closed_form_equals_partition_sum(k):
             assert closed == ONE
         if weight > n:
             assert closed == RF(0)
+
+
+@pytest.mark.parametrize("k", [k for k in _orders_of_weight_at_most(4) if k], ids=str)
+def test_binomial_moment_equals_the_qq_reference(k):
+    # one integer numerator and denominator against the chain of Q(q) products and quotients
+    for n in range(1, 17):
+        assert tori.binomial_moment(n, k) == qq_reference.torus_binomial_moment(n, k)
 
 
 def test_binomial_moment_rejects_negative_orders():
