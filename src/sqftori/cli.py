@@ -150,24 +150,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         rendered = reports_to_table(reports)
 
-    if config.output_path:
-        try:
-            with open(config.output_path, "w", encoding="utf-8") as handle:
+    path = config.output_path
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        s = summarize(reports)
-        print(
-            f"wrote {config.output_path}: passed {s['passed']} / failed {s['failed']}"
-        )
-    else:
-        try:
+        else:
             sys.stdout.write(rendered)
             sys.stdout.flush()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if path:
+        s = summarize(reports)
+        print(f"wrote {path}: passed {s['passed']} / failed {s['failed']}")
 
     failures = failing_names(reports)
     if failures:

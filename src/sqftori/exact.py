@@ -4,7 +4,8 @@ Rational scalars are ``fractions.Fraction`` (already canonical: reduced,
 positive denominator).  On top of that this module provides dense
 polynomials in the indeterminate q over Q (`QPoly`) and their quotient
 field (`RationalFunction`), plus the order of the general linear group
-|GL(n,q)| as a polynomial in q.
+|GL(n,q)| as a polynomial in q, built by `_times_q_power_minus_one`, the
+one product by q^i - 1 on integer numerators, which `tori` shares.
 
 A `QPoly` is stored as integer numerators over one positive common
 denominator, (z_0 + z_1 q + ... + z_m q^m) / d with gcd(d, z_0, ..., z_m)
@@ -29,7 +30,7 @@ representation equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
@@ -231,6 +232,14 @@ def _mul(a, b) -> list[int]:
         if ca:
             for j, cb in enumerate(b, i):
                 out[j] += ca * cb
+    return out
+
+
+def _times_q_power_minus_one(z: list[int], i: int) -> list[int]:
+    """The integer numerators z times q^i - 1: z shifted up by i, minus z."""
+    out = [0] * i + z
+    for k, c in enumerate(z):
+        out[k] -= c
     return out
 
 
@@ -609,10 +618,8 @@ def gl_order(n: int) -> QPoly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = QPoly.q_power(n * (n - 1) // 2)
-    for i in range(1, n + 1):
-        out = out * (QPoly.q_power(i) - _ONE)
-    return out
+    z = reduce(_times_q_power_minus_one, range(1, n + 1), [0] * (n * (n - 1) // 2) + [1])
+    return _raw(tuple(z), 1)
 
 
 # ---------------------------------------------------------------------------

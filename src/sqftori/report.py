@@ -60,17 +60,17 @@ def make_report(
     )
 
 
-#: the largest n_max a run accepts: `verify all --n-max 24 --budget 3` takes
-#: about 2.5 s cold and peaks near 230 MiB, `--n-max 26` 4.6 s and 410 MiB
-#: (2-core host); the type tables of every rank up to n_max set the cost
+# The three size bounds below keep a cold run to a few seconds; the README
+# ("Command line") gives the time and peak memory measured at each of them.
+
+#: the largest n_max a run accepts; the type tables of every rank up to
+#: n_max set the cost
 MAX_N_MAX = 24
 
-#: the largest series order a run accepts: `verify all --order 300 --budget 3`
-#: takes about 2.9 s cold and peaks near 45 MiB, `--order 320` 3.3 s
+#: the largest series order a run accepts
 MAX_ORDER = 300
 
-#: the largest rank `tori types --n` accepts: --n 28 (3718 types) takes about
-#: 2.7 s cold and peaks near 340 MiB, --n 32 8.1 s and 970 MiB (2-core host)
+#: the largest rank `tori types --n` accepts
 MAX_TYPE_RANK = 28
 
 

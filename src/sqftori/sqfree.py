@@ -51,7 +51,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
-from .exact import _ONE, ONE, Q, QPoly, RationalFunction, _mul, _poly
+from .exact import _ONE, ONE, QPoly, RationalFunction, _mul, _poly, _raw
 from .ffpoly import _prime_factors, check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
@@ -115,20 +115,22 @@ def inverse_factorization_series(order: int) -> TruncatedSeries:
 
 
 def geometric_q_series(order: int) -> TruncatedSeries:
-    """1/(1 - qu), the generating function of all monic polynomials."""
-    one = TruncatedSeries.one(order)
-    return one / TruncatedSeries.from_terms(order, {0: ONE, 1: -Q})
+    """1/(1 - qu) = sum_k q^k u^k, the generating function of all monic polynomials."""
+    return TruncatedSeries(RationalFunction.q_power(k) for k in range(order + 1))
+
+
+def _squarefree_poly(n: int) -> QPoly:
+    """S_n as an integer polynomial: 1, q, then q^n - q^(n-1) for n >= 2."""
+    if n < 2:
+        return QPoly.q_power(n)
+    return _raw((0,) * (n - 1) + (-1, 1), 1)
 
 
 def squarefree_count_formula(n: int) -> RationalFunction:
     """q^n - q^(n-1) for n >= 2; q for n = 1; 1 for n = 0."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n == 0:
-        return ONE
-    if n == 1:
-        return Q
-    return RationalFunction.q_power(n) - RationalFunction.q_power(n - 1)
+    return RationalFunction(_squarefree_poly(n))
 
 
 def squarefree_count(n: int) -> RationalFunction:
@@ -173,7 +175,7 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     if n < 0:
         raise ValueError("degree must be non-negative")
     num, den = _moment_numerator(n, check_moment_orders(k))
-    return RationalFunction(_poly(num, den), squarefree_count_formula(n).num)
+    return RationalFunction(_poly(num, den), _squarefree_poly(n))
 
 
 def _moment_numerator(n: int, key: tuple[tuple[int, int], ...]) -> tuple[list[int], int]:
@@ -230,7 +232,7 @@ def _quad_excess_exact(n: int) -> RationalFunction:
     quad, dq = _moment_numerator(n, ((2, 1),))
     pair, dp = _moment_numerator(n, ((1, 2),))
     num = [a * dp - b * dq for a, b in zip(quad, pair, strict=True)]
-    return RationalFunction(_poly(num, dq * dp), squarefree_count_formula(n).num)
+    return RationalFunction(_poly(num, dq * dp), _squarefree_poly(n))
 
 
 # ---------------------------------------------------------------------------

@@ -116,11 +116,7 @@ def _joined(values) -> str:
 
 def _gl_order_value(n: int, p: int) -> int:
     """|GL(n,p)| computed numerically (not through the symbolic polynomial)."""
-    out = 1
-    pn = p**n
-    for i in range(n):
-        out *= pn - p**i
-    return out
+    return prod(p**n - p**i for i in range(n))
 
 
 def _type_count_value(parts: tuple[int, ...], p: int) -> Fraction:

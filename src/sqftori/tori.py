@@ -52,7 +52,7 @@ from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
-from .exact import _ONE, ONE, QPoly, RationalFunction, _mul, _poly, _raw, gl_order
+from .exact import _ONE, ONE, QPoly, RationalFunction, _poly, _raw, _times_q_power_minus_one, gl_order
 from .ffpoly import check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
@@ -83,11 +83,6 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
 def centralizer_order(parts: tuple[int, ...]) -> int:
     """z_lambda = prod_i i^(n_i) * n_i!, the S_n centralizer size of the type."""
     return prod(i**m * factorial(m) for i, m in Counter(parts).items())
-
-
-def _times_q_power_minus_one(z: list[int], i: int) -> list[int]:
-    """The integer numerators z times q^i - 1."""
-    return _mul([-1] + [0] * (i - 1) + [1], z)
 
 
 def _divided(z: list[int], parts: tuple[int, ...]) -> list[int]:
@@ -207,14 +202,12 @@ def _gl_ratio(n: int, k: int) -> QPoly:
 
     Exactly one i = j in the range is a multiple of k, and its factor
     divided by q^k - 1 is 1 + q^k + ... + q^(j-k); the other factors are
-    multiplied in as they are, each by one shifted subtraction.
+    multiplied in as they are.
     """
     j = n - n % k
     z = [0] * (j - k + 1)
     z[::k] = [1] * (j // k)
-    for i in range(n - k + 1, n + 1):
-        if i != j:
-            z = [a - b for a, b in zip([0] * i + z, z + [0] * i)]
+    z = reduce(_times_q_power_minus_one, (i for i in range(n - k + 1, n + 1) if i != j), z)
     return _raw(tuple(z), 1)
 
 
@@ -381,4 +374,5 @@ def mod2_bias_series(n: int) -> RationalFunction:
     """Series route: (-1)^n times the cycle index at weight -1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return cycle_index_coefficient(n, -1) * (-1) ** n
+    h = cycle_index_coefficient(n, -1)
+    return -h if n % 2 else h

@@ -8,10 +8,10 @@ from N(d,q) by Gauss' formula over Q(q), its moment factor as the exp of
 its logarithm and C(N(d,q), k_d) as a falling-factorial product; the
 torus type counts, binomial moments and irreducible count, the Euler
 summatory coefficients and the square-free quadratic excess as the
-products, quotients and differences of their definitions.  It shares no
-intermediate value with the package's kernels, which never leave integer
-numerators before the end.  Simple and slow; only tests call it, so it
-checks no input.
+products, quotients and differences of their definitions, and 1/(1 - qu)
+by series division.  It shares no intermediate value with the package's
+kernels, which never leave integer numerators before the end.  Simple and
+slow; only tests call it, so it checks no input.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ def moment_factor(order: int, k: Mapping[int, int]) -> TruncatedSeries:
             term = RF.from_fraction(Fraction(-kd * (-1) ** (j + 1), j))
             log[d * j] = log.get(d * j, RF(0)) + term
     return TruncatedSeries.from_terms(order, log).exp()
+
+
+def geometric_q_series(order: int) -> TruncatedSeries:
+    """1/(1 - qu) through u^order, by dividing 1 by 1 - qu."""
+    return TruncatedSeries.one(order) / TruncatedSeries.from_terms(order, {0: ONE, 1: -Q})
 
 
 def squarefree_count(n: int) -> RationalFunction:

@@ -36,6 +36,10 @@ from sqftori.report import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from child import timing_free_digest  # noqa: E402
 
+# and the names its tracer patches, read from its own test (nothing there is edited)
+import tracer  # noqa: E402
+from test_perfbench import _references  # noqa: E402
+
 SMALL = RunConfig(n_max=3, primes=(2, 3), series_order=8)
 
 #: the Mersenne prime 2^61 - 1, far above the 2^31 field-size limit
@@ -49,6 +53,12 @@ SMALL_DIGEST = "3ba4a16be983e0673f5427adcc079b18cb7b0e4957e2de410b9610e5ffc33abf
 #: reading one shared build and built a series per degree
 LARGE_ARGS = ["verify", "all", "--budget", "3", "--n-max", "13", "--order", "26"]
 LARGE_DIGEST = "4b6a506958ac2225650bf19ce3e63731fc98daca80da5e07a5e653f2dd7612f2"
+
+#: sha256 of the timing-free `verify all --budget 3 --n-max 20 --order 40` JSON:
+#: ranks 14 to 20, which |GL_n|, the cycle-index weights and the type walk
+#: reach past `LARGE_ARGS`
+RANK_20_ARGS = ["verify", "all", "--budget", "3", "--n-max", "20", "--order", "40"]
+RANK_20_DIGEST = "471eb0c26464cb78b37ea413976a7ccab096f2899ab97dc575c312dd58418661"
 
 #: sha256 of the timing-free `tori types --n 5 --prime 2 --prime 3` JSON, the
 #: only command that emits the `tori-type-count-at-q` rows
@@ -351,6 +361,11 @@ def test_verify_all_past_the_old_working_orders_is_byte_identical(capsys):
     assert timing_free_digest(capsys.readouterr().out) == (LARGE_DIGEST, 630)
 
 
+def test_verify_all_to_rank_20_is_byte_identical(capsys):
+    assert cli.main(RANK_20_ARGS) == 0
+    assert timing_free_digest(capsys.readouterr().out) == (RANK_20_DIGEST, 3111)
+
+
 def test_tori_types_json_is_byte_identical_to_recorded_digest(capsys):
     argv = ["tori", "types", "--n", "5", "--prime", "2", "--prime", "3", "--format", "json"]
     assert cli.main(argv) == 0
@@ -382,6 +397,22 @@ def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(clear_symbolic_ca
     text = reports_to_json(SMALL, suites.verify_all(SMALL))
     assert fallback_calls
     assert timing_free_digest(text) == (SMALL_DIGEST, 90)
+
+
+def test_benchmark_tracer_finds_and_restores_every_binding_it_patches():
+    # perfbench wraps each traced name where it is bound; a change under src/
+    # that unbinds one breaks the benchmark, whose own tests are not in this suite
+    before = _references(sqftori)
+    tr = tracer.Tracer()
+    try:
+        tr.install(sqftori)
+        during = _references(sqftori)
+    finally:
+        tr.restore()
+    after = _references(sqftori)
+    for key, original in before.items():
+        assert after[key] is original, key
+        assert during[key] is original or during[key].__wrapped__ is original, key
 
 
 def test_type_reports_flag_coefficient_signs():

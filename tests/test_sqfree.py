@@ -220,6 +220,41 @@ def test_quad_excess_exact_equals_the_qq_reference():
         assert sqfree.quad_excess_exact(n) == qq_reference.quad_excess_exact(n)
 
 
+def _refuse(monkeypatch, *targets):
+    """Make each (owner, name) raise when called."""
+
+    def refuse(*args):
+        raise AssertionError("a refused function was called")
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, refuse)
+
+
+#: the four `RationalFunction` operators, as `_refuse` targets
+_Q_Q_ARITHMETIC = [(RF, op) for op in ("__add__", "__sub__", "__mul__", "__truediv__")]
+
+
+def test_moments_read_s_n_as_an_integer_polynomial(clear_symbolic_caches, monkeypatch):
+    # S_n is read as q^n - q^(n-1) on integers, not through the Q(q) count,
+    # and the moments and excess take no Q(q) operation on their way
+    moments = [
+        (n, k, qq_reference.binomial_moment(n, k)) for n in range(13) for k in _ORDERS_OF_WEIGHT_AT_MOST_4
+    ]
+    excesses = [(n, qq_reference.quad_excess_exact(n)) for n in range(2, 13)]
+    _refuse(monkeypatch, (sqfree, "squarefree_count_formula"), *_Q_Q_ARITHMETIC)
+    for n, k, expected in moments:
+        assert sqfree.binomial_moment(n, k) == expected, (n, k)
+    for n, expected in excesses:
+        assert sqfree.quad_excess_exact(n) == expected, n
+
+
+def test_geometric_series_equals_the_series_division(monkeypatch):
+    # the coefficients q^k written directly, against 1 divided by 1 - qu
+    expected = qq_reference.geometric_q_series(40)
+    _refuse(monkeypatch, *_Q_Q_ARITHMETIC)
+    assert sqfree.geometric_q_series(40) == expected
+
+
 def test_binomial_moment_takes_at_most_one_gcd(clear_symbolic_caches, monkeypatch):
     # one integer numerator, cancelled by S_n once, when it enters Q(q)
     calls = []
