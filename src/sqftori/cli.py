@@ -87,22 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SQFREE_SUITES = {
-    "count": suites.squarefree_count_reports,
-    "expected-linear": suites.linear_factor_reports,
-    "quad-excess": suites.quad_excess_reports,
-    "discriminant": suites.discriminant_reports,
-    "mu-sum": suites.mu_sum_reports,
-}
-
-_TORI_SUITES = {
-    "count": suites.tori_count_reports,
-    "eigenvectors": suites.eigenvector_reports,
-    "quad-excess": suites.subtori_excess_reports,
-    "bias": suites.mod2_bias_reports,
-    "euler": suites.euler_reports,
-    "cayley": suites.cayley_reports,
-}
+_SQFREE_SUITES = suites.SQFREE_SUITES
+_TORI_SUITES = suites.TORI_SUITES
 
 
 def _config_from_args(args) -> RunConfig:

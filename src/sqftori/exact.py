@@ -5,7 +5,8 @@ positive denominator).  On top of that this module provides dense
 polynomials in the indeterminate q over Q (`QPoly`) and their quotient
 field (`RationalFunction`), plus the order of the general linear group
 |GL(n,q)| as a polynomial in q, built by `_times_q_power_minus_one`, the
-one product by q^i - 1 on integer numerators, which `tori` shares.
+one product by q^i - 1 on integer numerators; `sqfree` and `tori` share
+it and its inverse `_divided_by_q_power_minus_one`.
 
 A `QPoly` is stored as integer numerators over one positive common
 denominator, (z_0 + z_1 q + ... + z_m q^m) / d with gcd(d, z_0, ..., z_m)
@@ -13,13 +14,13 @@ denominator, (z_0 + z_1 q + ... + z_m q^m) / d with gcd(d, z_0, ..., z_m)
 primitive factor is integer division.  Its readers (`coeffs`, indexing,
 `leading`, `eval`) still return Fractions.
 
-`poly_gcd` is the heuristic GCDHEU of Char, Geddes and Gonnet (1989) on
-the primitive parts: it evaluates both at a large integer, takes the
-integer gcd, reads a candidate back from its symmetric base-x digits and
-keeps it only when it divides both operands exactly.  When a few
-evaluation points all fail it falls back to a primitive remainder
-sequence, on the same pseudo-division over Z.  It returns the cofactors
-with the gcd, so cancelling never divides twice.
+`poly_gcd` is the one polynomial gcd: a primitive remainder sequence on
+the primitive parts, by pseudo-division over Z, returning the cofactors
+with the gcd, so cancelling never divides twice.  The report routes
+rarely reach it: every denominator of the paper's formulas is a product
+of q and of factors q^i - 1, which they cancel by synthetic division
+before a value enters Q(q), and whatever is left over a power of q comes
+off in `_cancel` with no gcd.
 
 Everything here is immutable and exact; there is no floating point.
 Rational functions are kept in a canonical form (numerator and
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -243,6 +245,19 @@ def _times_q_power_minus_one(z: list[int], i: int) -> list[int]:
     return out
 
 
+def _divided_by_q_power_minus_one(z: list[int], i: int) -> list[int]:
+    """The integer numerators z divided by q^i - 1, the inverse of
+    `_times_q_power_minus_one`, by synthetic division: each quotient digit
+    is a running sum from the top along its residue class mod i, and the
+    remainder, which must be zero, is left in the i lowest places."""
+    z = list(z)
+    for r in range(i):
+        z[r::i] = list(accumulate(z[r::i][::-1]))[::-1]
+    if any(z[:i]):
+        raise ArithmeticError(f"not divisible by q^{i} - 1")
+    return z[i:]
+
+
 def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
     """(quot, rem, m) with m*a = quot*b + rem over Z and deg rem < deg b.
 
@@ -289,68 +304,13 @@ def _primitive(z) -> tuple[int, list[int]]:
     return c, [x // c for x in z]
 
 
-def _value(f, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _symmetric_digits(v: int, x: int) -> list[int]:
-    """The polynomial h with h(x) = v and every |coefficient| <= x/2."""
-    out = []
-    half = x // 2
-    while v:
-        v, c = divmod(v, x)
-        if c > half:
-            c -= x
-            v += 1
-        out.append(c)
-    return out
-
-
-#: evaluation points GCDHEU tries before falling back to `_euclidean_gcd`
-_HEU_TRIES = 6
-
-
-def _heu_gcd(f, g) -> tuple[list[int], list[int], list[int]] | None:
-    """GCDHEU: (h, f/h, g/h) for primitive f, g of positive degree, or None.
-
-    h is the gcd of f and g in Z[q], primitive with a positive leading
-    coefficient.  It is read off gcd(f(x), g(x)) as symmetric base-x
-    digits and kept when it divides both f and g.  Every evaluation
-    point x is at least 2*M + 2, where M bounds the roots of f or of g
-    (Cauchy: |root| < 1 + max|coefficient| / |lc|), so that one does not
-    vanish at x.  At such x a common divisor found this way is the
-    greatest: were the gcd h*k, k(x) would divide the content of the
-    digit polynomial, whose coefficients are at most x/2, while every
-    root of k lies within M of 0, so |k(x)| > (x - 1 - M)^deg k >= x/2
-    unless k is constant.
-    """
-    fn, gn = max(map(abs, f)), max(map(abs, g))
-    bound = 2 * min(fn, gn) + 29
-    x = max(
-        min(bound, 99 * isqrt(bound)),
-        2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4,
-    )
-    for _ in range(_HEU_TRIES):
-        h = _primitive(_symmetric_digits(gcd(_value(f, x), _value(g, x)), x))[1]
-        cf = _exact_quotient(f, h)
-        if cf is not None:
-            cg = _exact_quotient(g, h)
-            if cg is not None:
-                return h, cf, cg
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
-    return None
-
-
 def _euclidean_gcd(f, g) -> tuple[list[int], list[int], list[int]]:
     """(h, f/h, g/h) for primitive f, g of positive degree, by a primitive
-    remainder sequence over Z; the GCDHEU fallback.
+    remainder sequence over Z.
 
     Each pseudo-remainder is replaced by its primitive part, which keeps
     the coefficients small, so the last nonzero one, h, is primitive with
-    a positive leading coefficient, as from GCDHEU.
+    a positive leading coefficient.
     """
     h, b = f, g
     while b:
@@ -362,11 +322,10 @@ def _euclidean_gcd(f, g) -> tuple[list[int], list[int], list[int]]:
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """(g, a/g, b/g) with g the monic gcd of a and b over Q.
-
-    The gcd of two zero polynomials is zero, with zero cofactors.  The
-    work is done on the primitive parts in Z[q], by GCDHEU (`_heu_gcd`)
-    and, when that gives up, by a primitive remainder sequence.
+    """(g, a/g, b/g) with g the monic gcd of a and b over Q: the one gcd,
+    `_euclidean_gcd` on the primitive parts in Z[q].  The gcd of two zero
+    polynomials is zero, with zero cofactors.  The report routes cancel the
+    factors q and q^i - 1 they know of instead (see the module docstring).
     """
     if not b.z:
         if not a.z:
@@ -378,7 +337,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
         return _ONE, a, b
     ca, f = _primitive(a.z)
     cb, g = _primitive(b.z)
-    h, cf, cg = _heu_gcd(f, g) or _euclidean_gcd(f, g)
+    h, cf, cg = _euclidean_gcd(f, g)
     if len(h) == 1:
         return _ONE, a, b
     # a = (ca/a.d) * h * cf and g = h/lc(h), so a/g = (ca*lc(h)/a.d) * cf;
@@ -443,6 +402,12 @@ class RationalFunction:
         other = _as_rf(other)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
+        # over the larger of two integer denominators when the other divides it
+        big, small = (self, other) if len(self.den.z) >= len(other.den.z) else (other, self)
+        if big.den.d == small.den.d == 1:
+            r = _exact_quotient(big.den.z, small.den.z)
+            if r is not None:
+                return RationalFunction(big.num + small.num * _raw(tuple(r), 1), big.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

@@ -35,7 +35,8 @@ S_n = q^n - q^(n-1) (n >= 2) the number of square-free f of degree n;
 the coefficient is the convolution of the S_j with the integer
 coefficients of prod_d (1+u^d)^(-k_d), and C(N(d,q), k_d) a falling
 factorial on the numerator d*N(d,q), so the moment is one integer
-numerator over an integer times S_n.
+numerator over an integer times S_n = q^(n-1) (q - 1), and q - 1 divides
+that numerator exactly (`_over_squarefree_count`): no gcd is taken.
 
 It is checked against routes that share no intermediate value with it:
 the alternating partial sum for E[X_1], and for E[X_2 - C(X_1,2)] a
@@ -51,7 +52,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
-from .exact import _ONE, ONE, QPoly, RationalFunction, _mul, _poly, _raw
+from .exact import _ONE, ONE, QPoly, RationalFunction, _divided_by_q_power_minus_one, _mul, _poly, _raw
 from .ffpoly import _prime_factors, check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
@@ -119,18 +120,11 @@ def geometric_q_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(RationalFunction.q_power(k) for k in range(order + 1))
 
 
-def _squarefree_poly(n: int) -> QPoly:
-    """S_n as an integer polynomial: 1, q, then q^n - q^(n-1) for n >= 2."""
-    if n < 2:
-        return QPoly.q_power(n)
-    return _raw((0,) * (n - 1) + (-1, 1), 1)
-
-
 def squarefree_count_formula(n: int) -> RationalFunction:
-    """q^n - q^(n-1) for n >= 2; q for n = 1; 1 for n = 0."""
+    """q^n - q^(n-1) for n >= 2; q for n = 1; 1 for n = 0, written on integers."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return RationalFunction(_squarefree_poly(n))
+    return RationalFunction(_raw((0,) * (n - 1) + (-1, 1), 1) if n >= 2 else QPoly.q_power(n))
 
 
 def squarefree_count(n: int) -> RationalFunction:
@@ -174,8 +168,18 @@ def binomial_moment(n: int, k: Mapping[int, int]) -> RationalFunction:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    num, den = _moment_numerator(n, check_moment_orders(k))
-    return RationalFunction(_poly(num, den), _squarefree_poly(n))
+    return _over_squarefree_count(n, *_moment_numerator(n, check_moment_orders(k)))
+
+
+def _over_squarefree_count(n: int, num: list[int], den: int) -> RationalFunction:
+    """num/den over S_n with no gcd.  For n >= 2, S_n times a moment
+    vanishes at q = 1: at k = {} it is S_n, at k = {1: 1} it is c_t + c_(t-1)
+    = 0 for c the coefficients of 1/(1+u), and otherwise some C(N(d,1), k_d)
+    is 0, as N(1,1) = 1 and N(d,1) = 0 for d >= 2.  So q - 1 divides num
+    exactly and the rest is over q^(n-1); S_0 = 1 and S_1 = q are q-powers."""
+    if n >= 2:
+        num, n = _divided_by_q_power_minus_one(num, 1), n - 1
+    return RationalFunction(_poly(num, den), QPoly.q_power(n))
 
 
 def _moment_numerator(n: int, key: tuple[tuple[int, int], ...]) -> tuple[list[int], int]:
@@ -232,7 +236,7 @@ def _quad_excess_exact(n: int) -> RationalFunction:
     quad, dq = _moment_numerator(n, ((2, 1),))
     pair, dp = _moment_numerator(n, ((1, 2),))
     num = [a * dp - b * dq for a, b in zip(quad, pair, strict=True)]
-    return RationalFunction(_poly(num, dq * dp), _squarefree_poly(n))
+    return _over_squarefree_count(n, num, dq * dp)
 
 
 # ---------------------------------------------------------------------------

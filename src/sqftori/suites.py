@@ -345,23 +345,32 @@ cayley_reports = _Suite({
 })
 
 
+#: the suites of ``sqftori sqfree`` and ``sqftori tori``, by command name
+SQFREE_SUITES = {
+    "count": squarefree_count_reports,
+    "expected-linear": linear_factor_reports,
+    "quad-excess": quad_excess_reports,
+    "discriminant": discriminant_reports,
+    "mu-sum": mu_sum_reports,
+}
+
+TORI_SUITES = {
+    "count": tori_count_reports,
+    "eigenvectors": eigenvector_reports,
+    "quad-excess": subtori_excess_reports,
+    "bias": mod2_bias_reports,
+    "euler": euler_reports,
+    "cayley": cayley_reports,
+}
+
+
 def verify_all(config: RunConfig) -> list[VerificationReport]:
-    """Every identity suite at the configured sizes."""
-    reports: list[VerificationReport] = []
-    reports += factorization_reports(config)
-    reports += squarefree_count_reports(config)
-    reports += linear_factor_reports(config)
-    reports += quad_excess_reports(config)
-    reports += mu_sum_reports(config)
-    reports += discriminant_reports(config)
-    reports += tori_count_reports(config)
+    """Every identity suite at the configured sizes: the factorization
+    identity, both command tables and the type tables of every rank."""
+    reports = factorization_reports(config)
+    for suite in (*SQFREE_SUITES.values(), *TORI_SUITES.values()):
+        reports += suite(config)
     # the type counts at q = p run only under `tori types`
-    no_primes = replace(config, primes=())
     for n in range(1, config.n_max + 1):
-        reports += tori_type_reports(no_primes, n)
-    reports += eigenvector_reports(config)
-    reports += subtori_excess_reports(config)
-    reports += mod2_bias_reports(config)
-    reports += euler_reports(config)
-    reports += cayley_reports(config)
+        reports += tori_type_reports(replace(config, primes=()), n)
     return reports

@@ -11,8 +11,9 @@ with its number of polynomials.  The number of tori of type lambda is
 with n_i the multiplicity of the part i.  It is computed on integer
 numerators by one depth-first walk over the partitions (`_type_walk`):
 |GL(n,q)| / q^C(n,2) is divided by one more q^i - 1 per step, by synthetic
-division, so a prefix of parts that several types share is divided once,
-and each count then once by z_lambda = prod_i i^(n_i) n_i!.
+division (`exact._divided_by_q_power_minus_one`), so a prefix of parts that
+several types share is divided once, and each count then once by
+z_lambda = prod_i i^(n_i) n_i!.
 Sums over the types (`_type_sum`) add the counts over their common
 denominator n!, which every z_lambda divides.  Every headline quantity is
 computed along two independent routes: an exact sum over partitions,
@@ -36,7 +37,10 @@ with x_i = 1 + t_i the cycle index gives all of them in one closed form,
                             * prod_i 1/(i^k_i k_i! (q^i - 1)^k_i),
 
 with m = n - sum_i i*k_i (`binomial_moment`), checked against the
-partition sum (`binomial_moment_partition`).
+partition sum (`binomial_moment_partition`).  It is computed with no gcd:
+prod_{m<j<=n} (q^j - 1) is divided by each q^i - 1 in turn, exactly, since
+the cyclotomic Phi_d divides at least floor((n-m)/d) of its factors and
+no more parts i than that are multiples of d.
 
 Infinite products over r in powers of 1/q (such as prod_r 1/(1-u/q^r))
 are never truncated in r; they enter only through their summatory
@@ -52,7 +56,9 @@ from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
-from .exact import _ONE, ONE, QPoly, RationalFunction, _poly, _raw, _times_q_power_minus_one, gl_order
+from .exact import (
+    _ONE, ONE, QPoly, RationalFunction, _divided_by_q_power_minus_one, _poly, _raw, _times_q_power_minus_one, gl_order
+)
 from .ffpoly import check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
 
@@ -85,19 +91,6 @@ def centralizer_order(parts: tuple[int, ...]) -> int:
     return prod(i**m * factorial(m) for i, m in Counter(parts).items())
 
 
-def _divided(z: list[int], parts: tuple[int, ...]) -> list[int]:
-    """A copy of z divided by q^i - 1, i = parts[-1], by synthetic division:
-    each quotient digit is a running sum from the top along its residue
-    class mod i, and the remainder is left in the i lowest places."""
-    i = parts[-1]
-    z = list(z)
-    for r in range(i):
-        z[r::i] = list(accumulate(z[r::i][::-1]))[::-1]
-    if any(z[:i]):
-        raise ArithmeticError(f"type count for {parts} is not a polynomial")
-    return z[i:]
-
-
 def _type_walk(types) -> Iterator[RationalFunction]:
     """The counts of the types, partitions of one n >= 1, in turn.
 
@@ -113,7 +106,10 @@ def _type_walk(types) -> Iterator[RationalFunction]:
         j = next(j for j, (a, b) in enumerate(zip(parts, prev)) if a != b)
         del path[j + 1 :]
         for k in range(j + 1, len(parts) + 1):
-            path.append(_divided(path[-1], parts[:k]))
+            try:
+                path.append(_divided_by_q_power_minus_one(path[-1], parts[k - 1]))
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"type count for {parts[:k]} is not a polynomial") from exc
         yield RationalFunction(_poly([0] * shift + path[-1], centralizer_order(parts)))
         prev = parts
 
@@ -300,11 +296,13 @@ def _binomial_moment(n: int, key: tuple[tuple[int, int], ...]) -> RationalFuncti
     m = n - sum(i * ki for i, ki in key)
     if m < 0:
         return RationalFunction(0)
-    # |GL_n| q^(m^2-m) / (|GL_m| q^(n^2-n)) over z_lambda prod_i (q^i - 1), lambda the parts k counts
+    # |GL_n| q^(m^2-m) / (|GL_m| q^(n^2-n)) over z_lambda prod_i (q^i - 1), lambda the parts k
+    # counts; the q^i - 1 divide exactly, leaving constant term +-1 over z_lambda and a q-power
     parts = [i for i, ki in key for _ in range(ki)]
     num = reduce(_times_q_power_minus_one, range(m + 1, n + 1), [1])
-    den = reduce(_times_q_power_minus_one, parts, [0] * (n * (n - 1) // 2 - m * (m - 1) // 2) + [1])
-    return RationalFunction(_poly(num, centralizer_order(parts)), _poly(den, 1))
+    num = reduce(_divided_by_q_power_minus_one, parts, num)
+    shift = n * (n - 1) // 2 - m * (m - 1) // 2
+    return RationalFunction(_poly(num, centralizer_order(parts)), QPoly.q_power(shift))
 
 
 def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:

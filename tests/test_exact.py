@@ -256,14 +256,8 @@ def test_equal_text_exactly_when_equal_value(f, g, h, k, c):
 
 
 # ---------------------------------------------------------------------------
-# the heuristic gcd against its Euclidean fallback, and canonical forms
+# the one gcd, the division by q^i - 1, nested denominators, canonical forms
 # ---------------------------------------------------------------------------
-
-
-def _euclidean(a, b):
-    """poly_gcd(a, b) with the heuristic giving up, so the fallback runs."""
-    with mock.patch.object(exact, "_heu_gcd", lambda f, g: None):
-        return poly_gcd(a, b)
 
 
 # rational and integer coefficients of either sign, zero, constants and
@@ -281,14 +275,13 @@ _gcd_operands = st.one_of(
 @example(poly(3), poly(-2, 0, -5), poly(-1, 1))
 @example(poly(0, 0, -4), poly(0, 6), poly(0, 1))
 @example(poly(-7, 2, 9), poly(5, -3), poly(-1, 0, 0, -2))
-def test_heuristic_gcd_matches_euclidean_with_planted_factor(a, b, c):
+def test_poly_gcd_with_planted_factor(a, b, c):
     a, b = a * c, b * c
-    got = poly_gcd(a, b)
-    assert got == _euclidean(a, b)
-    g, ca, cb = got
+    g, ca, cb = poly_gcd(a, b)
     assert (g * ca, g * cb) == (a, b)
     assert g.is_zero() or g.leading() == 1
     if not c.is_zero():
+        # c divides g: its cofactor against gcd(g, c) is a constant
         assert poly_gcd(g, c)[2].degree <= 0
 
 
@@ -299,20 +292,57 @@ def test_heuristic_gcd_matches_euclidean_with_planted_factor(a, b, c):
         ((1, -3, 0, 2), (-2, 1, 1), (-1, 1)),
         # -(q^2 + 1)(3q - 5) and (q^2 + 1)(q^3 - 7): negative leading coefficient
         ((5, -3, 5, -3), (-7, 0, -7, 1, 0, 1), (1, 0, 1)),
-        # coprime, with coefficients far above the evaluation point's floor
+        # coprime, with coefficients of 10^12
         ((10**12 + 1, 3, 1), (-(10**9), 1), (1,)),
         # (1000q - 999)^2 and (1000q - 999)(q^4 + 1)
         ((998001, -1998000, 1000000), (-999, 1000, 0, 0, -999, 1000), (-999, 1000)),
     ],
 )
-def test_heuristic_gcd_succeeds_and_agrees_with_euclidean(f, g, gcd):
+def test_euclidean_gcd_on_hard_cases(f, g, gcd):
     f, g = list(f), list(g)
-    found = exact._heu_gcd(f, g)
-    assert found is not None
-    h, cf, cg = found
+    h, cf, cg = exact._euclidean_gcd(f, g)
     assert h == list(gcd)
-    assert exact._euclidean_gcd(f, g)[0] == list(gcd)
     assert exact._mul(h, cf) == f and exact._mul(h, cg) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8), st.integers(min_value=1, max_value=7), st.data())
+def test_division_by_q_power_minus_one_inverts_the_product(z, i, data):
+    product = exact._times_q_power_minus_one(z, i)
+    assert exact._divided_by_q_power_minus_one(product, i) == z
+    # a nonzero remainder of degree below i is refused
+    rem = data.draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=i, max_size=i).filter(any))
+    with pytest.raises(ArithmeticError):
+        exact._divided_by_q_power_minus_one([c + r for c, r in zip(product, rem)] + product[i:], i)
+
+
+_int_numerators = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(QPoly.constant),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(QPoly),
+)
+_monic_int_polys = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(lambda z: QPoly(z + [1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_numerators, _int_numerators, _monic_int_polys, _monic_int_polys, st.booleans())
+@example(QPoly.constant(1), QPoly.constant(1), poly(-1, 1), poly(1, 1), False)
+@example(QPoly.constant(1), QPoly.constant(1), poly(Fraction(1, 2), 1), poly(1, 1), False)
+def test_add_over_the_larger_of_two_nested_denominators(a, b, d, r, half):
+    # a/d + b/(d*r) in either order; with a half in d, the denominators are
+    # not integer polynomials, and the sum goes through their product
+    if half:
+        d = d + QPoly.constant(Fraction(1, 2))
+    init = RF.__init__
+    for s, t in itertools.permutations((RF(a, d), RF(b, d * r))):
+        dens = []
+        with mock.patch.object(RF, "__init__", lambda self, num, den: dens.append(den) or init(self, num, den)):
+            total = s + t
+        assert total == RF(s.num * t.den + t.num * s.den, s.den * t.den)
+        if s.den == t.den:
+            continue
+        big, small = (s.den, t.den) if s.den.degree >= t.den.degree else (t.den, s.den)
+        nested = big.d == small.d == 1 and poly_gcd(big, small)[2].degree == 0
+        assert dens == [big if nested else s.den * t.den]
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,4 +369,4 @@ def test_rf_stays_canonical_after_arithmetic(f, steps):
         elif op == "^" and not (k < 0 and f.is_zero()):
             f = f**k
     assert f.den.leading() == 1
-    assert _euclidean(f.num, f.den)[0] == poly(1)
+    assert poly_gcd(f.num, f.den)[0] == poly(1)

@@ -382,21 +382,17 @@ def test_each_identity_of_verify_all_is_byte_identical_to_its_recorded_digest():
     assert digests == IDENTITY_DIGESTS
 
 
-def test_verify_all_digest_holds_on_the_euclidean_gcd_fallback(clear_symbolic_caches, monkeypatch):
-    # with the heuristic gcd giving up every time, the fallback alone must
-    # reach the same canonical forms and so the same reports
-    fallback_calls = []
-    euclidean = exact._euclidean_gcd
-
-    def counted(f, g):
-        fallback_calls.append(1)
-        return euclidean(f, g)
-
-    monkeypatch.setattr(exact, "_heu_gcd", lambda f, g: None)
-    monkeypatch.setattr(exact, "_euclidean_gcd", counted)
-    text = reports_to_json(SMALL, suites.verify_all(SMALL))
-    assert fallback_calls
-    assert timing_free_digest(text) == (SMALL_DIGEST, 90)
+def test_symbolic_verify_all_takes_one_gcd(clear_symbolic_caches, monkeypatch):
+    # the report routes cancel q and the q^i - 1 they know of; the one gcd
+    # left is the division in sqfree.quad_excess_limit
+    calls = []
+    gcd = exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    config = RunConfig(n_max=12, enumeration_budget=3, output_format="json")
+    text = reports_to_json(config, suites.verify_all(config))
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())
+    assert timing_free_digest(text) == (expected["symbolic-n12"]["sha256"], expected["symbolic-n12"]["reports"])
+    assert len(calls) == 1
 
 
 def test_benchmark_tracer_finds_and_restores_every_binding_it_patches():

@@ -267,6 +267,18 @@ def test_binomial_moment_takes_at_most_one_gcd(clear_symbolic_caches, monkeypatc
             assert len(calls) <= 1, (n, k)
 
 
+def test_moment_numerators_divide_by_q_minus_one_exactly():
+    # q - 1 comes off S_n times every moment and the excess by synthetic
+    # division, which raises on a remainder
+    orders = [dict(Counter(parts)) for s in range(7) for parts in tori.partitions(s)]
+    assert len(orders) == 30
+    for n in range(41):
+        for k in orders:
+            sqfree.binomial_moment(n, k)
+        if n >= 2:
+            sqfree.quad_excess_exact(n)
+
+
 @pytest.mark.parametrize("p,n", [(2, 5), (2, 7), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3)])
 def test_binomial_moment_matches_oracle_type_histogram(p, n):
     stats = ffpoly.enumerate_stats(n, p, discriminants=False)

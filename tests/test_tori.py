@@ -1,5 +1,6 @@
 """Maximal torus counts: partition sums against closed forms and series."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
@@ -112,14 +113,15 @@ def test_type_counts_walk_divides_each_shared_prefix_once(clear_symbolic_caches,
     for n in range(1, 17):
         assert tori.type_counts(n) == tuple((parts, tori.torus_type_count(parts)) for parts in tori.partitions(n))
     calls = []
-    divided = tori._divided
-    monkeypatch.setattr(tori, "_divided", lambda z, parts: calls.append(parts) or divided(z, parts))
+    divided = tori._divided_by_q_power_minus_one
+    monkeypatch.setattr(tori, "_divided_by_q_power_minus_one", lambda z, i: calls.append(i) or divided(z, i))
     tori.type_counts.cache_clear()
     tori.type_counts(10)
-    # one division per distinct non-empty prefix of the partitions of 10,
-    # where dividing each type on its own makes one per part of every partition
+    # one division per distinct non-empty prefix of the partitions of 10, by
+    # its last part, where dividing each type on its own makes one per part
+    # of every partition
     prefixes = {parts[:k] for parts in tori.partitions(10) for k in range(1, len(parts) + 1)}
-    assert sorted(calls) == sorted(prefixes)
+    assert sorted(calls) == sorted(prefix[-1] for prefix in prefixes)
     assert (len(calls), sum(map(len, tori.partitions(10)))) == (138, 192)
 
 
@@ -138,7 +140,7 @@ def test_type_count_raises_on_a_remainder(monkeypatch):
             4: QPoly.q_power(6) * _q_minus_one(2) * (QPoly.q_power(8) + QPoly.constant(1))}
     monkeypatch.setattr(tori, "gl_order", fake.__getitem__)
     for parts in ((1,), (2, 2)):
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=re.escape(f"type count for {parts} is not")):
             tori.torus_type_count(parts)
 
 
