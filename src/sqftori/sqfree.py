@@ -182,6 +182,13 @@ def _over_squarefree_count(n: int, num: list[int], den: int) -> RationalFunction
     return RationalFunction(_poly(num, den), QPoly.q_power(n))
 
 
+def _integer(c: QPoly) -> int:
+    """The integer that the constant `QPoly` c holds; anything else raises."""
+    if c.d != 1 or len(c.z) > 1:
+        raise ArithmeticError(f"not an integer constant: {c!r}")
+    return c.z[0] if c.z else 0
+
+
 def _moment_numerator(n: int, key: tuple[tuple[int, int], ...]) -> tuple[list[int], int]:
     """S_n E[prod_d C(X_d, k_d)] as integer numerators over an integer: the
     S_j convolved with `_moment_factor`, times prod_d C(N(d,q), k_d) =
@@ -193,7 +200,7 @@ def _moment_numerator(n: int, key: tuple[tuple[int, int], ...]) -> tuple[list[in
     # [u^t] of (1-qu^2)/(1-qu) times the factor: S_0 = 1, S_1 = q, S_j = q^j - q^(j-1)
     num = [0] * (t + 1)
     for j in range(t + 1):
-        c = int(factor[t - j].eval(0))
+        c = _integer(factor[t - j])
         num[j] += c
         if j >= 2:
             num[j - 1] -= c

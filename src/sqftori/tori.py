@@ -15,9 +15,12 @@ division (`exact._divided_by_q_power_minus_one`), so a prefix of parts that
 several types share is divided once, and each count then once by
 z_lambda = prod_i i^(n_i) n_i!.
 Sums over the types (`_type_sum`) add the counts over their common
-denominator n!, which every z_lambda divides.  Every headline quantity is
-computed along two independent routes: an exact sum over partitions,
-and the torus analogue of the cycle index
+denominator n!, which every z_lambda divides, and only from q^C(n,2) up:
+every count carries the factor q^C(n,2) of |GL(n,q)|.  The weight-1 sum,
+the total, is taken once per rank, for `total_tori` and the zeroth
+binomial moment alike.  Every headline quantity is computed along two
+independent routes: an exact sum over partitions, and the torus analogue
+of the cycle index
 
     1 + sum_n u^n/|GL(n,q)| sum_T prod_i x_i^(n_i(T))
         = prod_i exp[ x_i u^i / ((q^i - 1) i) ].
@@ -57,7 +60,8 @@ from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
 from .exact import (
-    _ONE, ONE, QPoly, RationalFunction, _divided_by_q_power_minus_one, _poly, _raw, _times_q_power_minus_one, gl_order
+    _ONE, ONE, QPoly, RationalFunction, _coprime, _divided_by_q_power_minus_one, _poly, _raw,
+    _times_q_power_minus_one, gl_order
 )
 from .ffpoly import check_moment_orders
 from .series import ExpCoefficients, TruncatedSeries
@@ -110,7 +114,7 @@ def _type_walk(types) -> Iterator[RationalFunction]:
                 path.append(_divided_by_q_power_minus_one(path[-1], parts[k - 1]))
             except ArithmeticError as exc:
                 raise ArithmeticError(f"type count for {parts[:k]} is not a polynomial") from exc
-        yield RationalFunction(_poly([0] * shift + path[-1], centralizer_order(parts)))
+        yield _coprime(_poly([0] * shift + path[-1], centralizer_order(parts)), _ONE)
         prev = parts
 
 
@@ -155,21 +159,23 @@ def _type_sum(n: int, weight) -> RationalFunction:
     """sum over the types lambda of n of weight(lambda) * count(lambda),
     for an integer weight.
 
-    Every count is an integer polynomial of degree n^2 - n over a
-    denominator d_lambda that divides z_lambda, hence n!; so the sum is
-    accumulated as one list of integer numerators over n! and put in
-    canonical form once at the end.  An expectation divides it by the
-    total q^(n^2-n).
+    Every count is q^C(n,2), the q-power of |GL(n,q)|, times an integer
+    polynomial of degree C(n,2) over a denominator d_lambda that divides
+    z_lambda, hence n!; so the sum is accumulated as one list of the
+    integer numerators from q^C(n,2) up, over n!, and the C(n,2) zeros
+    below are put back once, when it enters Q(q).  An expectation divides
+    it by the total q^(n^2-n), whose own sum `_total_tori` keeps.
     """
-    acc = [0] * (n * n - n + 1)
+    shift = n * (n - 1) // 2
+    acc = [0] * (shift + 1)
     common = factorial(n)
     for parts, count in type_counts(n):
         w = weight(parts)
         if w:
             poly = count.as_polynomial()
             w *= common // poly.d
-            acc = [a + w * c for a, c in zip(acc, poly.z, strict=True)]
-    return RationalFunction(_poly(acc, common))
+            acc = [a + w * c for a, c in zip(acc, poly.z[shift:], strict=True)]
+    return _coprime(_poly([0] * shift + acc, common), _ONE)
 
 
 #: arguments whose value each memo of the type sums and moments keeps
@@ -314,6 +320,8 @@ def binomial_moment_partition(n: int, k: Mapping[int, int]) -> RationalFunction:
 
 @lru_cache(maxsize=_MEMO, typed=True)
 def _binomial_moment_partition(n: int, key: tuple[tuple[int, int], ...]) -> RationalFunction:
+    if not key:  # every weight is 1: the memoized total, not a second weight-1 sum
+        return _total_tori(n) / total_tori_formula(n)
     moment = _type_sum(n, lambda parts: prod(comb(parts.count(i), ki) for i, ki in key))
     return moment / total_tori_formula(n)
 

@@ -382,17 +382,33 @@ def test_each_identity_of_verify_all_is_byte_identical_to_its_recorded_digest():
     assert digests == IDENTITY_DIGESTS
 
 
+def _check_symbolic_n12_digest():
+    """`verify all --budget 3 --n-max 12` in process, against the digest the
+    benchmark's `symbolic-n12` workload records."""
+    config = RunConfig(n_max=12, enumeration_budget=3, output_format="json")
+    text = reports_to_json(config, suites.verify_all(config))
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())
+    assert timing_free_digest(text) == (expected["symbolic-n12"]["sha256"], expected["symbolic-n12"]["reports"])
+
+
 def test_symbolic_verify_all_takes_one_gcd(clear_symbolic_caches, monkeypatch):
     # the report routes cancel q and the q^i - 1 they know of; the one gcd
     # left is the division in sqfree.quad_excess_limit
     calls = []
     gcd = exact.poly_gcd
     monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
-    config = RunConfig(n_max=12, enumeration_budget=3, output_format="json")
-    text = reports_to_json(config, suites.verify_all(config))
-    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())
-    assert timing_free_digest(text) == (expected["symbolic-n12"]["sha256"], expected["symbolic-n12"]["reports"])
+    _check_symbolic_n12_digest()
     assert len(calls) == 1
+
+
+def test_symbolic_verify_all_takes_58_type_sums(clear_symbolic_caches, monkeypatch):
+    # the zeroth torus moment reads the memoized total instead of a second
+    # weight-1 sum: 58 type sums, where 70 took that sum twice per rank
+    calls = []
+    type_sum = tori._type_sum
+    monkeypatch.setattr(tori, "_type_sum", lambda n, weight: calls.append(n) or type_sum(n, weight))
+    _check_symbolic_n12_digest()
+    assert len(calls) == 58
 
 
 def test_benchmark_tracer_finds_and_restores_every_binding_it_patches():

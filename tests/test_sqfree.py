@@ -279,6 +279,26 @@ def test_moment_numerators_divide_by_q_minus_one_exactly():
             sqfree.quad_excess_exact(n)
 
 
+@pytest.mark.parametrize("k", _ORDERS_OF_WEIGHT_AT_MOST_4, ids=str)
+def test_moment_factor_coefficients_are_integer_constants(k):
+    # `_moment_numerator` reads them as integers: prod_d (1+u^d)^(-k_d),
+    # divided by each 1 + u^d in turn on integers, through u^24
+    expected = [1] + [0] * 24
+    for d, kd in k.items():
+        for _ in range(kd):
+            for i in range(d, 25):
+                expected[i] -= expected[i - d]
+    factor = sqfree._moment_factor(tuple(sorted(k.items())))
+    assert [factor[i] for i in range(25)] == [exact.QPoly.constant(c) for c in expected]
+
+
+def test_moment_numerator_refuses_a_factor_coefficient_that_is_not_an_integer(monkeypatch):
+    # the coefficient 1/2 would be read as int(1/2) = 0
+    monkeypatch.setattr(sqfree, "_moment_factor", lambda key: [exact.QPoly.constant(Fraction(1, 2))] * 4)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        sqfree._moment_numerator(3, ((1, 1),))
+
+
 @pytest.mark.parametrize("p,n", [(2, 5), (2, 7), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3)])
 def test_binomial_moment_matches_oracle_type_histogram(p, n):
     stats = ffpoly.enumerate_stats(n, p, discriminants=False)

@@ -163,6 +163,29 @@ def test_type_sum_equals_the_sum_one_type_at_a_time(name):
         assert tori._type_sum(n, lambda parts: weight(n, parts)) == expected
 
 
+def test_type_counts_vanish_below_the_q_power_of_gl_order():
+    # `_type_sum` adds only the numerators at and above q^C(n,2)
+    for n in range(1, 13):
+        shift = n * (n - 1) // 2
+        for parts, count in tori.type_counts(n):
+            z = count.as_polynomial().z
+            assert len(z) - 1 == n * n - n, parts
+            assert not any(z[:shift]), parts
+
+
+@pytest.mark.parametrize("order", [("total", "zeroth"), ("zeroth", "total")], ids="-then-".join)
+def test_total_and_zeroth_moment_share_one_type_sum(clear_symbolic_caches, monkeypatch, order):
+    # the zeroth moment's weights are all 1: it reads the memoized total
+    calls = []
+    type_sum = tori._type_sum
+    monkeypatch.setattr(tori, "_type_sum", lambda n, weight: calls.append(n) or type_sum(n, weight))
+    for n in range(1, 13):
+        reads = {"total": lambda: tori.total_tori(n), "zeroth": lambda: tori.binomial_moment_partition(n, {})}
+        values = {name: reads[name]() for name in order}
+        assert values == {"total": tori.total_tori_formula(n), "zeroth": ONE}, n
+    assert calls == list(range(1, 13))
+
+
 def test_type_table_needs_no_polynomial_division_or_scaling(clear_symbolic_caches, monkeypatch):
     def refuse(*args):
         raise AssertionError("the type table divided or added QPolys")
