@@ -36,10 +36,11 @@ marked degrees sum to S < n, the rest is one irreducible factor of
 degree n - S > n/2, added when the code is decoded.  The types are read
 off each run of classes of equal weight, sorted in place.
 Discriminant classes come from one batched Euclidean resultant
-Res(f', f) over each class's square-free polynomials, in digit-major
-numpy blocks of int16 up to p = 127, int32 up to p = 32749 and int64
-above, each step in place on the rows still live, with Euler's criterion
-once per polynomial at the end.
+Res(f', f) over the square-free polynomials of each class, queued per
+prime (`_DiscQueue`) and run in digit-major numpy blocks that mix
+degrees: int16 up to p = 127, int32 up to p = 32749 and int64 above,
+each step in place on the rows still live, with Euler's criterion once
+per polynomial at the end.
 
 The tests hold the sieve to a scalar reference, ``tests/fp_reference.py``,
 which walks one polynomial at a time with the definitional operations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import ctypes
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -150,16 +151,17 @@ def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     return r
 
 
-def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
+def _disc_residues(idx: np.ndarray, n: int | np.ndarray, p: int) -> np.ndarray:
     """Whether disc(f) is a nonzero square in F_p for each index of a
-    monic square-free f of degree n, p odd.
+    monic square-free f of degree n (one for all, or one per index,
+    nondecreasing), p odd.
 
-    Runs the Euclidean resultant Res(f', f) = Res(f, f') on all rows of a
-    block of at most _CHUNK coefficients at once; b = f stays monic even
+    Runs the Euclidean resultant Res(f', f) = Res(f, f') on all columns of
+    a block of at most _CHUNK coefficients at once; b = f stays monic even
     when p | n.  Blocks are digit-major and top-aligned, as `_monic_rows`
     decodes them (row 0 holds the coefficients of x^deg), so every
     operation runs on vectors as long as the block.  In each step, with
-    s = deg a + deg b the same in every row:
+    s = deg a + deg b:
       - where lc(a) != 0 and deg a < deg b, swap a and b, at a sign
         (-1)^(deg a * deg b);
       - set a to lc(b)*a - lc(a)*x^(deg a - deg b)*b, at a factor
@@ -168,49 +170,62 @@ def _disc_residues(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     Only the quadratic character matters and chi(x/y) = chi(xy), so the
     accumulator takes lc(b) where deg b is even; the signs (-1)^deg b
     telescope to (-1)^(n(n-1)) = 1, and the other signs are kept as a
-    parity.  Row i of a holds the coefficient of x^(deg a - i), with
-    deg a = s - deg b, so its rows past deg a are zero, as are those of b
-    past deg b: a step touches only the top max(s - min deg b, max deg b) + 1
-    rows of the block.  After 2n-1 steps a square-free row has
-    deg a = deg b = 0 (a constant b keeps taking its factors of
-    Res(a, b) = b^deg a), and Euler's criterion runs once per row; a row
-    left with deg b > 0 has Res(f', f) = 0 and is refused.
+    parity.  Row i of a holds the coefficient of x^(deg a - i), so its rows
+    past deg a are zero, as are those of b past deg b.  A block of degrees
+    up to N has N + 1 rows and runs 2N - 1 steps.  A column of degree n
+    starts at s = 2n - 1, 2(N - n) below the block; with k = deg b + N - n
+    in place of deg b, it swaps where 2k > s, and a step touches the top
+    max(s - min k, max k) + 1 rows, as in a block of one degree.  After its
+    2n - 1 steps a square-free column has deg a = deg b = 0 (a constant b
+    keeps taking its factors of Res(a, b) = b^deg a); in the 2(N - n)
+    steps left its a is 0 after the first, so it never swaps, and the
+    accumulator takes the constant b 2(N - n) times, a square.  Euler's
+    criterion runs once per column; a column left with deg b > 0 has
+    Res(f', f) = 0 and is refused.
     Intermediates stay below 2p^2, so the blocks are int16 while
     2p^2 < 2^15 (p <= 127), int32 while 2p^2 < 2^31 (p <= 32749), else int64.
     """
+    n = np.broadcast_to(n, idx.shape)
     out = np.empty(len(idx), dtype=bool)
-    block = max(1, _CHUNK // (n + 1))  # rows of n+1 coefficients
+    block = max(1, _CHUNK // (int(n[-1]) + 1)) if len(idx) else 1  # columns of N+1 coefficients
     dtype = np.int16 if 2 * p * p < 2**15 else np.int32 if 2 * p * p < 2**31 else np.int64
     for lo in range(0, len(idx), block):
         # made in a call, so that no array or view of a block outlives it
-        out[lo : lo + block] = _disc_block(idx[lo : lo + block], n, p, dtype)
+        out[lo : lo + block] = _disc_block(idx[lo : lo + block], n[lo : lo + block], p, dtype)
     return out
 
 
-def _disc_block(idx: np.ndarray, n: int, p: int, dtype: type[np.signedinteger]) -> np.ndarray:
-    """`_disc_residues` on one block of rows, in one dtype.  Each step
+def _disc_block(idx: np.ndarray, n: np.ndarray, p: int, dtype: type[np.signedinteger]) -> np.ndarray:
+    """`_disc_residues` on one block of columns, in one dtype.  Each step
     works in place and in one buffer of the block's shape, so it allocates
     no array of rows."""
-    b = _monic_rows(idx, p, n, dtype)
-    a = np.zeros_like(b)
+    high = int(n[-1])
+    b = np.zeros((high + 1, len(idx)), dtype=dtype)
+    starts = n.searchsorted(np.arange(n[0], high + 2)).tolist()
+    runs = list(zip(range(int(n[0]), high + 1), starts, starts[1:]))
+    for d, lo, hi in runs:
+        _monic_rows(idx[lo:hi], p, d, dtype, out=b[: d + 1, lo:hi])
+    a = np.zeros_like(b)  # after the decoding, whose temporaries then add nothing to the peak
+    for d, lo, hi in runs:  # f' at formal degree d - 1
+        _mod(b[:d, lo:hi] * (np.arange(d, 0, -1) % p).astype(dtype)[:, None], p, out=a[:d, lo:hi])
     work = np.empty_like(b)
-    np.multiply(b[:n], (np.arange(n, 0, -1) % p).astype(dtype)[:, None], out=work[:n])
-    _mod(work[:n], p, out=a[:n])  # f' at formal degree n-1
-    acc = np.ones(b.shape[1], dtype=dtype)
-    db = np.full_like(acc, n)
-    sign = np.full_like(acc, n * (n - 1) // 2 % 2)  # disc f = (-1)^(n(n-1)/2) Res(f, f'), as bit 0
-    for s in range(2 * n - 1, 0, -1):
-        live = min(n + 1, max(s - int(db.min()), int(db.max())) + 1)
+    acc = np.ones(len(idx), dtype=dtype)
+    db = n.astype(dtype)
+    sign = db // 2 & 1  # disc f = (-1)^(n(n-1)/2) Res(f, f'), as bit 0
+    lag = high - db  # a column's s is the block's less 2 lag
+    k = db + lag  # deg b + lag: 2k > s exactly where deg a < deg b
+    for s in range(2 * high - 1, 0, -1):
+        live = min(high + 1, max(s - int(k.min()), int(k.max())) + 1)
         la, lb, w = a[:live], b[:live], work[:live]
-        swap = (a[0] != 0) & (db > s // 2)
-        if s % 2 == 0:  # (s - db) * db is odd only where s is even and db odd
-            sign ^= swap & db
+        swap = (a[0] != 0) & (k > s // 2)
+        if s % 2 == 0:  # (s - 2 lag - deg b) * deg b is odd only where s is even and deg b odd
+            sign ^= swap & (k - lag)
         np.subtract(lb, la, out=w)  # swap in place
         w *= swap
         la += w
         lb -= w
-        db += swap * (s - 2 * db)
-        acc = np.where(db & 1, acc, _mod(acc * b[0], p))
+        k += swap * (s - 2 * k)
+        acc = np.where((k - lag) & 1, acc, _mod(acc * b[0], p))
         # lc(b)*a - lc(a)*x^(deg a - deg b)*b, one row up
         d = w[:-1]
         np.multiply(la[1:], b[0], out=d)
@@ -218,6 +233,7 @@ def _disc_block(idx: np.ndarray, n: int, p: int, dtype: type[np.signedinteger]) 
         d -= la[1:]
         _mod(d, p, out=la[:-1])
         la[-1] = 0
+    db = k - lag
     if db.any():
         raise ArithmeticError(f"Res(f', f) = 0 on {np.count_nonzero(db)} of {db.size} rows: not square-free")
     acc = np.where(sign & 1, p - acc, acc)
@@ -231,17 +247,52 @@ def _disc_block(idx: np.ndarray, n: int, p: int, dtype: type[np.signedinteger]) 
     return chi == 1
 
 
+class _DiscQueue:
+    """One prime's square-free indices, pushed a window of a class at a
+    time in nondecreasing degree with the weight of its orbit, and held
+    until they fill a block.  residue[n] counts the degree-n polynomials
+    whose discriminant is a nonzero square."""
+
+    def __init__(self, p: int):
+        self.p, self.held, self.residue = p, [], Counter()  # held: (indices, degree, weight)
+
+    def push(self, idx: np.ndarray, n: int, weight: int) -> None:
+        while len(idx):
+            room = _CHUNK // (n + 1) - sum(len(i) for i, _, _ in self.held)
+            if room > 0:
+                self.held.append((idx[:room], n, weight))
+                idx = idx[room:]
+            if len(idx):  # the block is full
+                self.run()
+        # copies of views, so that none keeps a window alive
+        self.held = [(i if i.base is None else i.copy(), d, w) for i, d, w in self.held]
+
+    def run(self) -> None:
+        """The resultant pass on the held indices, at most one block."""
+        if self.held:
+            (idx, n, weight), self.held = zip(*self.held), []
+            sizes = [len(i) for i in idx]
+            idx = idx[0] if len(idx) == 1 else np.concatenate(idx)
+            residues = _disc_residues(idx, np.repeat(np.array(n, np.int16), sizes), self.p)
+            lo = 0
+            for d, w, size in zip(n, weight, sizes):
+                self.residue[d] += w * int(np.count_nonzero(residues[lo : lo + size]))
+                lo += size
+
+
 # ---------------------------------------------------------------------------
 # irreducible polynomials by sieve
 # ---------------------------------------------------------------------------
 
-def _monic_rows(idx: np.ndarray, p: int, degree: int, dtype: type[np.signedinteger]) -> np.ndarray:
+def _monic_rows(
+    idx: np.ndarray, p: int, degree: int, dtype: type[np.signedinteger], out: np.ndarray | None = None
+) -> np.ndarray:
     """The coefficients of monic polynomials by index, digit-major with the
     leading 1 first: row r holds the coefficients of x^(degree - r), one
-    column per index, in the given dtype.
+    column per index, in the given dtype, in out where given.
 
     Digit i of an index in base p is coefficient i."""
-    rows = np.empty((degree + 1, len(idx)), dtype=dtype)
+    rows = np.empty((degree + 1, len(idx)), dtype=dtype) if out is None else out
     rows[0] = 1
     work = idx.astype(np.int64)
     for i in range(degree):
@@ -436,6 +487,8 @@ class SquareFreeStats:
 
 
 def _check_budget(n: int, p: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"degree must be an int >= 1, not {n!r}")
     # p >= 2, so a degree of MAX_BUDGET's bit length or more is over it
     # without forming p^n, which at n = 10^6 has too many digits to print
     if n >= MAX_BUDGET.bit_length() or p**n > MAX_BUDGET:
@@ -569,21 +622,6 @@ def _code_type(code: int, n: int, radices: list[int]) -> tuple[int, ...] | None:
     return (big,) * (big > 0) + tuple(parts)
 
 
-def _disc_residue_count(codes: np.ndarray, base: int, square: np.unsignedinteger, n: int, p: int) -> int:
-    """How many square-free polynomials of a class have disc f a nonzero
-    square, p odd.
-
-    The square-free indices are gathered one window of the class at a time
-    and passed to _disc_residues, which splits them into blocks, so no
-    array of all of them is made.
-    """
-    residue = 0
-    for lo in range(0, codes.size, _CHUNK):
-        idx = np.flatnonzero(codes[lo : lo + _CHUNK] < square) + (base + lo)
-        residue += int(np.count_nonzero(_disc_residues(idx, n, p)))
-    return residue
-
-
 def _count_codes(codes: np.ndarray, square: np.unsignedinteger, counts: dict[int, int], weight: int) -> None:
     """Add weight times the number of polynomials with each square-free
     code to counts.
@@ -644,37 +682,59 @@ def _orbit_classes(n: int, p: int, s: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(least.tolist()).items()))
 
 
-def _stats_sieve(n: int, p: int, discriminants: bool) -> SquareFreeStats:
+def _stats_sieve(n: int, p: int, queue: _DiscQueue | None) -> SquareFreeStats:
+    """The statistics of degree n less the discriminant classes, for which
+    the square-free indices go to queue where given."""
     radices, dtype = _type_code(n, p)
     square = dtype(math.prod(radices[:-1]))  # the first code that is not square-free
-    discriminants = discriminants and p % 2 == 1
     c, classes = _read_classes(n, p)
     unit = p ** (n - c)  # the indices of one class
     weights = {top * unit: weight for top, weight in classes}
-    residue = 0
     counts: dict[int, int] = {}
     for starts, slab in _factor_codes(n, p, c, [top for top, _ in classes]):
         slots = [(start, weights[start]) for start in starts.tolist()]
-        if discriminants:
-            # one view per class, before the sort, which loses the indices
+        if queue is not None:
+            # a window of each class at a time, before the sort, which loses the indices
             for i, (start, weight) in enumerate(slots):
-                residue += weight * _disc_residue_count(slab[i * unit : (i + 1) * unit], start, square, n, p)
+                codes = slab[i * unit : (i + 1) * unit]
+                for lo in range(0, unit, _CHUNK):
+                    queue.push(np.flatnonzero(codes[lo : lo + _CHUNK] < square) + (start + lo), n, weight)
         # one view per run of classes of equal weight
         lo = 0
         for weight, run in groupby(weight for _, weight in slots):
             hi = lo + len(list(run))
             _count_codes(slab[lo * unit : hi * unit], square, counts, weight)
             lo = hi
-    squarefree = sum(counts.values())
-    return SquareFreeStats(
-        n=n,
-        p=p,
-        total_monic=p**n,
-        # each distinct code decoded once
-        type_counts=tuple(sorted((_code_type(code, n, radices), c) for code, c in counts.items())),
-        disc_residue=residue if discriminants else None,
-        disc_nonresidue=squarefree - residue if discriminants else None,
-    )
+    # each distinct code decoded once
+    type_counts = tuple(sorted((_code_type(code, n, radices), c) for code, c in counts.items()))
+    return SquareFreeStats(n=n, p=p, total_monic=p**n, type_counts=type_counts)
+
+
+def enumerate_degrees(p: int, degrees: Mapping[int, bool]) -> dict[int, SquareFreeStats]:
+    """`enumerate_stats` at each degree n of degrees, with discriminant
+    classes where degrees[n] is true.  The degrees are sieved in increasing
+    order into one `_DiscQueue`, run to its end after the last degree with
+    discriminant classes, before any larger degree is sieved."""
+    check_prime(p)
+    for n in degrees:
+        _check_budget(n, p)
+    queue = _DiscQueue(p)
+    wanted = {n for n, disc in degrees.items() if disc and p % 2}
+    stats = {}
+    for n in sorted(degrees):
+        stats[n] = _stats_sieve(n, p, queue if n in wanted else None)
+        if n == max(wanted, default=0):
+            queue.run()
+        if _malloc_trim is not None:
+            # give the freed code buffer back to the system: glibc keeps a
+            # freed heap top below twice the largest mapped block it has freed,
+            # so the buffer of a sieve whose slabs are as large as the last
+            # sieve's comes from the heap and would stay resident
+            _malloc_trim(0)
+    for n in wanted:
+        residue = queue.residue[n]
+        stats[n] = replace(stats[n], disc_residue=residue, disc_nonresidue=stats[n].squarefree_count - residue)
+    return stats
 
 
 def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFreeStats:
@@ -683,20 +743,7 @@ def enumerate_stats(n: int, p: int, *, discriminants: bool = True) -> SquareFree
 
     A composite p and p^n above MAX_BUDGET are refused before anything is
     allocated.  Discriminant classes (odd p only) are still most of the
-    time (0.0022 s against 0.0007 s without at 7^6, 0.11 s against 0.0082 s
+    time (0.0033 s against 0.0010 s without at 7^6, 0.16 s against 0.011 s
     at 5^10) and can be switched off.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"degree must be an int, not {n!r}")
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    check_prime(p)
-    _check_budget(n, p)
-    stats = _stats_sieve(n, p, discriminants)
-    if _malloc_trim is not None:
-        # give the freed code buffer back to the system: glibc keeps a
-        # freed heap top below twice the largest mapped block it has freed,
-        # so the buffer of a sieve whose slabs are as large as the last
-        # sieve's comes from the heap and would stay resident
-        _malloc_trim(0)
-    return stats
+    return enumerate_degrees(p, {n: discriminants})[n]

@@ -12,9 +12,13 @@ Routes look library functions up on their module when called
 the module binds at that moment.
 
 Oracle rows are emitted only for grid points whose p^n fits the
-enumeration budget.  Discriminant enumeration adds a resultant pass
-over the square-free polynomials, so that suite caps the degree at 6
-(the full identity is polynomial in q; larger degrees add cost, not
+enumeration budget.  Each point carries the grid's degrees at its prime,
+and the first read at a prime enumerates all of them that no suite has
+read yet in one `ffpoly.enumerate_degrees` call, so the discriminant
+classes of those degrees share resultant blocks; every point is
+enumerated once per process.  Discriminant enumeration adds a resultant
+pass over the square-free polynomials, so that suite caps the degree at
+6 (the full identity is polynomial in q; larger degrees add cost, not
 verification power).
 """
 
@@ -23,7 +27,6 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Callable
 
@@ -84,15 +87,16 @@ _RANKS_FROM_2 = _each_n(2, lambda config: config.n_max)
 
 
 def _oracle(config: RunConfig, n_cap: int | None = None, min_p: int = 2):
-    """Every (p, n) with n >= 2 whose p^n fits the enumeration budget."""
+    """Every (p, n) with n >= 2 whose p^n fits the enumeration budget, as
+    arguments (n, p, degrees): degrees are the grid's at p, which
+    `_oracle_stats` enumerates together."""
     top = config.n_max if n_cap is None else min(config.n_max, n_cap)
-    return [
-        ({"n": n, "q": p}, (n, p))
-        for p in config.primes
-        if p >= min_p
-        for n in range(2, top + 1)
-        if p**n <= config.enumeration_budget
-    ]
+    grid = []
+    for p in config.primes:
+        if p >= min_p:
+            degrees = tuple(n for n in range(2, top + 1) if p**n <= config.enumeration_budget)
+            grid += [({"n": n, "q": p}, (n, p, degrees)) for n in degrees]
+    return grid
 
 
 def _euler_point(which: int):
@@ -103,11 +107,20 @@ def _euler_point(which: int):
     return grid
 
 
-@lru_cache(maxsize=None)
-def _oracle_stats(n: int, p: int) -> ffpoly.SquareFreeStats:
-    """One enumeration per (n, p), with the discriminant classes wherever
-    the discriminant suite reads them (odd p, n <= DISC_N_CAP)."""
-    return ffpoly.enumerate_stats(n, p, discriminants=p % 2 == 1 and n <= DISC_N_CAP)
+#: the oracle statistics by (n, p), each point enumerated once per process
+_ORACLE_STATS: dict[tuple[int, int], ffpoly.SquareFreeStats] = {}
+
+
+def _oracle_stats(n: int, p: int, degrees: tuple[int, ...]) -> ffpoly.SquareFreeStats:
+    """The statistics at (n, p), a point of a grid whose degrees at p are
+    degrees.  The first read of such a point enumerates, in one
+    `ffpoly.enumerate_degrees` call, every one of those degrees that no
+    suite has read yet, with the discriminant classes wherever the
+    discriminant suite reads them (odd p, n <= DISC_N_CAP)."""
+    if (n, p) not in _ORACLE_STATS:
+        todo = {d: p % 2 == 1 and d <= DISC_N_CAP for d in degrees if (d, p) not in _ORACLE_STATS}
+        _ORACLE_STATS.update(((d, p), stats) for d, stats in ffpoly.enumerate_degrees(p, todo).items())
+    return _ORACLE_STATS[n, p]
 
 
 def _joined(values) -> str:
@@ -150,8 +163,8 @@ squarefree_count_reports = _Suite({
     ),
     "squarefree-count-oracle": (
         _oracle,
-        lambda n, p: sqfree.squarefree_count(n).eval(p),
-        lambda n, p: _oracle_stats(n, p).squarefree_count,
+        lambda n, p, _: sqfree.squarefree_count(n).eval(p),
+        lambda *point: _oracle_stats(*point).squarefree_count,
     ),
 })
 
@@ -163,8 +176,8 @@ linear_factor_reports = _Suite({
     ),
     "linear-factors-oracle": (
         _oracle,
-        lambda n, p: sqfree.expected_linear_factors(n).eval(p),
-        lambda n, p: _oracle_stats(n, p).binomial_moment({1: 1}),
+        lambda n, p, _: sqfree.expected_linear_factors(n).eval(p),
+        lambda *point: _oracle_stats(*point).binomial_moment({1: 1}),
     ),
 })
 
@@ -182,8 +195,9 @@ quad_excess_reports = _Suite({
     ),
     "quad-excess-oracle": (
         _oracle,
-        lambda n, p: sqfree.quad_excess_exact(n).eval(p),
-        lambda n, p: _oracle_stats(n, p).binomial_moment({2: 1}) - _oracle_stats(n, p).binomial_moment({1: 2}),
+        lambda n, p, _: sqfree.quad_excess_exact(n).eval(p),
+        lambda *point: _oracle_stats(*point).binomial_moment({2: 1})
+        - _oracle_stats(*point).binomial_moment({1: 2}),
     ),
 })
 
@@ -195,16 +209,16 @@ mu_sum_reports = _Suite({
     ),
     "mu-signed-sum-oracle": (
         _oracle,
-        lambda n, p: _oracle_stats(n, p).mu_sum,
-        lambda n, p: 0,
+        lambda *point: _oracle_stats(*point).mu_sum,
+        lambda n, p, _: 0,
     ),
 })
 
 discriminant_reports = _Suite({
     "discriminant-balance": (
         lambda config: _oracle(config, DISC_N_CAP, min_p=3),
-        lambda n, p: _oracle_stats(n, p).disc_residue,
-        lambda n, p: _oracle_stats(n, p).disc_nonresidue,
+        lambda *point: _oracle_stats(*point).disc_residue,
+        lambda *point: _oracle_stats(*point).disc_nonresidue,
     ),
 })
 

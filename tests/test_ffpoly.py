@@ -22,7 +22,7 @@ from fp_reference import (
     resultant,
     stats_direct,
 )
-from sqftori import ffpoly, sqfree, suites
+from sqftori import cli, ffpoly, sqfree, suites
 from sqftori.ffpoly import (
     EnumerationBudgetError,
     _disc_residues,
@@ -312,6 +312,105 @@ def test_batched_discriminant_refuses_rows_that_are_not_squarefree(p, n):
     mixed = np.insert(rows, len(rows) // 2, flags.index(False))
     with pytest.raises(ArithmeticError, match=f"on 1 of {len(mixed)} rows"):
         _disc_residues(mixed, n, p)
+    # and among the square-free rows of degrees n - 1 and n + 1, in one
+    # mixed-degree block of a prime's queue
+    lower = [i for i, _ in _squarefree_polys(p, n - 1)]
+    higher = [i for i, f in enumerate(_polys(np.arange(60), p, n + 1)) if is_squarefree(f)]
+    queue = ffpoly._DiscQueue(p)
+    for idx, degree in [(lower, n - 1), ([flags.index(False)], n), (higher, n + 1)]:
+        queue.push(np.array(idx), degree, 1)
+    with pytest.raises(ArithmeticError, match=f"on 1 of {len(lower) + 1 + len(higher)} rows"):
+        queue.run()
+
+
+def _blocks_recorded(patch):
+    """The (rows, columns) of every resultant block from here on."""
+    shapes = []
+    disc_block = ffpoly._disc_block
+
+    def recorded(idx, n, p, dtype):
+        shapes.append((int(n[-1]) + 1, len(idx)))
+        return disc_block(idx, n, p, dtype)
+
+    patch.setattr(ffpoly, "_disc_block", recorded)
+    return shapes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.data())
+def test_mixed_degree_blocks_match_the_scalar_resultant(p, data):
+    # a random set of degrees from 1 to 6 (n = 1 and p | n among them) and
+    # a few square-free polynomials of each: per row through the kernel's
+    # mixed-degree blocks, and counted per degree, weighted, through a
+    # prime's queue, pushed in random segments that straddle block edges
+    degrees = sorted(data.draw(st.sets(st.integers(1, 6), min_size=1), label="degrees"))
+    chunk = data.draw(st.sampled_from([None, 64, 8]), label="_CHUNK")
+    rows, segments, residue = [], [], {}
+    for n in degrees:
+        idx = data.draw(st.lists(st.integers(0, p**n - 1), min_size=1, max_size=40, unique=True), label=f"degree {n}")
+        idx.sort()
+        polys = _polys(np.array(idx), p, n)
+        sf = [(i, disc_residue(f)) for i, f in zip(idx, polys) if is_squarefree(f)]
+        rows += [(i, n, square) for i, square in sf]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(sf)), max_size=3), label="cuts"))
+        for lo, hi in zip([0, *cuts], [*cuts, len(sf)]):
+            weight = data.draw(st.integers(1, p), label="weight")
+            segments.append(([i for i, _ in sf[lo:hi]], n, weight))
+            residue[n] = residue.get(n, 0) + weight * sum(square for _, square in sf[lo:hi])
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(ffpoly, "_CHUNK", chunk)
+        shapes = _blocks_recorded(patch)
+        if rows:
+            got = _disc_residues(np.array([i for i, _, _ in rows]), np.array([n for _, n, _ in rows]), p)
+            assert got.tolist() == [square for _, _, square in rows]
+        queue = ffpoly._DiscQueue(p)
+        for idx, n, weight in segments:
+            queue.push(np.array(idx, dtype=np.int64), n, weight)
+        queue.run()
+        assert queue.held == []
+        assert {n: queue.residue[n] for n in residue} == residue
+        assert all(r * c <= ffpoly._CHUNK or c == 1 for r, c in shapes)
+
+
+@pytest.mark.parametrize(
+    "p,degrees",
+    [(_INT16_TOP, (1, 2, 3)), (_INT16_ABOVE, (1, 2, 3)), (_NARROW_TOP, (1, 2)), (_WIDE_BOTTOM, (1, 2))],
+)
+def test_mixed_degree_block_at_the_width_edges(p, degrees):
+    # a strided sample of the square-free rows of each degree, both ends
+    # included, in one block of mixed degree
+    idx, n, expected = [], [], []
+    for d in degrees:
+        sample = np.append(np.arange(0, p**d, p**d // 100 + 1), p**d - 1)
+        for i, f in zip(sample.tolist(), _polys(sample, p, d)):
+            if is_squarefree(f):
+                idx.append(i)
+                n.append(d)
+                expected.append(disc_residue(f))
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = _blocks_recorded(patch)
+        assert _disc_residues(np.array(idx), np.array(n), p).tolist() == expected
+    assert shapes == [(degrees[-1] + 1, len(idx))]
+
+
+@pytest.mark.parametrize(
+    "argv,blocks",
+    [
+        # 19 blocks of 3 to 11 steps, 141 in all, when each (n, p) ran its own pass
+        (["sqfree", "discriminant", "--prime", "3", "--prime", "5", "--prime", "7"], 4),
+        (["verify", "all"], 2),  # 13, 95 steps
+    ],
+)
+def test_discriminant_classes_of_a_prime_share_resultant_blocks(argv, blocks, monkeypatch, capsys):
+    # each prime's degrees fill mixed-degree blocks of at most _CHUNK
+    # entries: over F_3 and F_5 one block each, over F_7 two
+    shapes = _blocks_recorded(monkeypatch)
+    monkeypatch.setattr(suites, "_ORACLE_STATS", {})
+    assert cli.main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert 0 < len(shapes) <= blocks
+    assert all(rows * cols <= ffpoly._CHUNK for rows, cols in shapes)
 
 
 #: a few arrays of about _CHUNK entries each, as the marking and the
@@ -355,6 +454,44 @@ def test_discriminant_classes_need_no_array_of_all_squarefree_indices():
         tracemalloc.stop()
     assert stats.disc_residue + stats.disc_nonresidue == stats.squarefree_count == p**n - p ** (n - 1)
     assert peak - _slab_bytes(n, p) < _CHUNK_ALLOWANCE
+
+
+def test_disc_queue_holds_at_most_a_block_at_the_default_grid(monkeypatch):
+    # between pushes a prime's queue holds at most one block of indices, in
+    # arrays of their own, not views that keep a window alive: at the
+    # discriminant suite's degrees over F_3, F_5 and F_7, where pushes at
+    # 7^6 cut blocks out of their window; and it is empty before the
+    # degrees above DISC_N_CAP are sieved, so at the default grid at 5 the
+    # peak is that of 5^10 alone (a queue run after 5^10 instead lifts it
+    # by about 30 KiB)
+    held = []
+    push = ffpoly._DiscQueue.push
+
+    def recorded(self, idx, n, weight):
+        push(self, idx, n, weight)
+        if self.held:
+            block = ffpoly._CHUNK // (n + 1)
+            held.append(sum(len(i) for i, _, _ in self.held) <= block and all(i.base is None for i, _, _ in self.held))
+
+    _sieve_irreducibles(5, 5)
+    tracemalloc.start()
+    try:
+        enumerate_stats(10, 5, discriminants=False)
+        alone = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(ffpoly._DiscQueue, "push", recorded)
+    for p in (3, 5, 7):
+        ffpoly.enumerate_degrees(p, dict.fromkeys(range(2, suites.DISC_N_CAP + 1), True))
+    assert len(held) > 10 and all(held)
+    degrees = {n: n <= suites.DISC_N_CAP for _, (n, p, _) in suites._oracle(RunConfig()) if p == 5}
+    tracemalloc.start()
+    try:
+        ffpoly.enumerate_degrees(5, degrees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(degrees) == 10 and peak <= alone + 16 * 2**10
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
@@ -758,7 +895,7 @@ def test_reads_per_default_grid_point():
     # all when every class fixed as many digits as a slab
     deeper = {(8, 5): 3 * 5**6, (9, 5): 8 * 5**6, (10, 5): 9 * 5**7}
     total = 0
-    for _, (n, p) in suites._oracle(RunConfig()):
+    for _, (n, p, _) in suites._oracle(RunConfig()):
         reads = sum(size for _, size in _slabs_read(n, p)[1])
         assert reads == deeper.get((n, p), (1 if n % p else 2) * p ** (n - 1)), (p, n)
         total += reads

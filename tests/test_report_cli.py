@@ -279,24 +279,43 @@ def test_verify_all_passes_clean():
     assert failing_names(reports) == []
 
 
+def _batches(monkeypatch):
+    """The (p, {n: discriminants}) of every `ffpoly.enumerate_degrees` call
+    from here on, on an empty oracle memo."""
+    batches = []
+    enumerate_degrees = ffpoly.enumerate_degrees
+
+    def counted(p, degrees):
+        batches.append((p, dict(degrees)))
+        return enumerate_degrees(p, degrees)
+
+    monkeypatch.setattr(ffpoly, "enumerate_degrees", counted)
+    monkeypatch.setattr(suites, "_ORACLE_STATS", {})
+    return batches
+
+
 def test_verify_all_enumerates_each_oracle_point_once(monkeypatch):
     # the oracle rows of one (n, p) share one enumeration, which carries the
-    # discriminant classes exactly where the discriminant suite reads them
-    calls = []
-    enumerate_stats = ffpoly.enumerate_stats
-
-    def counted(n, p, **kwargs):
-        calls.append((n, p, kwargs["discriminants"]))
-        return enumerate_stats(n, p, **kwargs)
-
-    monkeypatch.setattr(ffpoly, "enumerate_stats", counted)
-    suites._oracle_stats.cache_clear()
+    # discriminant classes exactly where the discriminant suite reads them;
+    # the grid's degrees at each prime are enumerated in one batch
+    # (`enumerate_stats` goes through `enumerate_degrees` too)
+    batches = _batches(monkeypatch)
     config = RunConfig()
     assert failing_names(suites.verify_all(config)) == []
+    calls = [(n, p, disc) for p, degrees in batches for n, disc in degrees.items()]
     points = [(n, p) for n, p, _ in calls]
     assert len(points) == len(set(points))
-    assert set(points) == {args for _, args in suites._oracle(config)}
+    assert set(points) == {(n, p) for _, (n, p, _) in suites._oracle(config)}
     assert all(disc == (p % 2 == 1 and n <= suites.DISC_N_CAP) for n, p, disc in calls)
+    assert [p for p, _ in batches] == list(config.primes)
+
+
+def test_discriminant_command_enumerates_only_the_budgeted_degrees(monkeypatch, capsys):
+    # 7^3 = 343 fits a budget of 400 and 7^4 does not
+    batches = _batches(monkeypatch)
+    assert cli.main(["sqfree", "discriminant", "--prime", "7", "--budget", "400"]) == 0
+    assert batches == [(7, {2: True, 3: True})]
+    assert "failed 0" in capsys.readouterr().out
 
 
 #: the memos of the symbolic routes that rows call with repeated arguments
