@@ -19,8 +19,9 @@ the primitive parts, by pseudo-division over Z, returning the cofactors
 with the gcd, so cancelling never divides twice.  The report routes
 rarely reach it: every denominator of the paper's formulas is a product
 of q and of factors q^i - 1, which they cancel by synthetic division
-before a value enters Q(q), and whatever is left over a power of q comes
-off in `_cancel` with no gcd.
+before a value enters Q(q), and whatever is left over a power of q, or
+is a power of q over anything (every Euler coefficient), comes off in
+`_cancel` with no gcd.
 
 Everything here is immutable and exact; there is no floating point.
 Rational functions are kept in a canonical form (numerator and
@@ -402,12 +403,6 @@ class RationalFunction:
         other = _as_rf(other)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
-        # over the larger of two integer denominators when the other divides it
-        big, small = (self, other) if len(self.den.z) >= len(other.den.z) else (other, self)
-        if big.den.d == small.den.d == 1:
-            r = _exact_quotient(big.den.z, small.den.z)
-            if r is not None:
-                return RationalFunction(big.num + small.num * _raw(tuple(r), 1), big.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

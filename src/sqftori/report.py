@@ -106,6 +106,8 @@ class RunConfig:
             check_prime(p)
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"repeated prime in {list(self.primes)}")
+        if self.enumeration_budget < 1:
+            raise ValueError(f"enumeration budget {self.enumeration_budget} is below 1")
         if self.enumeration_budget > MAX_BUDGET:
             raise ValueError(
                 f"enumeration budget {self.enumeration_budget} exceeds the "

@@ -3,7 +3,8 @@
 A `TruncatedSeries` holds `RationalFunction` coefficients for u^0 .. u^N
 inclusive, where the truncation order N is fixed at construction, and all
 arithmetic on them is exact.  Binary operations take the minimum of the
-operand orders.  A series is built only where a report prints one.
+operand orders.  A series is built only where a report prints one, and
+no report multiplies or divides two (the Euler rows are built in `tori`).
 
 A generating function that is only read coefficient by coefficient has no
 order: `ExpCoefficients` computes the coefficients of an exp on demand,
@@ -126,15 +127,6 @@ class TruncatedSeries:
             base = base * base
             e >>= 1
         return out
-
-    def substitute(self, c: RationalFunction) -> "TruncatedSeries":
-        """g(u) = f(c * u), truncated at the original order."""
-        out = []
-        ck = ONE
-        for a in self.coeffs:
-            out.append(a * ck if a != ZERO else ZERO)
-            ck = ck * c
-        return TruncatedSeries(out)
 
     # -- comparisons / rendering ----------------------------------------
 

@@ -48,14 +48,15 @@ no more parts i than that are multiples of d.
 Infinite products over r in powers of 1/q (such as prod_r 1/(1-u/q^r))
 are never truncated in r; they enter only through their summatory
 closed forms, certified by the Euler functional equations
-F(u) = F(u/q)/(1-u/q) and G(u) = (1+u/q) G(u/q).
+F(u) = F(u/q)/(1-u/q) and G(u) = (1+u/q) G(u/q), whose two sides are
+built on one list of integer numerators (`_euler_numerators`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
@@ -245,7 +246,17 @@ def cycle_index_coefficient(n: int, weight: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _euler_numerators(which: int, order: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(t, P), k <= order, as integer numerators: the summatory u^k coefficient is t_k / P_k,
+    t_k = q^C(k,2) (which=1) or 1 (which=2) and P_k = prod_{j<=k} (q^j - 1)."""
+    if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, not {which!r}")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise ValueError(f"the order must be an int >= 0, not {order!r}")
+    t = [[0] * (k * (k - 1) // 2) + [1] if which == 1 else [1] for k in range(order + 1)]
+    return t, list(accumulate(range(1, order + 1), _times_q_power_minus_one, initial=[1]))
+
+
 def euler_sum_series(which: int, order: int) -> TruncatedSeries:
     """The summatory side of the two Euler identities.
 
@@ -254,31 +265,28 @@ def euler_sum_series(which: int, order: int) -> TruncatedSeries:
     which=2:  1 + sum_n u^n / ( q^C(n+1,2) (1-1/q)...(1-1/q^n) )
               (equals prod_{r>=1} (1+u/q^r))
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    # the coefficient of u^k is q^C(k,2) (which=1) or 1 (which=2) over prod_{j<=k} (q^j - 1)
-    dens = accumulate(range(1, order + 1), _times_q_power_minus_one, initial=[1])
-    return TruncatedSeries(
-        RationalFunction(QPoly.q_power(k * (k - 1) // 2 if which == 1 else 0), _poly(den, 1))
-        for k, den in enumerate(dens)
-    )
+    t, dens = _euler_numerators(which, order)
+    return TruncatedSeries(RationalFunction(_poly(z, 1), _poly(den, 1)) for z, den in zip(t, dens))
 
 
 def euler_shifted_series(which: int, order: int) -> TruncatedSeries:
-    """The functional-equation side built from the summatory side:
-
-    which=1:  F(u/q) / (1 - u/q)
-    which=2:  (1 + u/q) * G(u/q)
+    """The functional-equation side, F(u/q) / (1 - u/q) (which=1) or
+    (1 + u/q) G(u/q) (which=2).  With c_k = t_k / P_k the summatory
+    coefficients, its u^k coefficient is q^-k sum_{j<=k} c_j, or
+    q^-k (c_k + c_(k-1)); the P_j nest, so that is one integer list over
+    q^k P_k: S_k = (q^k - 1) S_(k-1) + t_k, or t_k + (q^k - 1) t_(k-1).
 
     Together with the constant term 1, either functional equation
     determines every coefficient, so equality with `euler_sum_series`
     at a given order certifies the summatory form coefficientwise.
     """
-    inv_q = RationalFunction.q_power(-1)
-    shifted = euler_sum_series(which, order).substitute(inv_q)
-    if which == 1:
-        return shifted / TruncatedSeries.from_terms(order, {0: ONE, 1: -inv_q})
-    return TruncatedSeries.from_terms(order, {0: ONE, 1: inv_q}) * shifted
+    t, dens = _euler_numerators(which, order)
+    out, num = [], []
+    for k, den in enumerate(dens):
+        prev = num if which == 1 else (t[k - 1] if k else [])
+        num = [a + b for a, b in zip_longest(_times_q_power_minus_one(prev, k), t[k], fillvalue=0)]
+        out.append(RationalFunction(_poly(num, 1), _poly([0] * k + den, 1)))
+    return TruncatedSeries(out)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,13 @@ def test_config_validation():
             RunConfig(**bad)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("primes", [(), (2, 3)])
+def test_config_refuses_a_budget_below_one_whatever_the_primes(primes, budget):
+    with pytest.raises(ValueError, match="below 1"):
+        RunConfig(primes=primes, enumeration_budget=budget)
+
+
 def test_sorting_is_by_name_then_parameters():
     reports = [
         make_report("b", {"n": 10}, "x", "x"),
@@ -428,6 +435,20 @@ def test_symbolic_verify_all_takes_58_type_sums(clear_symbolic_caches, monkeypat
     monkeypatch.setattr(tori, "_type_sum", lambda n, weight: calls.append(n) or type_sum(n, weight))
     _check_symbolic_n12_digest()
     assert len(calls) == 58
+
+
+def test_symbolic_verify_all_takes_104_q_of_q_operations(clear_symbolic_caches, monkeypatch):
+    # counted as the benchmark's tracer counts `exact.rf_arith`, an operator
+    # called from another counts too; 256 when the Euler shifted sides were
+    # built by series substitution and division over Q(q)
+    ops, gcds = [], []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        op = getattr(exact.RationalFunction, name)
+        monkeypatch.setattr(exact.RationalFunction, name, lambda *a, op=op: ops.append(1) or op(*a))
+    gcd = exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+    _check_symbolic_n12_digest()
+    assert (len(ops), len(gcds)) == (104, 1)
 
 
 def test_benchmark_tracer_finds_and_restores_every_binding_it_patches():

@@ -112,21 +112,8 @@ def test_pow_zero_exponent():
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# rendering
 # ---------------------------------------------------------------------------
-
-
-def test_substitute_u_over_q():
-    order = 4
-    geom = one(order) / TruncatedSeries.from_terms(order, {0: ONE, 1: -ONE})
-    shifted = geom.substitute(RationalFunction.q_power(-1))
-    for k in range(order + 1):
-        assert shifted.coeffs[k] == RationalFunction.q_power(-k)
-
-
-def test_substitute_alternating():
-    geom = one(5) / qq_series(5, {0: 1, 1: -1})
-    assert geom.substitute(RF(-1)).coeffs == (1, -1, 1, -1, 1, -1)
 
 
 def test_canonical_text_rendering():

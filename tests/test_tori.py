@@ -291,8 +291,9 @@ def test_cycle_index_takes_no_gcd(clear_symbolic_caches, monkeypatch):
 def test_cycle_index_minus_one_reproduces_bias():
     for n in range(1, 9):
         log = {i: RF.from_fraction(-1) / ((RF.q_power(i) - ONE) * i) for i in range(1, n + 1)}
-        series = TruncatedSeries.from_terms(n, log).exp().substitute(RF.from_fraction(-1))
-        bias = RF(gl_order(n)) * series.coeffs[n]
+        series = TruncatedSeries.from_terms(n, log).exp()
+        # the u^n coefficient of f(-u) is (-1)^n f_n
+        bias = RF(gl_order(n)) * RF.from_fraction((-1) ** n) * series.coeffs[n]
         assert bias == tori.mod2_bias_formula(n)
         assert tori.cycle_index_coefficient(n, -1) == RF.from_fraction((-1) ** n) * bias
 
@@ -312,9 +313,36 @@ def test_euler_identities_to_order_12(which):
 
 @pytest.mark.parametrize("which", [1, 2])
 def test_euler_identities_at_every_order(which):
-    # the registry grid starts at order 12; the lower orders are checked here
-    for order in range(1, 12):
+    # the registry grid reads order max(n_max, 12), and n_max is at most 24
+    for order in range(1, 25):
         assert tori.euler_sum_series(which, order) == tori.euler_shifted_series(which, order)
+
+
+@pytest.mark.parametrize(
+    "which,order",
+    [(0, 3), (3, 3), (True, 3), (1.0, 3), (1, -1), (2, -1), (1, 3.0), (2, False), (1, "3")],
+    ids=repr,
+)
+@pytest.mark.parametrize("side", [tori.euler_sum_series, tori.euler_shifted_series], ids=lambda f: f.__name__)
+def test_euler_sides_refuse_bad_arguments_alike(side, which, order):
+    # a bool or float would be read as 0, 1 or an int; a negative order as the series 1
+    with pytest.raises(ValueError):
+        side(which, order)
+
+
+def test_euler_sides_enter_q_of_q_once_per_coefficient(clear_symbolic_caches, monkeypatch):
+    # both sides are integer numerators over prod_{j<=k} (q^j - 1), times q^k on
+    # the shifted side: no Q(q) operator, series product or quotient, or gcd
+    def refuse(*args):
+        raise AssertionError("an Euler side used Q(q) or series arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(RF, name, refuse)
+    for name in ("__mul__", "__truediv__"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    monkeypatch.setattr(exact, "poly_gcd", refuse)
+    for which in (1, 2):
+        assert tori.euler_sum_series(which, 24) == tori.euler_shifted_series(which, 24)
 
 
 def test_cycle_index_at_weight_one_is_euler_f():
